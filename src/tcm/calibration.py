@@ -11,16 +11,15 @@ divergences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_EPS, DivergenceSeries, divergence_series, layer_divergence
+from .core import DEFAULT_EPS, DivergenceCache, divergence_store
 from .clustering import PixelFeatureConfig
 from .errors import BinMismatch, PlacementFailed
-from .geometry import ChipStack, Polygon, Scene, extract_chip_stack
-from .util import run_tasks, stable_seed
+from .geometry import Polygon
+from .util import stable_seed
 
 DEFAULT_N_RANDOM = 1000
 DEFAULT_N_BINS = 50
@@ -95,15 +94,20 @@ def percentile_threshold(samples: Sequence[float], pct: float = DEFAULT_PERCENTI
 
 
 def build_pq(
-    footprint_series: Sequence[DivergenceSeries],
-    random_series: Sequence[DivergenceSeries],
+    footprint_series: Sequence,
+    random_series: Sequence,
     n_bins: int = DEFAULT_N_BINS,
     d_max: Optional[float] = None,
 ) -> tuple[Histogram, Histogram]:
     """Histograms of footprint final-layer divergences (p) and of random-polygon
-    divergences pooled over every layer (q), over a shared bin range."""
-    p_samples = np.array([s.values[-1] for s in footprint_series], dtype=np.float64)
-    q_samples = np.concatenate([np.asarray(s.values) for s in random_series]).astype(np.float64)
+    divergences pooled over every layer (q), over a shared bin range.
+
+    Each series is a DivergenceSeries or a row of values ending at the final
+    layer (a footprint row may hold the final layer alone).
+    """
+    values = lambda s: np.asarray(getattr(s, "values", s), dtype=np.float64)
+    p_samples = np.array([values(s)[-1] for s in footprint_series])
+    q_samples = np.concatenate([values(s) for s in random_series])
     if p_samples.size == 0 or q_samples.size == 0:
         raise ValueError("both sample sets must be nonempty")
     if d_max is None:
@@ -148,17 +152,6 @@ def sample_random_polygons(
     return out
 
 
-def _final_divergence_by_k(chips: ChipStack, k_grid: Sequence[int],
-                           cfg: PixelFeatureConfig, seed: int, eps: float) -> dict[int, float]:
-    return {k: layer_divergence(chips, chips.n_layers - 1, k, cfg, seed, eps)
-            for k in k_grid}
-
-
-def _series_by_k(chips: ChipStack, k_grid: Sequence[int],
-                 cfg: PixelFeatureConfig, seed: int, eps: float) -> dict[int, np.ndarray]:
-    return {k: divergence_series(chips, k, cfg, seed, eps).values for k in k_grid}
-
-
 def calibrate(
     dataset,
     k_grid: Sequence[int],
@@ -170,55 +163,39 @@ def calibrate(
     feature_config: PixelFeatureConfig = PixelFeatureConfig(),
     eps: float = DEFAULT_EPS,
     workers: int = 1,
+    cache: Optional[DivergenceCache] = None,
 ) -> CalibrationReport:
     """Grid-search (k, r) by Bhattacharyya overlap and pick theta from q.
 
     The random polygon set is sampled once (rejecting placements whose extent
     buffered by max(r_grid) would leave the imagery) and shared by every grid
     cell, so cells differ only in the parameters under test. Ties on the
-    coefficient go to smaller k, then smaller r.
+    coefficient go to smaller k, then smaller r. Footprint values go through
+    `cache` (a new store when None), so later reads of the same store reuse
+    them.
     """
     k_grid = sorted(set(int(k) for k in k_grid))
     r_grid = sorted(set(float(r) for r in r_grid))
     if not k_grid or not r_grid:
         raise ValueError("k_grid and r_grid must be nonempty")
-    scenes: Sequence[Scene] = dataset.scenes
-    footprints: Sequence[Polygon] = dataset.polygons
-    if not footprints:
+    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
+    if not dataset.polygons:
         raise ValueError("dataset has no footprints to calibrate on")
 
-    extent = scenes[-1].world_extent()
-    randoms = sample_random_polygons(footprints, extent, n_random, seed, buffer=max(r_grid))
+    extent = dataset.scenes[-1].world_extent()
+    randoms = sample_random_polygons(dataset.polygons, extent, n_random, seed,
+                                     buffer=max(r_grid))
 
     cells = []
     for r in r_grid:
-        # Chip extraction is cheap array slicing; the clustering work happens
-        # in the (possibly pooled) per-chip tasks below.
-        fp_chips = [extract_chip_stack(scenes, p, r) for p in footprints]
-        rp_chips = [extract_chip_stack(scenes, p, r) for p in randoms]
-        p_by_k = run_tasks(
-            partial(_final_divergence_by_k, k_grid=k_grid, cfg=feature_config,
-                    seed=seed, eps=eps),
-            fp_chips, workers)
-        q_by_k = run_tasks(
-            partial(_series_by_k, k_grid=k_grid, cfg=feature_config,
-                    seed=seed, eps=eps),
-            rp_chips, workers)
+        finals = cache.layer_values(k_grid, r, [dataset.n_layers - 1])
+        random_rows = cache.polygon_series(randoms, k_grid, r)
         for k in k_grid:
-            p_series = [
-                DivergenceSeries(ch.footprint_id, np.array([vals[k]]), (ch.years[-1],))
-                for ch, vals in zip(fp_chips, p_by_k)
-            ]
-            q_series = [
-                DivergenceSeries(ch.footprint_id, vals[k], ch.years)
-                for ch, vals in zip(rp_chips, q_by_k)
-            ]
-            hist_p, hist_q = build_pq(p_series, q_series, n_bins)
-            q_pool = np.concatenate([s.values for s in q_series])
+            hist_p, hist_q = build_pq(finals[k], random_rows[k], n_bins)
             cells.append(CalibrationCell(
                 k=k, r=r,
                 bc=bhattacharyya(hist_p, hist_q),
-                theta=percentile_threshold(q_pool, pct),
+                theta=percentile_threshold(random_rows[k].ravel(), pct),
                 hist_p=hist_p, hist_q=hist_q,
             ))
 

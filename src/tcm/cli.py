@@ -16,18 +16,15 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import evaluation, formats, synthgen
-from .calibration import calibrate
+from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE, calibrate
 from .clustering import PixelFeatureConfig
-from .core import DEFAULT_EPS, detect
+from .core import DEFAULT_EPS, DivergenceCache, DivergenceSeries, decide
 from .data import FootprintDataset
 from .errors import ConfigError, TCMError
-from .geometry import extract_chip_stack
-from .util import run_tasks
 
 log = logging.getLogger("tcm")
 
@@ -44,11 +41,11 @@ class RunConfig:
     feature_mode: str = "spectral"
     window: int = 1
     eps: float = DEFAULT_EPS
-    percentile: float = 98.0
+    percentile: float = DEFAULT_PERCENTILE
     k_grid: Optional[list[int]] = None
     r_grid: Optional[list[float]] = None
-    n_random: int = 1000
-    n_bins: int = 50
+    n_random: int = DEFAULT_N_RANDOM
+    n_bins: int = DEFAULT_N_BINS
     method: str = "tcm_semi"
     n_repeats: int = 50
     train_frac: float = 0.8
@@ -116,6 +113,18 @@ def _load_dataset(cfg: RunConfig) -> FootprintDataset:
     return FootprintDataset.load(cfg.scenes_dir, cfg.polygons, cfg.labels)
 
 
+def _load_store(cfg: RunConfig) -> DivergenceCache:
+    return DivergenceCache(_load_dataset(cfg), cfg.feature_config(), cfg.eps, cfg.seed,
+                           cfg.workers)
+
+
+def _calibrate(cfg: RunConfig, cache: DivergenceCache):
+    _require_grids(cfg)
+    return calibrate(
+        cache.dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
+        cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers, cache)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,40 +158,28 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     _require_grids(cfg)
-    dataset = _load_dataset(cfg)
-    report = calibrate(
-        dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
-        cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers)
+    cache = _load_store(cfg)
+    report = _calibrate(cfg, cache)
     out = _out_dir(cfg)
     formats.write_json(out / "calibration.json", formats.calibration_report_to_dict(report))
 
     rows = [{"k": c.k, "r": c.r, "bc": c.bc, "theta": c.theta} for c in report.cells]
-    header = ["k", "r", "bc", "theta"]
-    if dataset.labels:
-        cache = evaluation.DivergenceCache(dataset, cfg.feature_config(), cfg.eps,
-                                           cfg.seed, cfg.workers)
-        rows = evaluation.grid_cell_accuracies(dataset, report, cache,
-                                               cfg.feature_config(), cfg.eps,
-                                               cfg.seed, cfg.workers)
-        header = ["k", "r", "bc", "theta", "accuracy"]
+    if cache.dataset.labels:  # adds an "accuracy" column
+        rows = evaluation.grid_cell_accuracies(cache.dataset, report, cache,
+                                               cfg.feature_config(), cfg.eps, cfg.seed)
     with open(out / "calibration_cells.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([row["k"], repr(float(row["r"])), repr(float(row["bc"])),
-                             repr(float(row["theta"]))]
-                            + ([repr(float(row["accuracy"]))] if "accuracy" in row else []))
+            writer.writerow([row["k"]] + [repr(float(v)) for v in list(row.values())[1:]])
     log.info("chose k=%d r=%g theta=%.6g (BC grid of %d cells)",
              report.chosen_k, report.chosen_r, report.chosen_theta, len(report.cells))
     return 0
 
 
-def _resolved_params(cfg: RunConfig, dataset: FootprintDataset):
+def _resolved_params(cfg: RunConfig, cache: DivergenceCache):
     if cfg.theta == "auto" or cfg.theta is None or cfg.k is None or cfg.r is None:
-        _require_grids(cfg)
-        report = calibrate(
-            dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
-            cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers)
+        report = _calibrate(cfg, cache)
         log.info("auto-calibrated to k=%d r=%g theta=%.6g",
                  report.chosen_k, report.chosen_r, report.chosen_theta)
         return report.chosen_k, report.chosen_r, report.chosen_theta
@@ -190,13 +187,12 @@ def _resolved_params(cfg: RunConfig, dataset: FootprintDataset):
 
 
 def cmd_detect(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
-    k, r, theta = _resolved_params(cfg, dataset)
-    chips = [extract_chip_stack(dataset.scenes, poly, r) for poly in dataset.polygons]
-    results = run_tasks(
-        partial(detect, k=k, theta=theta, feature_config=cfg.feature_config(),
-                seed=cfg.seed, eps=cfg.eps),
-        chips, cfg.workers)
+    cache = _load_store(cfg)
+    k, r, theta = _resolved_params(cfg, cache)
+    params = {"k": k, "r": r, "theta": theta, "eps": float(cfg.eps),
+              "feature_mode": cfg.feature_mode, "seed": cfg.seed}
+    results = [decide(DivergenceSeries(fid, values, cache.dataset.years), theta, params)
+               for fid, values in cache.series(k, r).items()]
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)
     log.info("detected %d footprints with k=%d r=%g theta=%.6g", len(results), k, r, theta)
@@ -210,9 +206,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not dataset.labels:
         raise ConfigError("evaluate needs labels (labels csv or label_year properties)")
     out = _out_dir(cfg)
+    _require_grids(cfg)
 
     if cfg.method == "tcm_semi":
-        _require_grids(cfg)
         result, report, _ = evaluation.evaluate_semi_supervised(
             dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
             cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers)
@@ -229,7 +225,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         }
         rows = [(0, result.accuracy, result.mae, result.mae_index, result.n)]
     else:
-        _require_grids(cfg)
         summary = evaluation.repeated_splits(
             dataset, cfg.method, cfg.n_repeats, cfg.train_frac, cfg.seed,
             cfg.k_grid, cfg.r_grid, cfg.feature_config(), cfg.eps, cfg.workers)
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, help="worker threads over footprints")
+        p.add_argument("--workers", type=int, help="worker processes over footprints")
         p.add_argument("--k", type=int, help="cluster count")
         p.add_argument("--r", type=float, help="buffer radius (polygon units)")
         p.add_argument("--theta", help="decision threshold, or 'auto'")

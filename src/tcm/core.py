@@ -5,18 +5,24 @@ are summarized as discrete distributions of cluster indices, and the layer's
 score is the KL divergence between the two. A footprint is called developed
 from the first layer whose divergence exceeds the decision threshold. Because
 every layer is clustered on its own, the comparison is immune to global
-color shifts between years.
+color shifts between years. `DivergenceCache` is the one store through which
+calibration, detection and evaluation read these divergences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Optional, Sequence
+
 import numpy as np
 
 from .clustering import PixelFeatureConfig, assign_features, extract_features, fit_kmeans
+from .data import FootprintDataset
 from .errors import EmptyRegion, SupportMismatch
-from .geometry import ChipStack
-from .util import stable_seed
+from .geometry import ChipStack, Polygon, extract_chip_stack
+from .supervised import avg_color_series, color_over_time_features
+from .util import run_tasks, stable_seed
 
 DEFAULT_EPS = 1.0  # add-one smoothing keeps every KL finite
 
@@ -130,6 +136,13 @@ def first_crossing(series, theta: float) -> int:
     return int(np.argmax(above)) + 1
 
 
+def decide(series: DivergenceSeries, theta: float, params: dict) -> DetectionResult:
+    """First crossing of a computed series, with its provenance."""
+    index = first_crossing(series, theta)
+    return DetectionResult(series.footprint_id, index, series.years[index - 1], series,
+                           bool(series.values[index - 1] > theta), params)
+
+
 def detect(
     chips: ChipStack,
     k: int,
@@ -140,20 +153,118 @@ def detect(
 ) -> DetectionResult:
     """Run the full per-footprint decision: series, first crossing, provenance."""
     series = divergence_series(chips, k, feature_config, seed, eps)
-    index = first_crossing(series, theta)
-    crossed = bool(series.values[index - 1] > theta)
-    return DetectionResult(
-        footprint_id=chips.footprint_id,
-        index=index,
-        year=chips.years[index - 1],
-        series=series,
-        crossed=crossed,
-        params={
-            "k": k,
-            "r": chips.buffer_radius,
-            "theta": float(theta),
-            "eps": float(eps),
-            "feature_mode": feature_config.mode,
-            "seed": seed,
-        },
-    )
+    return decide(series, theta, {"k": k, "r": chips.buffer_radius, "theta": float(theta),
+                                  "eps": float(eps), "feature_mode": feature_config.mode,
+                                  "seed": seed})
+
+
+def _chip_divergences(task, feature_config, seed, eps) -> dict[int, Sequence[float]]:
+    """One chip's divergences at each requested k, over that k's layers."""
+    chips, wanted = task
+    return {
+        k: (divergence_series(chips, k, feature_config, seed, eps).values
+            if len(layers) == chips.n_layers
+            else [layer_divergence(chips, l, k, feature_config, seed, eps) for l in layers])
+        for k, layers in wanted.items()
+    }
+
+
+class DivergenceCache:
+    """The one divergence store: every layer divergence is computed here.
+
+    A footprint's value at (r, k, layer) depends only on those and on the
+    store's seed, eps and feature config, so calibration, detection, splits
+    and methods share it. Requests cover every footprint, so values are kept
+    as one column over the footprints per (r, k, layer); a request computes
+    only its missing columns. Chips and color features are kept per r.
+    `workers` processes only speed up the first computation of a value.
+    """
+
+    def __init__(self, dataset: FootprintDataset,
+                 feature_config: PixelFeatureConfig = PixelFeatureConfig(),
+                 eps: float = DEFAULT_EPS, seed: int = 0, workers: int = 1):
+        self.dataset = dataset
+        self.feature_config = feature_config
+        self.eps = eps
+        self.seed = seed
+        self.workers = workers
+        self._chips: dict[float, dict[str, ChipStack]] = {}
+        self._columns: dict[tuple[float, int, int], np.ndarray] = {}
+        self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
+        self._avg: dict[float, dict[str, np.ndarray]] = {}
+        self._cot: dict[float, dict[str, np.ndarray]] = {}
+
+    def chips(self, r: float) -> dict[str, ChipStack]:
+        r = float(r)
+        if r not in self._chips:
+            self._chips[r] = {p.id: extract_chip_stack(self.dataset.scenes, p, r)
+                              for p in self.dataset.polygons}
+        return self._chips[r]
+
+    def series(self, k: int, r: float) -> dict[str, np.ndarray]:
+        """Full series of every footprint; repeat calls return the same dict."""
+        k, r = int(k), float(r)
+        if (k, r) not in self._series:
+            table = self.layer_values([k], r, range(self.dataset.n_layers))[k]
+            self._series[(k, r)] = dict(zip(self.chips(r), table))
+        return self._series[(k, r)]
+
+    def layer_values(self, k_grid: Sequence[int], r: float,
+                     layers: Sequence[int]) -> dict[int, np.ndarray]:
+        """Per k, the divergences of every footprint (rows, in id order) at
+        the given layers (columns)."""
+        r = float(r)
+        missing = {k: [l for l in layers if (r, k, l) not in self._columns] for k in k_grid}
+        missing = {k: ls for k, ls in missing.items() if ls}
+        if missing:
+            computed = self._compute(list(self.chips(r).values()), missing)
+            for k, ls in missing.items():
+                self._columns.update(((r, k, l), computed[k][:, j]) for j, l in enumerate(ls))
+        return {k: np.stack([self._columns[(r, k, l)] for l in layers], axis=1)
+                for k in k_grid}
+
+    def polygon_series(self, polygons: Sequence[Polygon], k_grid: Sequence[int],
+                       r: float) -> dict[int, np.ndarray]:
+        """Per k, the full series (rows) of polygons outside the dataset, such
+        as calibration's random ones. Their chips and values are not kept, so
+        they never mix with a footprint's, whatever its id."""
+        chips = [extract_chip_stack(self.dataset.scenes, p, float(r)) for p in polygons]
+        return self._compute(chips, {k: range(self.dataset.n_layers) for k in k_grid})
+
+    def _compute(self, chips: list[ChipStack], wanted: dict) -> dict[int, np.ndarray]:
+        """Per k, a (chip, layer) table of the layers wanted: one task per chip."""
+        rows = run_tasks(partial(_chip_divergences, feature_config=self.feature_config,
+                                 seed=self.seed, eps=self.eps),
+                         [(ch, wanted) for ch in chips], self.workers)
+        return {k: np.array([row[k] for row in rows]) for k in wanted}
+
+    def avg_color(self, r: float) -> dict[str, np.ndarray]:
+        return self._per_chip(self._avg, avg_color_series, r)
+
+    def color_deltas(self, r: float) -> dict[str, np.ndarray]:
+        return self._per_chip(self._cot, color_over_time_features, r)
+
+    def _per_chip(self, memo: dict, feature_fn, r: float) -> dict[str, np.ndarray]:
+        r = float(r)
+        if r not in memo:
+            memo[r] = {i: feature_fn(ch) for i, ch in self.chips(r).items()}
+        return memo[r]
+
+
+def divergence_store(cache: Optional[DivergenceCache], dataset: FootprintDataset,
+                     feature_config: PixelFeatureConfig, eps: float, seed: int,
+                     workers: int) -> DivergenceCache:
+    """The caller's store when it was built for these settings, else a new one.
+
+    A store built for another dataset, seed, eps or feature config is refused.
+    The worker count never changes a value and is not compared.
+    """
+    if cache is None:
+        return DivergenceCache(dataset, feature_config, eps, seed, workers)
+    differ = [name for name, same in (
+        ("dataset", cache.dataset is dataset), ("seed", cache.seed == seed),
+        ("eps", cache.eps == eps), ("feature_config", cache.feature_config == feature_config))
+        if not same]
+    if differ:
+        raise ValueError(f"the DivergenceCache passed was built with another {', '.join(differ)}")
+    return cache

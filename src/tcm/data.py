@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import formats
+from .errors import DuplicateFootprintId
 from .geometry import Polygon, Scene
 
 
@@ -24,6 +25,9 @@ class FootprintDataset:
 
     def __post_init__(self):
         self.polygons = sorted(self.polygons, key=lambda p: p.id)
+        dupes = sorted({a.id for a, b in zip(self.polygons, self.polygons[1:]) if a.id == b.id})
+        if dupes:
+            raise DuplicateFootprintId(f"footprint ids occur more than once: {dupes[:5]}")
         years = [s.year for s in self.scenes]
         if years != sorted(years):
             self.scenes = sorted(self.scenes, key=lambda s: s.year)
@@ -36,12 +40,6 @@ class FootprintDataset:
     def n_layers(self) -> int:
         return len(self.scenes)
 
-    def polygon_by_id(self, fid: str) -> Polygon:
-        for poly in self.polygons:
-            if poly.id == fid:
-                return poly
-        raise KeyError(fid)
-
     def labeled_ids(self) -> list[str]:
         if not self.labels:
             return []
@@ -50,12 +48,6 @@ class FootprintDataset:
 
     def year_of_index(self, index: int) -> int:
         return self.scenes[index - 1].year
-
-    def index_of_year(self, year: int) -> int:
-        for i, sc in enumerate(self.scenes, start=1):
-            if sc.year == year:
-                return i
-        raise KeyError(year)
 
     @classmethod
     def load(cls, scenes_dir, polygons_path, labels_path=None) -> "FootprintDataset":

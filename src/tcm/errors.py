@@ -17,6 +17,10 @@ class DegeneratePolygon(TCMError):
     """Polygon ring has fewer than 3 distinct vertices or zero area."""
 
 
+class DuplicateFootprintId(TCMError):
+    """Two footprints of one dataset share an id."""
+
+
 class EmptyFootprintMask(TCMError):
     """No pixel center of the target grid falls inside the polygon."""
 

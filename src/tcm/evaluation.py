@@ -1,34 +1,26 @@
 """Scoring, the repeated-split protocol, and the method registry.
 
 Divergence and color features depend only on (footprint, parameters), never on
-how the labeled set was split, so a per-dataset cache computes them once and
-every split/method reuses them. Supervised methods grid-search their
-hyperparameters on the training side of each split.
+how the labeled set was split, so one `DivergenceCache` (defined in `core`)
+computes them once and every split/method reuses them. Supervised methods
+grid-search their hyperparameters on the training side of each split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE
 from .calibration import CalibrationReport, calibrate
 from .clustering import PixelFeatureConfig
-from .core import DEFAULT_EPS, divergence_series, first_crossing
+from .core import DEFAULT_EPS, DivergenceCache, divergence_store, first_crossing
 from .data import FootprintDataset
 from .errors import DegenerateRanks, MissingPrediction
-from .geometry import extract_chip_stack
-from .supervised import (
-    avg_color_series,
-    color_over_time_features,
-    fit_lr,
-    fit_threshold,
-    mode_predictor,
-    predict_lr,
-)
-from .util import run_tasks, stable_seed
+from .supervised import fit_lr, fit_threshold, mode_predictor, predict_lr
+from .util import stable_seed
 
 METHODS = (
     "tcm_semi",
@@ -112,105 +104,35 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-class DivergenceCache:
-    """Per-dataset memo of chips, divergence series, and color features.
-
-    Values depend only on (polygon, parameters, seed), so they are shared
-    across splits, methods, and repeated calls. Thread workers only speed up
-    the first computation of each key.
-    """
-
-    def __init__(
-        self,
-        dataset: FootprintDataset,
-        feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-        eps: float = DEFAULT_EPS,
-        seed: int = 0,
-        workers: int = 1,
-    ):
-        self.dataset = dataset
-        self.feature_config = feature_config
-        self.eps = eps
-        self.seed = seed
-        self.workers = workers
-        self._chips: dict[float, dict] = {}
-        self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
-        self._avg: dict[float, dict[str, np.ndarray]] = {}
-        self._cot: dict[float, dict[str, np.ndarray]] = {}
-
-    def chips(self, r: float) -> dict:
-        r = float(r)
-        if r not in self._chips:
-            stacks = [extract_chip_stack(self.dataset.scenes, p, r)
-                      for p in self.dataset.polygons]
-            self._chips[r] = {ch.footprint_id: ch for ch in stacks}
-        return self._chips[r]
-
-    def series(self, k: int, r: float) -> dict[str, np.ndarray]:
-        key = (int(k), float(r))
-        if key not in self._series:
-            chips = self.chips(r)
-            ids = sorted(chips)
-            rows = run_tasks(
-                partial(divergence_series, k=int(k), feature_config=self.feature_config,
-                        seed=self.seed, eps=self.eps),
-                [chips[i] for i in ids], self.workers)
-            self._series[key] = {i: np.asarray(s.values) for i, s in zip(ids, rows)}
-        return self._series[key]
-
-    def avg_color(self, r: float) -> dict[str, np.ndarray]:
-        r = float(r)
-        if r not in self._avg:
-            chips = self.chips(r)
-            self._avg[r] = {i: avg_color_series(chips[i]) for i in sorted(chips)}
-        return self._avg[r]
-
-    def color_deltas(self, r: float) -> dict[str, np.ndarray]:
-        r = float(r)
-        if r not in self._cot:
-            chips = self.chips(r)
-            self._cot[r] = {i: color_over_time_features(chips[i]) for i in sorted(chips)}
-        return self._cot[r]
-
-
-def _crossing_index(values: np.ndarray, theta: float) -> int:
-    return first_crossing(values, theta)
-
-
 def _accuracy_of_threshold(series: dict[str, np.ndarray], ids, labels_idx, theta) -> float:
-    pred = np.array([_crossing_index(series[i], theta) for i in ids])
+    pred = np.array([first_crossing(series[i], theta) for i in ids])
     true = np.array([labels_idx[i] for i in ids])
     return float((pred == true).mean())
 
 
-def _threshold_method(feature_fn, grid, cache, labels_idx, train_ids, test_ids):
+def _threshold_method(feature_fn, grid, labels_idx, train_ids, test_ids):
     """Fit a threshold per grid cell on train, keep the best cell, predict test."""
-    best = None
-    for cell in grid:
+    def fitted(cell):
         series = feature_fn(cell)
         theta = fit_threshold([(series[i], labels_idx[i]) for i in train_ids])
-        acc = _accuracy_of_threshold(series, train_ids, labels_idx, theta)
-        cand = (-acc, cell, theta)
-        if best is None or cand < best:
-            best = cand
-    _, cell, theta = best
+        return -_accuracy_of_threshold(series, train_ids, labels_idx, theta), cell, theta
+
+    _, cell, theta = min(fitted(cell) for cell in grid)
     series = feature_fn(cell)
-    return {i: _crossing_index(series[i], theta) for i in test_ids}, {"cell": cell, "theta": theta}
+    return {i: first_crossing(series[i], theta) for i in test_ids}, {"cell": cell, "theta": theta}
 
 
-def _lr_method(feature_fn, grid, cache, labels_idx, train_ids, test_ids, n_classes, lr_seed):
+def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes, lr_seed):
     """Fit a logistic regression per grid cell on train, keep the best cell."""
-    best = None
-    for cell in grid:
+    y_train = np.array([labels_idx[i] - 1 for i in train_ids])
+
+    def fitted(cell):
         feats = feature_fn(cell)
         x_train = np.stack([feats[i] for i in train_ids])
-        y_train = np.array([labels_idx[i] - 1 for i in train_ids])
         model = fit_lr(x_train, y_train, n_classes=n_classes, seed=lr_seed)
-        acc = float((predict_lr(model, x_train) == y_train).mean())
-        cand = (-acc, cell)
-        if best is None or cand < best:
-            best = (cand[0], cell, model)
-    _, cell, model = best
+        return -float((predict_lr(model, x_train) == y_train).mean()), cell, model
+
+    _, cell, model = min((fitted(cell) for cell in grid), key=lambda fit: fit[:2])
     feats = feature_fn(cell)
     x_test = np.stack([feats[i] for i in test_ids])
     preds = predict_lr(model, x_test) + 1
@@ -231,19 +153,19 @@ def _predict_split(
     n_classes = cache.dataset.n_layers
     kr_grid = [(k, r) for k in k_grid for r in r_grid]
     if method == "tcm_supervised":
-        return _threshold_method(lambda c: cache.series(*c), kr_grid, cache,
+        return _threshold_method(lambda c: cache.series(*c), kr_grid,
                                  labels_idx, train_ids, test_ids)
     if method == "tcm_lr":
-        return _lr_method(lambda c: cache.series(*c), kr_grid, cache,
+        return _lr_method(lambda c: cache.series(*c), kr_grid,
                           labels_idx, train_ids, test_ids, n_classes, split_seed)
     if method == "avgcolor_threshold":
-        return _threshold_method(cache.avg_color, list(r_grid), cache,
+        return _threshold_method(cache.avg_color, list(r_grid),
                                  labels_idx, train_ids, test_ids)
     if method == "avgcolor_lr":
-        return _lr_method(cache.avg_color, list(r_grid), cache,
+        return _lr_method(cache.avg_color, list(r_grid),
                           labels_idx, train_ids, test_ids, n_classes, split_seed)
     if method == "color_over_time":
-        return _lr_method(cache.color_deltas, [r_grid[0]], cache,
+        return _lr_method(cache.color_deltas, [r_grid[0]],
                           labels_idx, train_ids, test_ids, n_classes, split_seed)
     if method == "mode":
         predictor = mode_predictor([labels_idx[i] for i in train_ids])
@@ -294,8 +216,7 @@ def repeated_splits(
         raise ValueError(f"need >= 5 labeled footprints, got {len(ids)}")
     labels_idx = {i: dataset.labels[i][0] for i in ids}
     labels_year = {i: dataset.labels[i][1] for i in ids}
-    if cache is None:
-        cache = DivergenceCache(dataset, feature_config, eps, seed, workers)
+    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
 
     rng = np.random.default_rng(stable_seed(seed, "splits"))
     n_train = int(round(train_frac * len(ids)))
@@ -345,9 +266,7 @@ def detect_all(
     cache: Optional[DivergenceCache] = None,
 ) -> dict[str, int]:
     """First-crossing index for every footprint at fixed parameters."""
-    if cache is None:
-        cache = DivergenceCache(dataset, feature_config, eps, seed, workers)
-    series = cache.series(k, r)
+    series = divergence_store(cache, dataset, feature_config, eps, seed, workers).series(k, r)
     return {i: first_crossing(v, theta) for i, v in series.items()}
 
 
@@ -355,18 +274,20 @@ def evaluate_semi_supervised(
     dataset: FootprintDataset,
     k_grid: Sequence[int],
     r_grid: Sequence[float],
-    n_random: int = 1000,
-    n_bins: int = 50,
-    pct: float = 98.0,
+    n_random: int = DEFAULT_N_RANDOM,
+    n_bins: int = DEFAULT_N_BINS,
+    pct: float = DEFAULT_PERCENTILE,
     seed: int = 0,
     feature_config: PixelFeatureConfig = PixelFeatureConfig(),
     eps: float = DEFAULT_EPS,
     workers: int = 1,
     cache: Optional[DivergenceCache] = None,
 ) -> tuple[EvalResult, CalibrationReport, dict[str, int]]:
-    """Calibrate label-free, detect everything, and score on the labeled set."""
+    """Calibrate label-free, detect everything from the same store, and score
+    on the labeled set."""
+    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
     report = calibrate(dataset, k_grid, r_grid, n_random, n_bins, pct, seed,
-                       feature_config, eps, workers)
+                       feature_config, eps, workers, cache)
     preds_idx = detect_all(dataset, report.chosen_k, report.chosen_r, report.chosen_theta,
                            feature_config, eps, seed, workers, cache)
     ids = dataset.labeled_ids()
@@ -395,8 +316,7 @@ def grid_cell_accuracies(
     ids = dataset.labeled_ids()
     if not ids:
         raise ValueError("cell accuracies need labels")
-    if cache is None:
-        cache = DivergenceCache(dataset, feature_config, eps, seed, workers)
+    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
     labels_idx = {i: dataset.labels[i][0] for i in ids}
     rows = []
     for cell in report.cells:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import tcm.core
 from tcm import detect, extract_chip_stack
 from tcm.cli import main
 from tcm.data import FootprintDataset
@@ -128,6 +129,38 @@ class TestDetect:
         code = main(["detect", "--config", str(cfg2), "--k", "2", "--r", "3.0",
                      "--theta", "0.5"])
         assert code == 3
+
+    def test_auto_theta_fits_each_layer_once(self, tmp_path, monkeypatch):
+        cfg, _, _ = generated_config(tmp_path)
+        keys, fits = [], []
+        layer_divergence, fit_kmeans = tcm.core.layer_divergence, tcm.core.fit_kmeans
+
+        def counted_layer(chips, layer, k, *args):
+            keys.append((chips.footprint_id, chips.buffer_radius, k, layer))
+            return layer_divergence(chips, layer, k, *args)
+
+        def counted_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(tcm.core, "layer_divergence", counted_layer)
+        monkeypatch.setattr(tcm.core, "fit_kmeans", counted_fit)
+        assert main(["detect", "--config", str(cfg), "--theta", "auto"]) == 0
+        assert len(keys) == len(set(keys)) == len(fits)
+        # Calibration: 12 footprint finals and 20 random series (3 layers) per
+        # (k, r) cell of the 2x2 grid; detection then adds the 2 layers of each
+        # footprint that calibration did not fit.
+        assert len(fits) == 12 * 4 + 20 * 3 * 4 + 12 * 2
+
+    def test_duplicate_footprint_id_is_data_error(self, tmp_path, capsys):
+        cfg, data, _ = generated_config(tmp_path)
+        doc = json.loads((data / "polygons.geojson").read_text())
+        doc["features"].append(doc["features"][0])
+        (data / "polygons.geojson").write_text(json.dumps(doc))
+        code = main(["detect", "--config", str(cfg), "--k", "2", "--r", "3.0",
+                     "--theta", "0.5"])
+        assert code == 3
+        assert "error[DuplicateFootprintId]" in capsys.readouterr().err
 
 
 class TestEvaluate:

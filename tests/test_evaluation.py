@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcm.calibration import calibrate
+from tcm.clustering import PixelFeatureConfig
+from tcm.core import DEFAULT_EPS, divergence_store
+from tcm.data import FootprintDataset
 from tcm.errors import DegenerateRanks, MissingPrediction
 from tcm.evaluation import (
     DivergenceCache,
+    detect_all,
+    evaluate_semi_supervised,
     repeated_splits,
     score,
     spearman,
@@ -174,3 +180,38 @@ class TestDivergenceCache:
         s4 = DivergenceCache(ds, seed=0, workers=4).series(3, 4.0)
         for fid in s1:
             assert np.array_equal(s1[fid], s4[fid])
+
+    def test_random_polygon_ids_never_reach_footprint_values(self):
+        ds = small_dataset(footprints=8)
+        renamed = ds.polygons[0].translated(0.0, 0.0, new_id="rand-00000")
+        ds = FootprintDataset(ds.scenes, [renamed] + ds.polygons[1:], ds.labels)
+        cache = DivergenceCache(ds, seed=0)
+        calibrate(ds, k_grid=[3], r_grid=[4.0], n_random=6, seed=0, cache=cache)
+        after = cache.series(3, 4.0)
+        fresh = DivergenceCache(ds, seed=0).series(3, 4.0)
+        assert set(after) == set(fresh)
+        for fid in fresh:
+            assert np.array_equal(after[fid], fresh[fid])
+
+
+class TestStoreSettings:
+    def test_cache_with_other_settings_is_refused(self):
+        ds = small_dataset(footprints=8)
+        cache = DivergenceCache(ds, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            evaluate_semi_supervised(ds, (2,), (3.0,), n_random=4, seed=1, cache=cache)
+        with pytest.raises(ValueError, match="dataset"):
+            detect_all(small_dataset(footprints=8), 2, 3.0, 0.5, cache=cache)
+        with pytest.raises(ValueError, match="eps"):
+            repeated_splits(ds, "mode", n_repeats=2, k_grid=(2,), r_grid=(3.0,),
+                            eps=0.5, cache=cache)
+        with pytest.raises(ValueError, match="feature_config"):
+            calibrate(ds, [2], [3.0], n_random=4, cache=cache,
+                      feature_config=PixelFeatureConfig(mode="spectral_window"))
+
+    def test_matching_cache_is_shared_whatever_its_workers(self):
+        ds = small_dataset(footprints=8)
+        cache = DivergenceCache(ds, seed=3, workers=4)
+        assert divergence_store(cache, ds, PixelFeatureConfig(), DEFAULT_EPS, 3, 1) is cache
+        fresh = divergence_store(None, ds, PixelFeatureConfig(), DEFAULT_EPS, 3, 1)
+        assert fresh is not cache and (fresh.seed, fresh.workers) == (3, 1)
