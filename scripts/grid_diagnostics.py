@@ -30,9 +30,9 @@ def parse_args():
 def main():
     args = parse_args()
     dataset = generate(SynthConfig(footprints=args.footprints, seed=args.seed))
-    report = calibrate(dataset, args.k_grid, args.r_grid, n_random=args.n_random,
-                       seed=args.seed, workers=args.workers)
     cache = DivergenceCache(dataset, seed=args.seed, workers=args.workers)
+    report = calibrate(dataset, args.k_grid, args.r_grid, n_random=args.n_random,
+                       seed=args.seed, workers=args.workers, cache=cache)
     rows = grid_cell_accuracies(dataset, report, cache, seed=args.seed)
 
     with open(args.out, "w", newline="") as fh:

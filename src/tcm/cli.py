@@ -86,6 +86,12 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError(f"theta must be a number or 'auto', got {cfg.theta!r}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    radii = [("r", cfg.r)] if cfg.r not in (None, "auto") else []
+    for name, value in radii + [("r_grid entry", v) for v in cfg.r_grid or ()]:
+        if not (isinstance(value, (int, float)) and value > 0):
+            raise ConfigError(f"{name} must be a number > 0, got {value!r}")
+    if isinstance(cfg.theta, float) and not cfg.theta >= 0:
+        raise ConfigError(f"theta must be >= 0, got {cfg.theta!r}")
     return cfg
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import formats
-from .errors import DuplicateFootprintId
+from .errors import DuplicateFootprintId, DuplicateSceneYear
 from .geometry import Polygon, Scene
 
 
@@ -28,9 +28,11 @@ class FootprintDataset:
         dupes = sorted({a.id for a, b in zip(self.polygons, self.polygons[1:]) if a.id == b.id})
         if dupes:
             raise DuplicateFootprintId(f"footprint ids occur more than once: {dupes[:5]}")
+        self.scenes = sorted(self.scenes, key=lambda s: s.year)
         years = [s.year for s in self.scenes]
-        if years != sorted(years):
-            self.scenes = sorted(self.scenes, key=lambda s: s.year)
+        dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
+        if dupes:
+            raise DuplicateSceneYear(f"scene years occur more than once: {dupes}")
 
     @property
     def years(self) -> tuple[int, ...]:

@@ -13,6 +13,22 @@ class TCMError(Exception):
         return type(self).__name__
 
 
+class CorruptScene(TCMError, ValueError):
+    """A scene file or its sidecar cannot be decoded (bad magic, short payload, missing key)."""
+
+
+class NonFinitePixels(TCMError):
+    """A floating-point scene holds NaN or infinite samples."""
+
+
+class DuplicateSceneYear(TCMError):
+    """Two scenes of one dataset carry the same year."""
+
+
+class MalformedLabels(TCMError):
+    """A labels CSV lacks a required column or holds a non-integer index or year."""
+
+
 class DegeneratePolygon(TCMError):
     """Polygon ring has fewer than 3 distinct vertices or zero area."""
 

@@ -122,14 +122,14 @@ def _threshold_method(feature_fn, grid, labels_idx, train_ids, test_ids):
     return {i: first_crossing(series[i], theta) for i in test_ids}, {"cell": cell, "theta": theta}
 
 
-def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes, lr_seed):
+def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes):
     """Fit a logistic regression per grid cell on train, keep the best cell."""
     y_train = np.array([labels_idx[i] - 1 for i in train_ids])
 
     def fitted(cell):
         feats = feature_fn(cell)
         x_train = np.stack([feats[i] for i in train_ids])
-        model = fit_lr(x_train, y_train, n_classes=n_classes, seed=lr_seed)
+        model = fit_lr(x_train, y_train, n_classes=n_classes)
         return -float((predict_lr(model, x_train) == y_train).mean()), cell, model
 
     _, cell, model = min((fitted(cell) for cell in grid), key=lambda fit: fit[:2])
@@ -139,16 +139,9 @@ def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes, lr_
     return {i: int(p) for i, p in zip(test_ids, preds)}, {"cell": cell}
 
 
-def _predict_split(
-    method: str,
-    cache: DivergenceCache,
-    labels_idx: dict[str, int],
-    train_ids: list[str],
-    test_ids: list[str],
-    k_grid: Sequence[int],
-    r_grid: Sequence[float],
-    split_seed: int,
-) -> tuple[dict[str, int], dict]:
+def _predict_split(method: str, cache: DivergenceCache, labels_idx: dict[str, int],
+                   train_ids: list[str], test_ids: list[str], k_grid: Sequence[int],
+                   r_grid: Sequence[float]) -> tuple[dict[str, int], dict]:
     """Predicted 1-based first-developed indices for the test side of one split."""
     n_classes = cache.dataset.n_layers
     kr_grid = [(k, r) for k in k_grid for r in r_grid]
@@ -157,16 +150,16 @@ def _predict_split(
                                  labels_idx, train_ids, test_ids)
     if method == "tcm_lr":
         return _lr_method(lambda c: cache.series(*c), kr_grid,
-                          labels_idx, train_ids, test_ids, n_classes, split_seed)
+                          labels_idx, train_ids, test_ids, n_classes)
     if method == "avgcolor_threshold":
         return _threshold_method(cache.avg_color, list(r_grid),
                                  labels_idx, train_ids, test_ids)
     if method == "avgcolor_lr":
         return _lr_method(cache.avg_color, list(r_grid),
-                          labels_idx, train_ids, test_ids, n_classes, split_seed)
+                          labels_idx, train_ids, test_ids, n_classes)
     if method == "color_over_time":
         return _lr_method(cache.color_deltas, [r_grid[0]],
-                          labels_idx, train_ids, test_ids, n_classes, split_seed)
+                          labels_idx, train_ids, test_ids, n_classes)
     if method == "mode":
         predictor = mode_predictor([labels_idx[i] for i in train_ids])
         return {i: predictor() for i in test_ids}, {"mode": predictor.label}
@@ -228,8 +221,7 @@ def repeated_splits(
         train_ids = [ids[i] for i in perm[:n_train]]
         test_ids = sorted(ids[i] for i in perm[n_train:])
         preds_idx, detail = _predict_split(
-            method, cache, labels_idx, train_ids, test_ids,
-            k_grid, r_grid, stable_seed(seed, "split", rep))
+            method, cache, labels_idx, train_ids, test_ids, k_grid, r_grid)
         preds_year = {i: dataset.year_of_index(preds_idx[i]) for i in test_ids}
         result = score(preds_year, {i: labels_year[i] for i in test_ids}, years=dataset.years)
         records.append(SplitRecord(

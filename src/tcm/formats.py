@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, CorruptScene, MalformedLabels
 from .geometry import AffineGeoTransform, ChipStack, Polygon, Scene
 
 MAGIC = b"TCS1"
@@ -51,23 +51,26 @@ def write_tcs(path, stack: np.ndarray, mask: Optional[np.ndarray] = None) -> Non
 def read_tcs(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a TCS file")
+    offset = 4 + struct.calcsize("<IIIIB")
+    if blob[:4] != MAGIC or len(blob) < offset:
+        raise CorruptScene(f"{path}: not a TCS file")
     t, h, w, c, code = struct.unpack_from("<IIIIB", blob, 4)
     if code not in _CODE_TO_DTYPE:
-        raise ValueError(f"{path}: unknown dtype code {code}")
+        raise CorruptScene(f"{path}: unknown dtype code {code}")
     dtype = np.dtype(_CODE_TO_DTYPE[code]).newbyteorder("<")
     n_samples = t * h * w * c
-    offset = 4 + struct.calcsize("<IIIIB")
+    end = offset + n_samples * dtype.itemsize
+    if len(blob) < end:
+        raise CorruptScene(f"{path}: truncated, {len(blob)} bytes where the header needs {end}")
     data = np.frombuffer(blob, dtype=dtype, count=n_samples, offset=offset)
     stack = np.transpose(data.reshape(t, c, h, w), (0, 2, 3, 1))
     stack = stack.astype(dtype.newbyteorder("="))
-    rest = blob[offset + n_samples * dtype.itemsize:]
+    rest = blob[end:]
     mask = None
     if len(rest) == h * w:
         mask = np.frombuffer(rest, dtype=np.uint8).reshape(h, w).copy()
     elif len(rest) != 0:
-        raise ValueError(f"{path}: {len(rest)} trailing bytes, expected 0 or {h * w}")
+        raise CorruptScene(f"{path}: {len(rest)} trailing bytes, expected 0 or {h * w}")
     return stack, mask
 
 
@@ -82,16 +85,18 @@ def read_scene(path) -> Scene:
     path = Path(path)
     stack, _ = read_tcs(path)
     if stack.shape[0] != 1:
-        raise ValueError(f"{path}: scene files must hold exactly one layer")
+        raise CorruptScene(f"{path}: scene files must hold exactly one layer")
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise ConfigError(f"missing sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
-    return Scene(
-        pixels=stack[0],
-        year=int(meta["year"]),
-        transform=AffineGeoTransform(*[float(v) for v in meta["geotransform"]]),
-    )
+    try:
+        meta = json.loads(sidecar_path.read_text())
+        year = int(meta["year"])
+        transform = AffineGeoTransform(*[float(v) for v in meta["geotransform"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptScene(f"{sidecar_path}: needs an integer 'year' and six 'geotransform' "
+                           f"numbers ({type(exc).__name__}: {exc})") from exc
+    return Scene(pixels=stack[0], year=year, transform=transform)
 
 
 def read_scenes_dir(directory) -> list[Scene]:
@@ -170,8 +175,12 @@ def write_labels_csv(path, labels: dict[str, tuple[int, int]]) -> None:
 def read_labels_csv(path) -> dict[str, tuple[int, int]]:
     labels = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["footprint_id"]] = (int(row["first_index"]), int(row["first_year"]))
+        for line, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                labels[row["footprint_id"]] = (int(row["first_index"]), int(row["first_year"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedLabels(f"{path}:{line}: needs integer 'first_index' and "
+                                      f"'first_year' ({type(exc).__name__}: {exc})") from exc
     return labels
 
 

@@ -24,6 +24,7 @@ from .errors import (
     EmptyFootprintMask,
     EmptyRegion,
     FootprintOutsideImagery,
+    NonFinitePixels,
     SceneMismatch,
 )
 
@@ -152,6 +153,8 @@ class Scene:
     def __post_init__(self):
         if self.pixels.ndim != 3 or min(self.pixels.shape) < 1:
             raise SceneMismatch(f"scene raster must be (h, w, c), got {self.pixels.shape}")
+        if self.pixels.dtype.kind == "f" and not np.isfinite(self.pixels).all():
+            raise NonFinitePixels(f"scene {self.year} holds NaN or infinite pixels")
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -3,8 +3,9 @@
 Threshold fitting and a small multinomial logistic regression cover the
 label-trained variants; the average-color and color-over-time feature
 extractors provide the non-clustered baselines. Everything here is
-deterministic: the regression starts from zero weights (the objective is
-convex) and runs plain full-batch gradient descent.
+deterministic: the regression starts from zero weights and runs damped Newton
+steps on its convex objective until the gradient norm falls below
+`LR_GRAD_TOL`, so its result depends on the data alone.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def fit_threshold(labeled_series: Sequence[tuple]) -> float:
     return float(cands[int(np.argmax(acc))])
 
 
+LR_LAM = 1e-3  # L2 weight penalty; the bias is not penalized
+LR_GRAD_TOL = 1e-8  # stop once the gradient norm is below this
+LR_MAX_ITER = 100  # Newton steps; reaching it is visible as grad_norm >= LR_GRAD_TOL
+
+
 @dataclass(frozen=True)
 class LogisticModel:
     """Multinomial logistic regression with standardized inputs."""
@@ -69,10 +75,9 @@ class LogisticModel:
     feat_mean: np.ndarray
     feat_scale: np.ndarray
     lam: float
-    seed: int
-    n_iter: int
+    n_iter: int  # Newton steps taken
     final_loss: float
-    loss_history: tuple[float, ...] = ()
+    grad_norm: float  # at the returned weights; >= LR_GRAD_TOL only after LR_MAX_ITER steps
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -91,19 +96,12 @@ def _loss_and_grad(weights, bias, x, onehot, lam):
     return loss, delta.T @ x + lam * weights, delta.sum(axis=0)
 
 
-def fit_lr(
-    features: np.ndarray,
-    labels: Sequence[int],
-    n_classes: int | None = None,
-    lam: float = 1e-3,
-    iterations: int = 500,
-    lr: float = 0.1,
-    seed: int = 0,
-) -> LogisticModel:
-    """Full-batch gradient descent on standardized features from zero weights.
+def fit_lr(features: np.ndarray, labels: Sequence[int],
+           n_classes: int | None = None) -> LogisticModel:
+    """Damped Newton iteration on standardized features from zero weights.
 
-    labels are 0-based class indices. The seed is recorded for provenance only;
-    the convex objective makes the zero start deterministic.
+    labels are 0-based class indices. Steps are minimum-norm Hessian solutions (a
+    shared shift of all biases leaves the loss unchanged), halved until it drops.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -120,31 +118,41 @@ def fit_lr(
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
+    n, d = xs.shape
+    xt = np.hstack([xs, np.ones((n, 1))])  # bias as the last column of theta
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
+    onehot = np.eye(c)[y]
+    penalty = np.diag(np.hstack([np.full((c, d), LR_LAM), np.zeros((c, 1))]).ravel())
 
-    onehot = np.zeros((x.shape[0], c))
-    onehot[np.arange(x.shape[0]), y] = 1.0
+    def objective(theta):
+        loss, gw, gb = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
+        return loss, np.hstack([gw, gb[:, None]])
 
-    weights = np.zeros((c, x.shape[1]))
-    bias = np.zeros(c)
-    losses = []
-    for _ in range(iterations):
-        loss, gw, gb = _loss_and_grad(weights, bias, xs, onehot, lam)
-        losses.append(float(loss))
-        weights -= lr * gw
-        bias -= lr * gb
-    final_loss, _, _ = _loss_and_grad(weights, bias, xs, onehot, lam)
-    losses.append(float(final_loss))
+    theta = np.zeros((c, d + 1))
+    loss, grad = objective(theta)
+    n_iter = 0
+    while np.linalg.norm(grad) >= LR_GRAD_TOL and n_iter < LR_MAX_ITER:
+        probs = _softmax(xt @ theta.T)
+        curv = probs[:, :, None] * (np.eye(c) - probs[:, None, :])  # (n, C, C)
+        hess = (curv.reshape(n, -1).T @ outer).reshape(c, c, d + 1, d + 1).transpose(0, 2, 1, 3)
+        hess = hess.reshape(grad.size, grad.size) / n + penalty
+        step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0].reshape(theta.shape)
+        for t in 0.5 ** np.arange(34):  # halve until the loss drops enough (Armijo)
+            new_loss, new_grad = objective(theta + t * step)
+            if new_loss <= loss + 1e-4 * t * (grad * step).sum():
+                break
+        theta, loss, grad = theta + t * step, new_loss, new_grad
+        n_iter += 1
 
     return LogisticModel(
-        n_classes=c, weights=weights, bias=bias,
-        feat_mean=mean, feat_scale=scale,
-        lam=lam, seed=seed, n_iter=iterations,
-        final_loss=float(final_loss), loss_history=tuple(losses),
+        n_classes=c, weights=theta[:, :d], bias=theta[:, d],
+        feat_mean=mean, feat_scale=scale, lam=LR_LAM, n_iter=n_iter,
+        final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
     )
 
 
 def model_to_dict(model: LogisticModel) -> dict:
-    """JSON-ready form of a trained model (weights, scaling, config, seed)."""
+    """JSON-ready form of a trained model (weights, scaling, fit provenance)."""
     return {
         "n_classes": model.n_classes,
         "weights": model.weights.tolist(),
@@ -152,9 +160,9 @@ def model_to_dict(model: LogisticModel) -> dict:
         "feat_mean": model.feat_mean.tolist(),
         "feat_scale": model.feat_scale.tolist(),
         "lam": model.lam,
-        "seed": model.seed,
         "n_iter": model.n_iter,
         "final_loss": model.final_loss,
+        "grad_norm": model.grad_norm,
     }
 
 
@@ -166,9 +174,9 @@ def model_from_dict(payload: dict) -> LogisticModel:
         feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
         feat_scale=np.asarray(payload["feat_scale"], dtype=np.float64),
         lam=float(payload["lam"]),
-        seed=int(payload["seed"]),
         n_iter=int(payload["n_iter"]),
         final_loss=float(payload["final_loss"]),
+        grad_norm=float(payload["grad_norm"]),
     )
 
 

@@ -2,12 +2,14 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tcm.core
 from tcm import detect, extract_chip_stack
-from tcm.cli import main
+from tcm.cli import load_config, main
 from tcm.data import FootprintDataset
+from tcm.formats import read_tcs, write_tcs
 
 SYNTH = {
     "height": 112, "width": 112, "layers": 3, "footprints": 12,
@@ -191,6 +193,10 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert main(["detect", "--config", "/nonexistent.json"]) == 2
 
+    def test_auto_radius_passes_the_range_check(self):
+        cfg = load_config(None, {"r": "auto", "r_grid": [2.0, 6.0], "theta": "auto"})
+        assert (cfg.r, cfg.r_grid, cfg.theta) == ("auto", [2.0, 6.0], "auto")
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"bogus_key": 1}))
@@ -215,3 +221,64 @@ class TestConfigHandling:
         cfg, _, _ = generated_config(tmp_path)
         assert main(["detect", "--config", str(cfg), "--k", "2", "--r", "3.0",
                      "--theta", "weird"]) == 2
+
+
+def corrupt_magic(data):
+    path = data / "scenes" / "scene_2016.tcs"
+    path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+
+
+def truncate_payload(data):
+    path = data / "scenes" / "scene_2016.tcs"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def edit_sidecar(**changes):
+    def edit(data):
+        path = data / "scenes" / "scene_2016.json"
+        meta = {**json.loads(path.read_text()), **changes}
+        path.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+    return edit
+
+
+def nan_pixel(data):
+    path = data / "scenes" / "scene_2016.tcs"
+    stack = read_tcs(path)[0].astype(np.float32)
+    stack[0, 56, 56, 1] = np.nan
+    write_tcs(path, stack)
+
+
+def drop_first_index(data):
+    path = data / "labels.csv"
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["footprint_id", "first_year"],
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+# (case, edit of the generated data, run-config overrides, extra flags, exit, error class)
+MALFORMED = [
+    ("bad_magic", corrupt_magic, {}, [], 3, "CorruptScene"),
+    ("truncated_payload", truncate_payload, {}, [], 3, "CorruptScene"),
+    ("sidecar_without_year", edit_sidecar(year=None), {}, [], 3, "CorruptScene"),
+    ("nan_pixel", nan_pixel, {}, [], 3, "NonFinitePixels"),
+    ("duplicate_scene_year", edit_sidecar(year=2015), {}, [], 3, "DuplicateSceneYear"),
+    ("labels_without_first_index", drop_first_index, {}, [], 3, "MalformedLabels"),
+    ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
+    ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
+    ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0]}, ["--theta", "auto"], 2, "Config"),
+]
+
+
+@pytest.mark.parametrize("edit, overrides, flags, code, error",
+                         [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, code, error):
+    cfg, data, _ = generated_config(tmp_path, **overrides)
+    if edit is not None:
+        edit(data)
+    args = ["detect", "--config", str(cfg), "--k", "2", "--r", "3.0", "--theta", "0.5"]
+    assert main(args + flags) == code
+    assert f"error[{error}]" in capsys.readouterr().err

@@ -158,7 +158,7 @@ class TestPredictionRange:
         for method in ("tcm_supervised", "tcm_lr", "avgcolor_threshold",
                        "avgcolor_lr", "color_over_time", "mode"):
             preds, _ = _predict_split(method, cache, labels_idx, train, test,
-                                      (2, 4), (3.0,), split_seed=1)
+                                      (2, 4), (3.0,))
             assert set(preds) == set(test)
             assert all(1 <= p <= ds.n_layers for p in preds.values()), method
 
