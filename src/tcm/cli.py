@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -167,7 +168,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     cache = _load_store(cfg)
     report = _calibrate(cfg, cache)
     out = _out_dir(cfg)
-    formats.write_json(out / "calibration.json", formats.calibration_report_to_dict(report))
+    doc = formats.calibration_report_to_dict(report)
+    doc["inputs"] = _inputs_record(cfg, cache.dataset)
+    formats.write_json(out / "calibration.json", doc)
 
     rows = [{"k": c.k, "r": c.r, "bc": c.bc, "theta": c.theta} for c in report.cells]
     if cache.dataset.labels:  # adds an "accuracy" column
@@ -183,13 +186,65 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
+def _inputs_record(cfg: RunConfig, dataset: FootprintDataset) -> dict:
+    """Everything a calibration report depends on, as written into calibration.json.
+
+    Content digests of the scenes and footprints plus the settings `calibrate`
+    reads. Paths, `workers` and labels stay out: none of them changes the
+    chosen cell, and reports must be byte-identical across directories and
+    worker counts.
+    """
+    scenes = hashlib.sha256()
+    for s in dataset.scenes:
+        scenes.update(repr((s.year, s.transform.coefficients(), s.pixels.dtype.str,
+                            s.pixels.shape)).encode())
+        scenes.update(s.pixels.tobytes())
+    rings = [(p.id, p.exterior, p.holes) for p in dataset.polygons]
+    return {
+        "scenes_sha256": scenes.hexdigest(),
+        "polygons_sha256": hashlib.sha256(repr(rings).encode()).hexdigest(),
+        "k_grid": list(cfg.k_grid), "r_grid": list(cfg.r_grid), "n_random": cfg.n_random,
+        "n_bins": cfg.n_bins, "percentile": cfg.percentile, "seed": cfg.seed,
+        "eps": cfg.eps, "feature_mode": cfg.feature_mode, "window": cfg.window,
+    }
+
+
+def _recorded_choice(path: Path, record: dict):
+    """The chosen (k, r, theta) of the report at path, if it was written for record."""
+    try:
+        doc = json.loads(path.read_text())
+        if doc["inputs"] != record:
+            return None
+        chosen = doc["chosen"]
+        return int(chosen["k"]), float(chosen["r"]), float(chosen["theta"])
+    except (OSError, ValueError, KeyError, TypeError):  # missing, unreadable or older
+        return None
+
+
 def _resolved_params(cfg: RunConfig, cache: DivergenceCache):
-    if cfg.theta == "auto" or cfg.theta is None or cfg.k is None or cfg.r is None:
-        report = _calibrate(cfg, cache)
-        log.info("auto-calibrated to k=%d r=%g theta=%.6g",
-                 report.chosen_k, report.chosen_r, report.chosen_theta)
-        return report.chosen_k, report.chosen_r, report.chosen_theta
-    return int(cfg.k), float(cfg.r), float(cfg.theta)
+    """(k, r, theta) as given, or, when all three are auto, as calibrated.
+
+    A report that `calibrate` wrote into out_dir for the same inputs is reused
+    instead of calibrating again.
+    """
+    given = {"k": cfg.k, "r": cfg.r, "theta": cfg.theta}
+    explicit = {name: v for name, v in given.items() if v not in (None, "auto")}
+    if len(explicit) == len(given):
+        return int(cfg.k), float(cfg.r), float(cfg.theta)
+    if explicit:
+        raise ConfigError(
+            f"k, r and theta are calibrated together: give all three or none; "
+            f"{', '.join(f'{n}={v!r}' for n, v in explicit.items())} would be discarded")
+    _require_grids(cfg)
+    path = Path(cfg.out_dir) / "calibration.json"
+    chosen = _recorded_choice(path, _inputs_record(cfg, cache.dataset))
+    if chosen is not None:
+        log.info("reused k=%d r=%g theta=%.6g from %s (same inputs)", *chosen, path)
+        return chosen
+    report = _calibrate(cfg, cache)
+    log.info("auto-calibrated to k=%d r=%g theta=%.6g (no report for these inputs in %s)",
+             report.chosen_k, report.chosen_r, report.chosen_theta, path)
+    return report.chosen_k, report.chosen_r, report.chosen_theta
 
 
 def cmd_detect(cfg: RunConfig) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import formats
-from .errors import DuplicateFootprintId, DuplicateSceneYear
+from .errors import DuplicateFootprintId, DuplicateSceneYear, MalformedLabels
 from .geometry import Polygon, Scene
 
 
@@ -33,6 +33,11 @@ class FootprintDataset:
         dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
         if dupes:
             raise DuplicateSceneYear(f"scene years occur more than once: {dupes}")
+        for fid, (index, year) in sorted((self.labels or {}).items()):
+            if year not in years or index != years.index(year) + 1:
+                raise MalformedLabels(f"label of {fid!r}: first_year {year} at first_index "
+                                      f"{index} is not a scene year at its 1-based position "
+                                      f"on {years}")
 
     @property
     def years(self) -> tuple[int, ...]:

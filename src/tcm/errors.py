@@ -26,7 +26,11 @@ class DuplicateSceneYear(TCMError):
 
 
 class MalformedLabels(TCMError):
-    """A labels CSV lacks a required column or holds a non-integer index or year."""
+    """Labels lack a required column, hold a non-integer index or year, or leave the scene axis."""
+
+
+class MalformedPolygons(TCMError, ValueError):
+    """A polygons file is not JSON, or a Polygon's coordinates are not rings of [x, y] numbers."""
 
 
 class DegeneratePolygon(TCMError):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CorruptScene, MalformedLabels
+from .errors import ConfigError, CorruptScene, MalformedLabels, MalformedPolygons
 from .geometry import AffineGeoTransform, ChipStack, Polygon, Scene
 
 MAGIC = b"TCS1"
@@ -139,9 +139,20 @@ def write_polygons_geojson(path, polygons: Sequence[Polygon]) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _is_ring(ring) -> bool:
+    """A list of [x, y] pairs of JSON numbers."""
+    return isinstance(ring, list) and all(
+        isinstance(pt, list) and len(pt) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)
+        for pt in ring)
+
+
 def read_polygons_geojson(path) -> list[Polygon]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("type") != "FeatureCollection":
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise MalformedPolygons(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ConfigError(f"{path}: expected a GeoJSON FeatureCollection")
     polygons = []
     for feat in doc.get("features", []):
@@ -151,7 +162,10 @@ def read_polygons_geojson(path) -> list[Polygon]:
         geom = feat.get("geometry") or {}
         if geom.get("type") != "Polygon":
             raise ConfigError(f"{path}: feature {props['id']!r} is not a Polygon")
-        rings = geom["coordinates"]
+        rings = geom.get("coordinates")
+        if not (isinstance(rings, list) and rings and all(map(_is_ring, rings))):
+            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'coordinates' "
+                                    f"as a list of rings of [x, y] numbers, got {rings!r:.80}")
         label_year = props.get("label_year")
         polygons.append(Polygon(
             id=str(props["id"]),

@@ -259,7 +259,32 @@ def drop_first_index(data):
         writer.writerows(rows)
 
 
-# (case, edit of the generated data, run-config overrides, extra flags, exit, error class)
+def edit_first_label(change):
+    """Replace the first label's (first_index, first_year) with change(index, year)."""
+    def edit(data, *_):
+        path = data / "labels.csv"
+        header, first, *rest = path.read_text().splitlines()
+        fid, index, year = first.split(",")
+        index, year = change(int(index), int(year))
+        path.write_text("\n".join([header, f"{fid},{index},{year}"] + rest) + "\n")
+    return edit
+
+
+def write_polygons(text):
+    def edit(data):
+        (data / "polygons.geojson").write_text(text)
+    return edit
+
+
+def drop_coordinates(data):
+    path = data / "polygons.geojson"
+    doc = json.loads(path.read_text())
+    del doc["features"][3]["geometry"]["coordinates"]
+    path.write_text(json.dumps(doc))
+
+
+# (case, edit of the generated data, run-config overrides, extra flags, exit, error class);
+# the run config gives k=2, r=3.0 and theta=0.5 unless the overrides say otherwise.
 MALFORMED = [
     ("bad_magic", corrupt_magic, {}, [], 3, "CorruptScene"),
     ("truncated_payload", truncate_payload, {}, [], 3, "CorruptScene"),
@@ -267,18 +292,114 @@ MALFORMED = [
     ("nan_pixel", nan_pixel, {}, [], 3, "NonFinitePixels"),
     ("duplicate_scene_year", edit_sidecar(year=2015), {}, [], 3, "DuplicateSceneYear"),
     ("labels_without_first_index", drop_first_index, {}, [], 3, "MalformedLabels"),
+    ("label_year_off_axis", edit_first_label(lambda index, year: (index, 2099)), {}, [], 3,
+     "MalformedLabels"),
+    ("label_index_off_year", edit_first_label(lambda index, year: (index % 3 + 1, year)), {},
+     [], 3, "MalformedLabels"),
+    ("truncated_geojson", write_polygons('{"type": "FeatureCollection", "features": [\n'),
+     {}, [], 3, "MalformedPolygons"),
+    ("polygon_without_coordinates", drop_coordinates, {}, [], 3, "MalformedPolygons"),
     ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
     ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
-    ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0]}, ["--theta", "auto"], 2, "Config"),
+    ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0], "k": None, "r": None},
+     ["--theta", "auto"], 2, "Config"),
+    ("theta_alone", None, {"k": None, "r": None}, ["--theta", "0.01"], 2, "Config"),
+    ("k_and_r_with_auto_theta", None, {}, ["--k", "8", "--r", "6", "--theta", "auto"], 2,
+     "Config"),
+    ("auto_r_with_explicit_k_theta", None, {"r": "auto"}, [], 2, "Config"),
 ]
 
 
 @pytest.mark.parametrize("edit, overrides, flags, code, error",
                          [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, code, error):
-    cfg, data, _ = generated_config(tmp_path, **overrides)
+    cfg, data, _ = generated_config(tmp_path, **{"k": 2, "r": 3.0, "theta": 0.5, **overrides})
     if edit is not None:
         edit(data)
-    args = ["detect", "--config", str(cfg), "--k", "2", "--r", "3.0", "--theta", "0.5"]
-    assert main(args + flags) == code
+    assert main(["detect", "--config", str(cfg)] + flags) == code
     assert f"error[{error}]" in capsys.readouterr().err
+
+
+def count_fits(monkeypatch):
+    fits = []
+    fit_kmeans = tcm.core.fit_kmeans
+
+    def counted_fit(*args, **kwargs):
+        fits.append(1)
+        return fit_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(tcm.core, "fit_kmeans", counted_fit)
+    return fits
+
+
+def edit_run_config(**changes):
+    def edit(data, cfg, out):
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **changes}))
+    return edit
+
+
+def bump_scene_pixel(data, cfg, out):
+    path = data / "scenes" / "scene_2016.tcs"
+    stack = read_tcs(path)[0]
+    stack[0, 56, 56, 1] ^= 1
+    write_tcs(path, stack)
+
+
+def move_polygon_vertex(data, cfg, out):
+    path = data / "polygons.geojson"
+    doc = json.loads(path.read_text())
+    doc["features"][0]["geometry"]["coordinates"][0][1][0] += 0.5
+    path.write_text(json.dumps(doc))
+
+
+def truncate_report(data, cfg, out):
+    path = out / "calibration.json"
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def drop_report_inputs(data, cfg, out):
+    path = out / "calibration.json"
+    doc = json.loads(path.read_text())
+    del doc["inputs"]
+    path.write_text(json.dumps(doc))
+
+
+# (case, edit after `calibrate`, flags of both detect runs, calibrate flags, reused?)
+CALIBRATION_REUSE = [
+    ("same_inputs", None, [], [], True),
+    ("seed", None, ["--seed", "10"], [], False),
+    ("n_random", edit_run_config(n_random=21), [], [], False),
+    ("scene_pixel", bump_scene_pixel, [], [], False),
+    ("polygon_vertex", move_polygon_vertex, [], [], False),
+    ("truncated_report", truncate_report, [], [], False),
+    ("report_without_inputs", drop_report_inputs, [], [], False),
+    ("workers", None, [], ["--workers", "2"], True),
+    ("labels", edit_first_label(lambda index, year: (index % 3 + 1, 2015 + index % 3)), [], [],
+     True),
+]
+
+
+@pytest.mark.parametrize("edit, flags, calibrate_flags, reused",
+                         [case[1:] for case in CALIBRATION_REUSE],
+                         ids=[case[0] for case in CALIBRATION_REUSE])
+def test_auto_params_reuse_only_a_matching_calibration(tmp_path, monkeypatch, edit, flags,
+                                                       calibrate_flags, reused):
+    cfg, data, out = generated_config(tmp_path)
+    assert main(["calibrate", "--config", str(cfg)] + calibrate_flags) == 0
+    if edit is not None:
+        edit(data, cfg, out)
+    report = (out / "calibration.json").read_bytes()
+    detect = ["detect", "--config", str(cfg), "--theta", "auto"] + flags
+    fits = count_fits(monkeypatch)
+    assert main(detect + ["--out", str(tmp_path / "fresh")]) == 0
+    fresh_fits = len(fits)
+    fits.clear()
+    assert main(detect) == 0
+    # A reused report leaves detect only the 3 layers of each of the 12 footprints.
+    assert len(fits) == (12 * 3 if reused else fresh_fits)
+    assert fresh_fits > 12 * 3
+    assert (out / "detections.csv").read_bytes() == (
+        tmp_path / "fresh" / "detections.csv").read_bytes()
+    assert (out / "calibration.json").read_bytes() == report
+    assert sorted(p.name for p in out.iterdir()) == [
+        "calibration.json", "calibration_cells.csv", "detections.csv"]

@@ -18,7 +18,7 @@ GOLDEN = {
     "data/scenes/scene_2016.tcs": "5abe7de93c7a790268359e4a781a2279441ccb0dfc8de9c162ea6e100482d9ce",
     "data/scenes/scene_2017.json": "06d6f2f41986f8b66c31d157fcbf84acffdc3c24d573be92e35d0286118be4bc",
     "data/scenes/scene_2017.tcs": "76acd1fe9f6fac17d62221b6e5f691846179d195c7cd0797d4cca1ee62c98925",
-    "out/calibration.json": "82bfbd788fa215c19fa7f5963e145ff0664f6ab18a80d0146fc10076ac9b72af",
+    "out/calibration.json": "99fad8a68a8a801ceb856b17a3c06bc666c0c3c1564fe52740f7df979d3daa4b",
     "out/calibration_cells.csv": "dc3985abd1b9cb75d7b6580c9f8b9b1d5993e70646842f3c175420d9e8cb91f9",
     "out/detections.csv": "b8782080dbb2af1d9f577463bb67130b1b82bb96e44b137f15d92aa04b81684e",
     "out/metrics.json": "a0e8515b9b1db4c41233df1b431075b36de2bbe2a6f5b4bb7d9a9950b32ef720",
