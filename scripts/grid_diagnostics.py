@@ -11,6 +11,7 @@ import argparse
 import csv
 
 from tcm.calibration import calibrate
+from tcm.errors import DegenerateRanks
 from tcm.evaluation import DivergenceCache, grid_cell_accuracies, spearman
 from tcm.synthgen import SynthConfig, generate
 
@@ -32,7 +33,7 @@ def main():
     dataset = generate(SynthConfig(footprints=args.footprints, seed=args.seed))
     cache = DivergenceCache(dataset, seed=args.seed, workers=args.workers)
     report = calibrate(dataset, args.k_grid, args.r_grid, n_random=args.n_random,
-                       seed=args.seed, workers=args.workers, cache=cache)
+                       seed=args.seed, cache=cache)
     rows = grid_cell_accuracies(dataset, report, cache, seed=args.seed)
 
     with open(args.out, "w", newline="") as fh:
@@ -46,8 +47,11 @@ def main():
                                   and row["r"] == report.chosen_r) else ""
         print(f"{row['k']:4d} {row['r']:6.1f} {row['bc']:8.4f} "
               f"{row['theta']:8.4f} {row['accuracy']:8.4f}{marker}")
-    rho = spearman([r["bc"] for r in rows], [r["accuracy"] for r in rows])
-    print(f"\nspearman(BC, ACC) = {rho:+.3f}   ({len(rows)} cells, wrote {args.out})")
+    try:
+        rho = f"{spearman([r['bc'] for r in rows], [r['accuracy'] for r in rows]):+.3f}"
+    except (ValueError, DegenerateRanks):  # fewer than two cells, or a constant column
+        rho = "undefined"
+    print(f"\nspearman(BC, ACC) = {rho}   ({len(rows)} cells, wrote {args.out})")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ def main():
     started = time.time()
     semi, calib, _ = evaluate_semi_supervised(
         dataset, args.k_grid, args.r_grid, n_random=args.n_random,
-        seed=args.seed, workers=args.workers, cache=cache)
+        seed=args.seed, cache=cache)
     rows.append(("tcm_semi", semi.accuracy, 0.0, semi.mae_index, 0.0))
     print(f"heuristic chose k={calib.chosen_k} r={calib.chosen_r:g} "
           f"theta={calib.chosen_theta:.4f} in {time.time() - started:.1f}s")

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_EPS, DivergenceCache, divergence_store
-from .clustering import PixelFeatureConfig
+from .core import DivergenceCache, divergence_store
 from .errors import BinMismatch, PlacementFailed
 from .geometry import Polygon
 from .util import stable_seed
@@ -102,12 +101,11 @@ def build_pq(
     """Histograms of footprint final-layer divergences (p) and of random-polygon
     divergences pooled over every layer (q), over a shared bin range.
 
-    Each series is a DivergenceSeries or a row of values ending at the final
-    layer (a footprint row may hold the final layer alone).
+    Each series is a row of values ending at the final layer (a footprint
+    row may hold the final layer alone).
     """
-    values = lambda s: np.asarray(getattr(s, "values", s), dtype=np.float64)
-    p_samples = np.array([values(s)[-1] for s in footprint_series])
-    q_samples = np.concatenate([values(s) for s in random_series])
+    p_samples = np.array([s[-1] for s in footprint_series], dtype=np.float64)
+    q_samples = np.concatenate([np.asarray(s, dtype=np.float64) for s in random_series])
     if p_samples.size == 0 or q_samples.size == 0:
         raise ValueError("both sample sets must be nonempty")
     if d_max is None:
@@ -160,9 +158,6 @@ def calibrate(
     n_bins: int = DEFAULT_N_BINS,
     pct: float = DEFAULT_PERCENTILE,
     seed: int = 0,
-    feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-    eps: float = DEFAULT_EPS,
-    workers: int = 1,
     cache: Optional[DivergenceCache] = None,
 ) -> CalibrationReport:
     """Grid-search (k, r) by Bhattacharyya overlap and pick theta from q.
@@ -170,15 +165,15 @@ def calibrate(
     The random polygon set is sampled once (rejecting placements whose extent
     buffered by max(r_grid) would leave the imagery) and shared by every grid
     cell, so cells differ only in the parameters under test. Ties on the
-    coefficient go to smaller k, then smaller r. Footprint values go through
-    `cache` (a new store when None), so later reads of the same store reuse
-    them.
+    coefficient go to smaller k, then smaller r. Every divergence goes through
+    `cache`, which sets the features, eps and workers (a default store when
+    None), so later reads of the same store reuse the footprint values.
     """
     k_grid = sorted(set(int(k) for k in k_grid))
     r_grid = sorted(set(float(r) for r in r_grid))
     if not k_grid or not r_grid:
         raise ValueError("k_grid and r_grid must be nonempty")
-    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
+    cache = divergence_store(cache, dataset, seed)
     if not dataset.polygons:
         raise ValueError("dataset has no footprints to calibrate on")
 

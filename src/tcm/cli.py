@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import evaluation, formats, synthgen
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE, calibrate
 from .clustering import PixelFeatureConfig
-from .core import DEFAULT_EPS, DivergenceCache, DivergenceSeries, decide
+from .core import DEFAULT_EPS, DivergenceCache, decide
 from .data import FootprintDataset
 from .errors import ConfigError, TCMError
 
@@ -87,6 +87,13 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError(f"theta must be a number or 'auto', got {cfg.theta!r}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    counts = [("k", cfg.k)] if cfg.k not in (None, "auto") else []
+    counts += [("k_grid entry", v) for v in cfg.k_grid or ()]
+    for name, value in counts + [("n_random", cfg.n_random), ("n_bins", cfg.n_bins)]:
+        if not (type(value) is int and value >= 1):  # JSON true/false are not counts
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (isinstance(cfg.percentile, (int, float)) and 0 < cfg.percentile < 100):
+        raise ConfigError(f"percentile must be a number in (0, 100), got {cfg.percentile!r}")
     radii = [("r", cfg.r)] if cfg.r not in (None, "auto") else []
     for name, value in radii + [("r_grid entry", v) for v in cfg.r_grid or ()]:
         if not (isinstance(value, (int, float)) and value > 0):
@@ -115,21 +122,18 @@ def _require_grids(cfg: RunConfig) -> None:
         raise ConfigError("calibration needs nonempty k_grid and r_grid in the config")
 
 
-def _load_dataset(cfg: RunConfig) -> FootprintDataset:
-    _require_paths(cfg)
-    return FootprintDataset.load(cfg.scenes_dir, cfg.polygons, cfg.labels)
-
-
 def _load_store(cfg: RunConfig) -> DivergenceCache:
-    return DivergenceCache(_load_dataset(cfg), cfg.feature_config(), cfg.eps, cfg.seed,
-                           cfg.workers)
+    """The command's dataset in its one divergence store, which holds the
+    features, eps and workers every divergence is computed with."""
+    _require_paths(cfg)
+    dataset = FootprintDataset.load(cfg.scenes_dir, cfg.polygons, cfg.labels)
+    return DivergenceCache(dataset, cfg.feature_config(), cfg.eps, cfg.seed, cfg.workers)
 
 
 def _calibrate(cfg: RunConfig, cache: DivergenceCache):
     _require_grids(cfg)
-    return calibrate(
-        cache.dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
-        cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers, cache)
+    return calibrate(cache.dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins,
+                     cfg.percentile, cfg.seed, cache)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -174,8 +178,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
     rows = [{"k": c.k, "r": c.r, "bc": c.bc, "theta": c.theta} for c in report.cells]
     if cache.dataset.labels:  # adds an "accuracy" column
-        rows = evaluation.grid_cell_accuracies(cache.dataset, report, cache,
-                                               cfg.feature_config(), cfg.eps, cfg.seed)
+        rows = evaluation.grid_cell_accuracies(cache.dataset, report, cache, cfg.seed)
     with open(out / "calibration_cells.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(rows[0]))
@@ -252,7 +255,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     k, r, theta = _resolved_params(cfg, cache)
     params = {"k": k, "r": r, "theta": theta, "eps": float(cfg.eps),
               "feature_mode": cfg.feature_mode, "seed": cfg.seed}
-    results = [decide(DivergenceSeries(fid, values, cache.dataset.years), theta, params)
+    results = [decide(fid, values, cache.dataset.years, theta, params)
                for fid, values in cache.series(k, r).items()]
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)
@@ -263,7 +266,8 @@ def cmd_detect(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.method not in evaluation.METHODS:
         raise ConfigError(f"method must be one of {evaluation.METHODS}, got {cfg.method!r}")
-    dataset = _load_dataset(cfg)
+    cache = _load_store(cfg)
+    dataset = cache.dataset
     if not dataset.labels:
         raise ConfigError("evaluate needs labels (labels csv or label_year properties)")
     out = _out_dir(cfg)
@@ -272,7 +276,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.method == "tcm_semi":
         result, report, _ = evaluation.evaluate_semi_supervised(
             dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins, cfg.percentile,
-            cfg.seed, cfg.feature_config(), cfg.eps, cfg.workers)
+            cfg.seed, cache)
         metrics = {
             "method": cfg.method,
             "accuracy": result.accuracy,
@@ -288,7 +292,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     else:
         summary = evaluation.repeated_splits(
             dataset, cfg.method, cfg.n_repeats, cfg.train_frac, cfg.seed,
-            cfg.k_grid, cfg.r_grid, cfg.feature_config(), cfg.eps, cfg.workers)
+            cfg.k_grid, cfg.r_grid, cache)
         metrics = {
             "method": cfg.method,
             "acc_mean": summary.acc_mean,

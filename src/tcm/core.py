@@ -28,27 +28,13 @@ DEFAULT_EPS = 1.0  # add-one smoothing keeps every KL finite
 
 
 @dataclass(frozen=True)
-class DivergenceSeries:
-    """Per-layer divergence values d_1..d_T for one footprint."""
-
-    footprint_id: str
-    values: np.ndarray  # (T,) float64, nats
-    years: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1 or len(self.years) != self.values.shape[0]:
-            raise ValueError("series values and years must align")
-
-
-@dataclass(frozen=True)
 class DetectionResult:
     """Predicted first-developed layer for one footprint, with provenance."""
 
     footprint_id: str
     index: int  # 1-based layer index
     year: int
-    series: DivergenceSeries
+    values: np.ndarray  # (T,) float64 divergences d_1..d_T, nats
     crossed: bool  # False means the fallback "last layer" answer was used
     params: dict
 
@@ -115,17 +101,16 @@ def divergence_series(
     feature_config: PixelFeatureConfig = PixelFeatureConfig(),
     seed: int = 0,
     eps: float = DEFAULT_EPS,
-) -> DivergenceSeries:
-    """Divergence of every chip layer, clustered independently per layer."""
-    values = np.array(
+) -> np.ndarray:
+    """(T,) divergence of every chip layer, clustered independently per layer."""
+    return np.array(
         [layer_divergence(chips, l, k, feature_config, seed, eps) for l in range(chips.n_layers)]
     )
-    return DivergenceSeries(footprint_id=chips.footprint_id, values=values, years=chips.years)
 
 
-def first_crossing(series, theta: float) -> int:
+def first_crossing(values: Sequence[float], theta: float) -> int:
     """Smallest 1-based index with value > theta; the last index if none crosses."""
-    values = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("series is empty")
     if theta < 0:
@@ -136,11 +121,12 @@ def first_crossing(series, theta: float) -> int:
     return int(np.argmax(above)) + 1
 
 
-def decide(series: DivergenceSeries, theta: float, params: dict) -> DetectionResult:
-    """First crossing of a computed series, with its provenance."""
-    index = first_crossing(series, theta)
-    return DetectionResult(series.footprint_id, index, series.years[index - 1], series,
-                           bool(series.values[index - 1] > theta), params)
+def decide(footprint_id: str, values: np.ndarray, years: Sequence[int], theta: float,
+           params: dict) -> DetectionResult:
+    """First crossing of one footprint's computed series, with its provenance."""
+    index = first_crossing(values, theta)
+    return DetectionResult(footprint_id, index, years[index - 1], values,
+                           bool(values[index - 1] > theta), params)
 
 
 def detect(
@@ -152,17 +138,17 @@ def detect(
     eps: float = DEFAULT_EPS,
 ) -> DetectionResult:
     """Run the full per-footprint decision: series, first crossing, provenance."""
-    series = divergence_series(chips, k, feature_config, seed, eps)
-    return decide(series, theta, {"k": k, "r": chips.buffer_radius, "theta": float(theta),
-                                  "eps": float(eps), "feature_mode": feature_config.mode,
-                                  "seed": seed})
+    values = divergence_series(chips, k, feature_config, seed, eps)
+    return decide(chips.footprint_id, values, chips.years, theta,
+                  {"k": k, "r": chips.buffer_radius, "theta": float(theta), "eps": float(eps),
+                   "feature_mode": feature_config.mode, "seed": seed})
 
 
 def _chip_divergences(task, feature_config, seed, eps) -> dict[int, Sequence[float]]:
     """One chip's divergences at each requested k, over that k's layers."""
     chips, wanted = task
     return {
-        k: (divergence_series(chips, k, feature_config, seed, eps).values
+        k: (divergence_series(chips, k, feature_config, seed, eps)
             if len(layers) == chips.n_layers
             else [layer_divergence(chips, l, k, feature_config, seed, eps) for l in layers])
         for k, layers in wanted.items()
@@ -252,19 +238,18 @@ class DivergenceCache:
 
 
 def divergence_store(cache: Optional[DivergenceCache], dataset: FootprintDataset,
-                     feature_config: PixelFeatureConfig, eps: float, seed: int,
-                     workers: int) -> DivergenceCache:
-    """The caller's store when it was built for these settings, else a new one.
+                     seed: int) -> DivergenceCache:
+    """The caller's store when it was built for this dataset and seed, else a
+    new store with the default features, eps and one worker.
 
-    A store built for another dataset, seed, eps or feature config is refused.
-    The worker count never changes a value and is not compared.
+    Features, eps and workers are the store's own settings. A store for
+    another dataset or seed is refused: the caller reads that dataset's
+    labels and samples random polygons from that seed.
     """
     if cache is None:
-        return DivergenceCache(dataset, feature_config, eps, seed, workers)
+        return DivergenceCache(dataset, seed=seed)
     differ = [name for name, same in (
-        ("dataset", cache.dataset is dataset), ("seed", cache.seed == seed),
-        ("eps", cache.eps == eps), ("feature_config", cache.feature_config == feature_config))
-        if not same]
+        ("dataset", cache.dataset is dataset), ("seed", cache.seed == seed)) if not same]
     if differ:
         raise ValueError(f"the DivergenceCache passed was built with another {', '.join(differ)}")
     return cache

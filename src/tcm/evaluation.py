@@ -15,8 +15,7 @@ import numpy as np
 
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE
 from .calibration import CalibrationReport, calibrate
-from .clustering import PixelFeatureConfig
-from .core import DEFAULT_EPS, DivergenceCache, divergence_store, first_crossing
+from .core import DivergenceCache, divergence_store, first_crossing
 from .data import FootprintDataset
 from .errors import DegenerateRanks, MissingPrediction
 from .supervised import fit_lr, fit_threshold, mode_predictor, predict_lr
@@ -195,13 +194,11 @@ def repeated_splits(
     seed: int = 0,
     k_grid: Sequence[int] = (16, 32, 64),
     r_grid: Sequence[float] = (100.0, 200.0, 400.0),
-    feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-    eps: float = DEFAULT_EPS,
-    workers: int = 1,
     cache: Optional[DivergenceCache] = None,
 ) -> SplitSummary:
     """Shuffle labeled footprints n_repeats times, fit on the train side of
-    each split (hyperparameter grids included), and score the test side."""
+    each split (hyperparameter grids included), and score the test side.
+    Features come from `cache` (a default store when None)."""
     if method not in METHODS or method == "tcm_semi":
         raise ValueError(f"method must be a supervised method, got {method!r}")
     ids = dataset.labeled_ids()
@@ -209,7 +206,7 @@ def repeated_splits(
         raise ValueError(f"need >= 5 labeled footprints, got {len(ids)}")
     labels_idx = {i: dataset.labels[i][0] for i in ids}
     labels_year = {i: dataset.labels[i][1] for i in ids}
-    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
+    cache = divergence_store(cache, dataset, seed)
 
     rng = np.random.default_rng(stable_seed(seed, "splits"))
     n_train = int(round(train_frac * len(ids)))
@@ -251,14 +248,11 @@ def detect_all(
     k: int,
     r: float,
     theta: float,
-    feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-    eps: float = DEFAULT_EPS,
     seed: int = 0,
-    workers: int = 1,
     cache: Optional[DivergenceCache] = None,
 ) -> dict[str, int]:
     """First-crossing index for every footprint at fixed parameters."""
-    series = divergence_store(cache, dataset, feature_config, eps, seed, workers).series(k, r)
+    series = divergence_store(cache, dataset, seed).series(k, r)
     return {i: first_crossing(v, theta) for i, v in series.items()}
 
 
@@ -270,18 +264,14 @@ def evaluate_semi_supervised(
     n_bins: int = DEFAULT_N_BINS,
     pct: float = DEFAULT_PERCENTILE,
     seed: int = 0,
-    feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-    eps: float = DEFAULT_EPS,
-    workers: int = 1,
     cache: Optional[DivergenceCache] = None,
 ) -> tuple[EvalResult, CalibrationReport, dict[str, int]]:
     """Calibrate label-free, detect everything from the same store, and score
     on the labeled set."""
-    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
-    report = calibrate(dataset, k_grid, r_grid, n_random, n_bins, pct, seed,
-                       feature_config, eps, workers, cache)
+    cache = divergence_store(cache, dataset, seed)
+    report = calibrate(dataset, k_grid, r_grid, n_random, n_bins, pct, seed, cache)
     preds_idx = detect_all(dataset, report.chosen_k, report.chosen_r, report.chosen_theta,
-                           feature_config, eps, seed, workers, cache)
+                           seed, cache)
     ids = dataset.labeled_ids()
     if not ids:
         raise ValueError("semi-supervised evaluation needs labels")
@@ -295,10 +285,7 @@ def grid_cell_accuracies(
     dataset: FootprintDataset,
     report: CalibrationReport,
     cache: Optional[DivergenceCache] = None,
-    feature_config: PixelFeatureConfig = PixelFeatureConfig(),
-    eps: float = DEFAULT_EPS,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[dict]:
     """Accuracy of every calibrated (k, r, theta) cell on the labeled set.
 
@@ -308,7 +295,7 @@ def grid_cell_accuracies(
     ids = dataset.labeled_ids()
     if not ids:
         raise ValueError("cell accuracies need labels")
-    cache = divergence_store(cache, dataset, feature_config, eps, seed, workers)
+    cache = divergence_store(cache, dataset, seed)
     labels_idx = {i: dataset.labels[i][0] for i in ids}
     rows = []
     for cell in report.cells:

@@ -154,8 +154,12 @@ def read_polygons_geojson(path) -> list[Polygon]:
         raise MalformedPolygons(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ConfigError(f"{path}: expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not (isinstance(features, list) and all(isinstance(f, dict) for f in features)):
+        raise MalformedPolygons(f"{path}: 'features' must be a list of objects, "
+                                f"got {features!r:.80}")
     polygons = []
-    for feat in doc.get("features", []):
+    for feat in features:
         props = feat.get("properties") or {}
         if "id" not in props:
             raise ConfigError(f"{path}: every feature needs an 'id' property")
@@ -203,7 +207,7 @@ def write_detections_csv(path, results: Sequence) -> None:
     results = sorted(results, key=lambda r: r.footprint_id)
     if not results:
         raise ValueError("no detection results to write")
-    n_layers = len(results[0].series.values)
+    n_layers = len(results[0].values)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["footprint_id", "predicted_index", "predicted_year", "crossed"]
@@ -211,7 +215,7 @@ def write_detections_csv(path, results: Sequence) -> None:
         for res in results:
             writer.writerow([res.footprint_id, res.index, res.year,
                              str(bool(res.crossed)).lower()]
-                            + [repr(float(v)) for v in res.series.values])
+                            + [repr(float(v)) for v in res.values])
 
 
 def histogram_to_dict(hist) -> dict:

@@ -21,7 +21,7 @@ from .geometry import ChipStack
 
 
 def _series_matrix(labeled: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    rows = [np.asarray(getattr(s, "values", s), dtype=np.float64) for s, _ in labeled]
+    rows = [np.asarray(s, dtype=np.float64) for s, _ in labeled]
     lengths = {r.shape[0] for r in rows}
     if len(lengths) != 1:
         raise ValueError("all series must share one length")

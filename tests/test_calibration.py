@@ -13,7 +13,7 @@ from tcm.calibration import (
     percentile_threshold,
     sample_random_polygons,
 )
-from tcm.core import DivergenceSeries
+from tcm.core import DivergenceCache
 from tcm.data import FootprintDataset
 from tcm.errors import BinMismatch, PlacementFailed
 from tcm.geometry import AffineGeoTransform, Polygon, Scene
@@ -81,32 +81,27 @@ class TestPercentile:
         assert percentile_threshold(samples, pct) == np.sort(samples)[rank - 1]
 
 
-def series(fid, values):
-    return DivergenceSeries(fid, np.asarray(values, dtype=np.float64),
-                            tuple(range(len(values))))
-
-
 class TestBuildPq:
     def test_constant_p_is_one_hot(self):
-        p_series = [series(f"f{i}", [0.0, 2.0]) for i in range(5)]
-        q_series = [series("r0", [0.1, 3.9])]
+        p_series = [np.array([0.0, 2.0])] * 5
+        q_series = [np.array([0.1, 3.9])]
         hist_p, _ = build_pq(p_series, q_series, n_bins=8, d_max=4.0)
         expect = np.zeros(8)
         expect[4] = 1.0  # 2.0 lands in [2.0, 2.5)
         assert np.array_equal(hist_p.masses, expect)
 
     def test_q_pools_all_layers(self):
-        q_series = [series("r0", [0.1, 0.1]), series("r1", [0.3])]
-        _, hist_q = build_pq([series("f", [0.4])], q_series, n_bins=2, d_max=0.4)
+        q_series = [np.array([0.1, 0.1]), np.array([0.3])]
+        _, hist_q = build_pq([np.array([0.4])], q_series, n_bins=2, d_max=0.4)
         assert np.allclose(hist_q.masses, [2 / 3, 1 / 3])
 
     def test_values_above_dmax_clamp_into_last_bin(self):
-        hist_p, _ = build_pq([series("f", [99.0])], [series("r", [0.1])],
+        hist_p, _ = build_pq([np.array([99.0])], [np.array([0.1])],
                              n_bins=4, d_max=1.0)
         assert hist_p.masses[-1] == 1.0
 
     def test_shared_adaptive_range(self):
-        hist_p, hist_q = build_pq([series("f", [3.0])], [series("r", [0.5])], n_bins=10)
+        hist_p, hist_q = build_pq([np.array([3.0])], [np.array([0.5])], n_bins=10)
         assert hist_p.edges[-1] == 3.0
         assert np.array_equal(hist_p.edges, hist_q.edges)
 
@@ -215,8 +210,10 @@ class TestCalibrate:
 
     def test_workers_do_not_change_report(self):
         ds = tiny_dataset()
-        r1 = calibrate(ds, k_grid=[2, 4], r_grid=[3.0], n_random=10, seed=7, workers=1)
-        r4 = calibrate(ds, k_grid=[2, 4], r_grid=[3.0], n_random=10, seed=7, workers=4)
+        r1 = calibrate(ds, k_grid=[2, 4], r_grid=[3.0], n_random=10, seed=7,
+                       cache=DivergenceCache(ds, seed=7, workers=1))
+        r4 = calibrate(ds, k_grid=[2, 4], r_grid=[3.0], n_random=10, seed=7,
+                       cache=DivergenceCache(ds, seed=7, workers=4))
         assert [c.bc for c in r1.cells] == [c.bc for c in r4.cells]
         assert [c.theta for c in r1.cells] == [c.theta for c in r4.cells]
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import tcm.core
-from tcm import detect, extract_chip_stack
+from tcm import (DivergenceCache, PixelFeatureConfig, calibrate, detect,
+                 evaluate_semi_supervised, extract_chip_stack, first_crossing,
+                 repeated_splits)
 from tcm.cli import load_config, main
 from tcm.data import FootprintDataset
-from tcm.formats import read_tcs, write_tcs
+from tcm.formats import calibration_report_to_dict, read_tcs, write_tcs
 
 SYNTH = {
     "height": 112, "width": 112, "layers": 3, "footprints": 12,
@@ -99,7 +101,7 @@ class TestDetect:
             assert int(row["predicted_index"]) == res.index
             assert int(row["predicted_year"]) == res.year
             assert row["crossed"] == str(res.crossed).lower()
-            assert float(row["d_1"]) == res.series.values[0]
+            assert float(row["d_1"]) == res.values[0]
 
     def test_auto_theta_runs_calibration(self, tmp_path):
         cfg, _, out = generated_config(tmp_path)
@@ -187,6 +189,42 @@ class TestEvaluate:
         cfg, _, _ = generated_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["evaluate", "--config", str(cfg), "--method", "nonsense"])
+
+
+def test_store_settings_reach_every_command(tmp_path):
+    cfg, data, out = generated_config(tmp_path, feature_mode="spectral_window", eps=0.5)
+    ds = FootprintDataset.load(data / "scenes", data / "polygons.geojson", data / "labels.csv")
+    store = DivergenceCache(ds, PixelFeatureConfig("spectral_window"), 0.5, seed=9)
+    grids = {"k_grid": [2, 4], "r_grid": [3.0, 6.0], "seed": 9}
+    as_json = lambda report: json.loads(json.dumps(calibration_report_to_dict(report)))
+
+    assert main(["calibrate", "--config", str(cfg)]) == 0
+    written = json.loads((out / "calibration.json").read_text())
+    del written["inputs"]
+    report = calibrate(ds, n_random=20, cache=store, **grids)
+    assert written == as_json(report)
+    assert written != as_json(calibrate(ds, n_random=20, **grids))  # default settings
+
+    assert main(["detect", "--config", str(cfg), "--theta", "auto"]) == 0
+    with open(out / "detections.csv") as fh:
+        rows = {row["footprint_id"]: row for row in csv.DictReader(fh)}
+    series = store.series(report.chosen_k, report.chosen_r)
+    assert set(rows) == set(series)
+    for fid, values in series.items():
+        assert int(rows[fid]["predicted_index"]) == first_crossing(values, report.chosen_theta)
+        assert [float(rows[fid][f"d_{i}"]) for i in range(1, 4)] == list(values)
+
+    assert main(["evaluate", "--config", str(cfg), "--method", "tcm_semi"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    semi, semi_report, _ = evaluate_semi_supervised(ds, n_random=20, cache=store, **grids)
+    assert (metrics["accuracy"], metrics["mae"], metrics["chosen_theta"]) == (
+        semi.accuracy, semi.mae, semi_report.chosen_theta)
+
+    assert main(["evaluate", "--config", str(cfg), "--method", "tcm_supervised"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    summary = repeated_splits(ds, "tcm_supervised", n_repeats=4, cache=store, **grids)
+    assert (metrics["acc_mean"], metrics["acc_std"], metrics["mae_mean"]) == (
+        summary.acc_mean, summary.acc_std, summary.mae_mean)
 
 
 class TestConfigHandling:
@@ -299,6 +337,11 @@ MALFORMED = [
     ("truncated_geojson", write_polygons('{"type": "FeatureCollection", "features": [\n'),
      {}, [], 3, "MalformedPolygons"),
     ("polygon_without_coordinates", drop_coordinates, {}, [], 3, "MalformedPolygons"),
+    ("non_object_feature", write_polygons('{"type": "FeatureCollection", "features": [1]}'),
+     {}, [], 3, "MalformedPolygons"),
+    ("features_not_a_list", write_polygons(
+        '{"type": "FeatureCollection", "features": {"type": "Feature"}}'), {}, [], 3,
+     "MalformedPolygons"),
     ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
     ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
     ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0], "k": None, "r": None},
@@ -307,6 +350,15 @@ MALFORMED = [
     ("k_and_r_with_auto_theta", None, {}, ["--k", "8", "--r", "6", "--theta", "auto"], 2,
      "Config"),
     ("auto_r_with_explicit_k_theta", None, {"r": "auto"}, [], 2, "Config"),
+    ("fractional_k", None, {"k": 2.5}, [], 2, "Config"),
+    ("zero_in_k_grid", None, {"k_grid": [0, 2], "k": None, "r": None}, ["--theta", "auto"], 2,
+     "Config"),
+    ("zero_n_random", None, {"n_random": 0, "k": None, "r": None}, ["--theta", "auto"], 2,
+     "Config"),
+    ("zero_n_bins", None, {"n_bins": 0, "k": None, "r": None}, ["--theta", "auto"], 2,
+     "Config"),
+    ("percentile_100", None, {"percentile": 100, "k": None, "r": None}, ["--theta", "auto"],
+     2, "Config"),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcm.core import (
-    DivergenceSeries,
     cluster_distribution,
     detect,
     divergence_series,
@@ -110,10 +109,6 @@ class TestFirstCrossing:
     def test_immediate(self):
         assert first_crossing(np.array([0.9, 0.9]), 0.3) == 1
 
-    def test_accepts_series_object(self):
-        s = DivergenceSeries("x", np.array([0.0, 0.9]), (2011, 2013))
-        assert first_crossing(s, 0.5) == 2
-
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             first_crossing(np.array([0.1]), -1.0)
@@ -169,7 +164,7 @@ class TestLayerDivergence:
         chips = chip_from_layers(layers, mask)
         series = divergence_series(chips, k=3, seed=5)
         singles = [layer_divergence(chips, l, k=3, seed=5) for l in range(3)]
-        assert np.array_equal(series.values, singles)
+        assert np.array_equal(series, singles)
 
 
 class TestDivergenceSeries:
@@ -190,7 +185,7 @@ class TestDivergenceSeries:
     def test_low_then_high_pattern(self):
         chips = self.build_construction_chip(built_from=3)
         series = divergence_series(chips, k=4, seed=0)
-        low, high = series.values[:2], series.values[2:]
+        low, high = series[:2], series[2:]
         assert low.max() < 0.5
         assert high.min() > 1.0
 
@@ -198,7 +193,7 @@ class TestDivergenceSeries:
         chips = self.build_construction_chip(built_from=2)
         a = divergence_series(chips, k=4, seed=9)
         b = divergence_series(chips, k=4, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_monotone_value_transform_keeps_divergence(self):
         # Distinct discrete colors, k = number of colors: the partition is the

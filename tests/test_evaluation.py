@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcm.calibration import calibrate
-from tcm.clustering import PixelFeatureConfig
-from tcm.core import DEFAULT_EPS, divergence_store
+from tcm.core import divergence_store
 from tcm.data import FootprintDataset
 from tcm.errors import DegenerateRanks, MissingPrediction
 from tcm.evaluation import (
@@ -202,16 +201,10 @@ class TestStoreSettings:
             evaluate_semi_supervised(ds, (2,), (3.0,), n_random=4, seed=1, cache=cache)
         with pytest.raises(ValueError, match="dataset"):
             detect_all(small_dataset(footprints=8), 2, 3.0, 0.5, cache=cache)
-        with pytest.raises(ValueError, match="eps"):
-            repeated_splits(ds, "mode", n_repeats=2, k_grid=(2,), r_grid=(3.0,),
-                            eps=0.5, cache=cache)
-        with pytest.raises(ValueError, match="feature_config"):
-            calibrate(ds, [2], [3.0], n_random=4, cache=cache,
-                      feature_config=PixelFeatureConfig(mode="spectral_window"))
 
     def test_matching_cache_is_shared_whatever_its_workers(self):
         ds = small_dataset(footprints=8)
         cache = DivergenceCache(ds, seed=3, workers=4)
-        assert divergence_store(cache, ds, PixelFeatureConfig(), DEFAULT_EPS, 3, 1) is cache
-        fresh = divergence_store(None, ds, PixelFeatureConfig(), DEFAULT_EPS, 3, 1)
+        assert divergence_store(cache, ds, 3) is cache
+        fresh = divergence_store(None, ds, 3)
         assert fresh is not cache and (fresh.seed, fresh.workers) == (3, 1)

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from tcm.core import DetectionResult, DivergenceSeries
+from tcm.core import DetectionResult
 from tcm.errors import ConfigError
 from tcm.formats import (
     read_labels_csv,
@@ -167,10 +167,8 @@ class TestCSV:
         assert read_labels_csv(path) == labels
 
     def test_detections_csv_layout(self, tmp_path):
-        series = DivergenceSeries("b", np.array([0.25, 1.5]), (2011, 2013))
-        res_b = DetectionResult("b", 2, 2013, series, True, {})
-        series_a = DivergenceSeries("a", np.array([0.1, 0.2]), (2011, 2013))
-        res_a = DetectionResult("a", 2, 2013, series_a, False, {})
+        res_b = DetectionResult("b", 2, 2013, np.array([0.25, 1.5]), True, {})
+        res_a = DetectionResult("a", 2, 2013, np.array([0.1, 0.2]), False, {})
         path = tmp_path / "det.csv"
         write_detections_csv(path, [res_b, res_a])
         lines = path.read_text().strip().splitlines()
