@@ -15,7 +15,7 @@ from .calibration import (
 from .clustering import (
     ClusterModel,
     PixelFeatureConfig,
-    assign_clusters,
+    assign_features,
     extract_features,
     fit_kmeans,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import evaluation, formats, synthgen
+from . import clustering, evaluation, formats, synthgen
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE, calibrate
 from .clustering import PixelFeatureConfig
 from .core import DEFAULT_EPS, DivergenceCache, decide
@@ -85,15 +85,16 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             cfg.theta = float(cfg.theta)
         except (TypeError, ValueError):
             raise ConfigError(f"theta must be a number or 'auto', got {cfg.theta!r}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     counts = [("k", cfg.k)] if cfg.k not in (None, "auto") else []
     counts += [("k_grid entry", v) for v in cfg.k_grid or ()]
-    for name, value in counts + [("n_random", cfg.n_random), ("n_bins", cfg.n_bins)]:
+    counts += [(n, getattr(cfg, n)) for n in ("n_random", "n_bins", "n_repeats", "workers")]
+    for name, value in counts:
         if not (type(value) is int and value >= 1):  # JSON true/false are not counts
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if not (isinstance(cfg.percentile, (int, float)) and 0 < cfg.percentile < 100):
         raise ConfigError(f"percentile must be a number in (0, 100), got {cfg.percentile!r}")
+    if not (isinstance(cfg.train_frac, (int, float)) and 0 < cfg.train_frac < 1):
+        raise ConfigError(f"train_frac must be a number in (0, 1), got {cfg.train_frac!r}")
     radii = [("r", cfg.r)] if cfg.r not in (None, "auto") else []
     for name, value in radii + [("r_grid entry", v) for v in cfg.r_grid or ()]:
         if not (isinstance(value, (int, float)) and value > 0):
@@ -352,6 +353,7 @@ def _setup_logging() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
+    log.debug("k-means: %s", clustering.KERNEL)
     args = build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)

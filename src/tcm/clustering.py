@@ -5,11 +5,32 @@ fits are bit-identical across runs and across worker counts: seeded greedy
 initialization, Lloyd updates with a fixed tie-break (lowest centroid index),
 and single-threaded distance math that takes the same evaluation path for a
 given input shape.
+
+The Lloyd loop, the distance updates of the initialization and the
+assignment run in a small C kernel, `_lloyd.c`, that repeats the numpy code
+below operation by operation. Only a distance's cross term can differ in its
+last bits, where BLAS fuses multiply-adds; the tests demand the same
+centroids, iteration counts and labels from both paths, on real chip layers
+and on edge cases. The random draws stay in numpy.
+
+On import the kernel is compiled once per machine with `cc` into
+`$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
+keyed by the sha256 of its source and flags; later imports load the cached
+file. With no compiler, an unwritable cache or a failed build, every fit
+takes the numpy path, which stays as the kernel's tested oracle. `KERNEL`
+names the path taken; the CLI logs it at `TCM_LOG=debug`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -50,7 +71,6 @@ class ClusterModel:
 
     k: int
     centroids: np.ndarray  # (k, dim) float64
-    feature_config: PixelFeatureConfig
     seed: int
     n_iter: int = 0
     inertia: float = float("nan")
@@ -121,29 +141,20 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def fit_kmeans(
-    features: np.ndarray,
-    k: int,
-    seed: int,
-    feature_config: Optional[PixelFeatureConfig] = None,
-    max_iter: int = 50,
-    tol: float = 1e-4,
-) -> ClusterModel:
-    """Lloyd's algorithm with seeded greedy (D^2-weighted) initialization.
-
-    Iterates until the largest centroid movement drops below tol or max_iter
-    passes. Clusters that empty out are reseeded to the points currently
-    farthest from their assigned centroid.
-    """
+def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    n = x.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < k:
-        raise TooFewPixels(f"{n} feature rows < k={k}")
+    if x.shape[0] < k:
+        raise TooFewPixels(f"{x.shape[0]} feature rows < k={k}")
+    return x
 
+
+def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
+                      tol: float) -> ClusterModel:
+    n = x.shape[0]
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
     norms = _row_norms(x)
@@ -180,14 +191,57 @@ def fit_kmeans(
         if shift < tol:
             break
 
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        feature_config=feature_config if feature_config is not None else PixelFeatureConfig(),
-        seed=seed,
-        n_iter=n_iter,
-        inertia=inertia,
-    )
+    return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter, inertia=inertia)
+
+
+def _assign_features_numpy(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.argmin(_sqdist(x, centroids), axis=1).astype(np.int32)
+
+
+def _check_kernel(status: int) -> None:
+    if status == 1:
+        raise AssertionError("inertia increased")
+    if status:
+        raise MemoryError("k-means kernel could not allocate its buffers")
+
+
+def fit_kmeans(
+    features: np.ndarray,
+    k: int,
+    seed: int,
+    max_iter: int = 50,
+    tol: float = 1e-4,
+) -> ClusterModel:
+    """Lloyd's algorithm with seeded greedy (D^2-weighted) initialization.
+
+    Iterates until the largest centroid movement drops below tol or max_iter
+    passes. Clusters that empty out are reseeded to the points currently
+    farthest from their assigned centroid. An iteration that raises the
+    inertia is a bug and raises AssertionError.
+    """
+    x = _checked_features(features, k)
+    if _lib is None:
+        return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, d), dtype=np.float64)
+    closest = np.empty(n, dtype=np.float64)
+    x_p, c_p, closest_p = x.ctypes.data, centroids.ctypes.data, closest.ctypes.data
+    pick = int(rng.integers(n))
+    for j in range(k):
+        if j:
+            total = closest.sum()
+            if total <= 0.0:
+                pick = int(rng.integers(n))
+            else:
+                pick = _lib.tcm_pp_pick(closest_p, n, total, rng.random())
+        centre_p = c_p + j * centroids.strides[0]
+        _check_kernel(_lib.tcm_pp_add(x_p, n, d, pick, centre_p, closest_p, j == 0))
+    n_iter, inertia = ctypes.c_long(), ctypes.c_double()
+    _check_kernel(_lib.tcm_lloyd(x_p, n, d, k, max_iter, tol, c_p,
+                                 ctypes.byref(n_iter), ctypes.byref(inertia)))
+    return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
+                        inertia=inertia.value)
 
 
 def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
@@ -197,15 +251,64 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
         raise FeatureDimMismatch(
             f"features of dim {x.shape[-1] if x.ndim else '?'} vs model dim {model.centroids.shape[1]}"
         )
-    return np.argmin(_sqdist(x, model.centroids), axis=1).astype(np.int32)
+    if _lib is None or not x.shape[0]:  # numpy also raises on an empty input
+        return _assign_features_numpy(model.centroids, x)
+    x = np.ascontiguousarray(x)
+    centroids = np.ascontiguousarray(model.centroids, dtype=np.float64)
+    labels = np.empty(x.shape[0], dtype=np.int32)
+    _check_kernel(_lib.tcm_assign(x.ctypes.data, x.shape[0], x.shape[1], centroids.ctypes.data,
+                                  model.k, labels.ctypes.data))
+    return labels
 
 
-def assign_clusters(model: ClusterModel, image: np.ndarray) -> np.ndarray:
-    """(h, w) map of cluster indices for one image layer."""
-    image = np.asarray(image)
-    if image.ndim != 3 or model.feature_config.dim(image.shape[2]) != model.centroids.shape[1]:
-        raise FeatureDimMismatch(
-            f"image with shape {image.shape} does not fit model of dim {model.centroids.shape[1]}"
-        )
-    feats = extract_features(image, model.feature_config)
-    return assign_features(model, feats).reshape(image.shape[:2])
+# -O3 vectorizes across points, which leaves each point's operations in their
+# order; -ffp-contract=off keeps every multiply and add apart. Never
+# -ffast-math or -march=native: reassociation or fused multiply-adds would
+# change the bits.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Werror")
+_P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
+_SIGNATURES = {  # C function: (argument types, result type)
+    "tcm_pp_add": ([_P, _L, _L, _L, _P, _P, _I], _I),
+    "tcm_pp_pick": ([_P, _L, _D, _D], _L),
+    "tcm_lloyd": ([_P, _L, _L, _L, _L, _D, _P, _P, _P], _I),
+    "tcm_assign": ([_P, _L, _L, _P, _L, _P], _I),
+}
+
+
+def _load_kernel() -> tuple[Optional[ctypes.CDLL], str]:
+    """The compiled kernel, built first if this machine has no copy of this
+    source yet, and a line that names the path fits take."""
+    source = Path(__file__).with_name("_lloyd.c")
+    try:
+        digest = hashlib.sha256(source.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tcm"
+        built = cache / f"_lloyd-{digest[:16]}.so"
+        if not built.exists():
+            cc = shutil.which("cc")
+            if cc is None:
+                return None, "numpy path: no C compiler (cc) on PATH"
+            cache.mkdir(parents=True, exist_ok=True)
+            # Build under a private name and rename: concurrent builds never
+            # load a partly written library.
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
+                               check=True, capture_output=True, text=True, timeout=300)
+                os.replace(tmp, built)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(built))
+    except subprocess.CalledProcessError as exc:
+        return None, f"numpy path: building the kernel failed: {exc.stderr.strip()[:300]}"
+    # RuntimeError: no home directory; SubprocessError: the build timed out.
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        return None, f"numpy path: kernel unavailable: {exc}"
+    for name, (args, result) in _SIGNATURES.items():
+        getattr(lib, name).argtypes = args
+        getattr(lib, name).restype = result
+    return lib, f"compiled kernel {built}"
+
+
+_lib, KERNEL = _load_kernel()

@@ -88,7 +88,7 @@ def layer_divergence(
     """
     image = chips.imagery[layer]
     feats = extract_features(image, feature_config)
-    model = fit_kmeans(feats, k, stable_seed(seed, chips.footprint_id, layer), feature_config)
+    model = fit_kmeans(feats, k, stable_seed(seed, chips.footprint_id, layer))
     cmap = assign_features(model, feats).reshape(image.shape[:2])
     d_fp = cluster_distribution(cmap, chips.mask, "footprint", k, eps)
     d_nb = cluster_distribution(cmap, chips.mask, "neighborhood", k, eps)

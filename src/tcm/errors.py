@@ -30,7 +30,9 @@ class MalformedLabels(TCMError):
 
 
 class MalformedPolygons(TCMError, ValueError):
-    """A polygons file is not JSON, or a Polygon's coordinates are not rings of [x, y] numbers."""
+    """A polygons file is not JSON, a feature's properties or geometry is not an
+    object, its label_year not an integer, or a Polygon's coordinates not rings of
+    [x, y] numbers."""
 
 
 class DegeneratePolygon(TCMError):

@@ -161,21 +161,30 @@ def read_polygons_geojson(path) -> list[Polygon]:
     polygons = []
     for feat in features:
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise MalformedPolygons(f"{path}: a feature's 'properties' must be an object, "
+                                    f"got {props!r:.80}")
         if "id" not in props:
             raise ConfigError(f"{path}: every feature needs an 'id' property")
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon":
+        geom = feat.get("geometry")
+        if not isinstance(geom, (dict, type(None))):
+            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'geometry' as an "
+                                    f"object, got {geom!r:.80}")
+        if geom is None or geom.get("type") != "Polygon":
             raise ConfigError(f"{path}: feature {props['id']!r} is not a Polygon")
         rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and all(map(_is_ring, rings))):
             raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'coordinates' "
                                     f"as a list of rings of [x, y] numbers, got {rings!r:.80}")
         label_year = props.get("label_year")
+        if not (label_year is None or type(label_year) is int):  # JSON true/false are not years
+            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs an integer "
+                                    f"'label_year', got {label_year!r:.80}")
         polygons.append(Polygon(
             id=str(props["id"]),
             exterior=tuple((float(x), float(y)) for x, y in rings[0]),
             holes=tuple(tuple((float(x), float(y)) for x, y in ring) for ring in rings[1:]),
-            label_year=None if label_year is None else int(label_year),
+            label_year=label_year,
         ))
     return polygons
 
@@ -244,4 +253,4 @@ def calibration_report_to_dict(report) -> dict:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -321,6 +321,15 @@ def drop_coordinates(data):
     path.write_text(json.dumps(doc))
 
 
+def edit_first_feature(change):
+    def edit(data):
+        path = data / "polygons.geojson"
+        doc = json.loads(path.read_text())
+        change(doc["features"][0])
+        path.write_text(json.dumps(doc))
+    return edit
+
+
 # (case, edit of the generated data, run-config overrides, extra flags, exit, error class);
 # the run config gives k=2, r=3.0 and theta=0.5 unless the overrides say otherwise.
 MALFORMED = [
@@ -342,6 +351,13 @@ MALFORMED = [
     ("features_not_a_list", write_polygons(
         '{"type": "FeatureCollection", "features": {"type": "Feature"}}'), {}, [], 3,
      "MalformedPolygons"),
+    ("non_object_properties", edit_first_feature(lambda f: f.update(properties="id")), {}, [],
+     3, "MalformedPolygons"),
+    ("non_object_geometry", edit_first_feature(lambda f: f.update(geometry=[1])), {}, [], 3,
+     "MalformedPolygons"),
+    ("fractional_label_year",
+     edit_first_feature(lambda f: f["properties"].update(label_year=2015.5)), {}, [], 3,
+     "MalformedPolygons"),
     ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
     ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
     ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0], "k": None, "r": None},
@@ -359,6 +375,9 @@ MALFORMED = [
      "Config"),
     ("percentile_100", None, {"percentile": 100, "k": None, "r": None}, ["--theta", "auto"],
      2, "Config"),
+    ("workers_as_string", None, {"workers": "2"}, [], 2, "Config"),
+    ("zero_n_repeats", None, {"n_repeats": 0}, [], 2, "Config"),
+    ("train_frac_above_one", None, {"train_frac": 2.0}, [], 2, "Config"),
 ]
 
 

@@ -6,7 +6,6 @@ from oracles import best_partition_inertia
 from tcm.clustering import (
     ClusterModel,
     PixelFeatureConfig,
-    assign_clusters,
     assign_features,
     extract_features,
     fit_kmeans,
@@ -94,32 +93,26 @@ class TestFitKmeans:
 
 class TestAssign:
     def test_exact_centroid_pixel(self):
-        model = ClusterModel(k=3, centroids=np.array([[0.0], [5.0], [9.0]]),
-                             feature_config=PixelFeatureConfig(), seed=0)
-        cmap = assign_clusters(model, np.array([[[9.0]]]))
-        assert cmap[0, 0] == 2
+        model = ClusterModel(k=3, centroids=np.array([[0.0], [5.0], [9.0]]), seed=0)
+        assert assign_features(model, np.array([[9.0]]))[0] == 2
 
     def test_tie_breaks_to_lowest_index(self):
-        model = ClusterModel(k=2, centroids=np.array([[0.0], [1.0]]),
-                             feature_config=PixelFeatureConfig(), seed=0)
-        cmap = assign_clusters(model, np.array([[[0.5]]]))
-        assert cmap[0, 0] == 0
+        model = ClusterModel(k=2, centroids=np.array([[0.0], [1.0]]), seed=0)
+        assert assign_features(model, np.array([[0.5]]))[0] == 0
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(5)
-        img = rng.uniform(0, 255, size=(16, 16, 3))
-        model = fit_kmeans(img.reshape(-1, 3), 4, seed=9, feature_config=PixelFeatureConfig())
-        cmap = assign_clusters(model, img)
-        for i in range(16):
-            for j in range(16):
-                dists = [float(((img[i, j] - c) ** 2).sum()) for c in model.centroids]
-                assert cmap[i, j] == int(np.argmin(dists))
+        pts = rng.uniform(0, 255, size=(256, 3))
+        model = fit_kmeans(pts, 4, seed=9)
+        labels = assign_features(model, pts)
+        for i, p in enumerate(pts):
+            dists = [float(((p - c) ** 2).sum()) for c in model.centroids]
+            assert labels[i] == int(np.argmin(dists))
 
     def test_dim_mismatch(self):
-        model = ClusterModel(k=2, centroids=np.zeros((2, 3)),
-                             feature_config=PixelFeatureConfig(), seed=0)
+        model = ClusterModel(k=2, centroids=np.zeros((2, 3)), seed=0)
         with pytest.raises(FeatureDimMismatch):
-            assign_clusters(model, np.zeros((4, 4, 2)))
+            assign_features(model, np.zeros((16, 2)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,8 @@ generic (Prescott), Sandybridge, Haswell and SkylakeX OpenBLAS kernels.
 
 from test_acceptance import _run_cli_outputs
 
+from tcm import clustering
+
 GOLDEN = {
     "data/labels.csv": "b57629e6f9df346eed350559d53c691b425b1874f7f0e2fb072eb5d1b0437f82",
     "data/polygons.geojson": "f20dc391b886915b17af000d4ae7bb281d527ef279edea95892705920661b27b",
@@ -31,3 +33,9 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     digests = _run_cli_outputs(tmp_path, "golden", 1)
     changed = sorted(k for k in set(GOLDEN) | set(digests) if GOLDEN.get(k) != digests.get(k))
     assert not changed, f"outputs differ from the pinned digests: {changed}"
+
+
+def test_cli_outputs_match_pinned_digests_on_numpy_path(tmp_path, monkeypatch):
+    """The same digests when every k-means fit takes the numpy fallback."""
+    monkeypatch.setattr(clustering, "_lib", None)
+    test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch)
