@@ -7,9 +7,12 @@ files in CHANGES.md. The digests were checked to be the same under the
 generic (Prescott), Sandybridge, Haswell and SkylakeX OpenBLAS kernels.
 """
 
+import hashlib
+
 from test_acceptance import _run_cli_outputs
 
 from tcm import clustering
+from tcm.cli import main as cli_main
 
 GOLDEN = {
     "data/labels.csv": "b57629e6f9df346eed350559d53c691b425b1874f7f0e2fb072eb5d1b0437f82",
@@ -27,11 +30,43 @@ GOLDEN = {
     "out/repeats.csv": "e345217803bc4d785441542da0476520cf01876572c11715f9a6f948dd541b13",
 }
 
+# `evaluate` on the same data and run config for the methods the run above
+# leaves out (it evaluates tcm_supervised only).
+METHODS = ("tcm_semi", "tcm_lr", "avgcolor_threshold", "avgcolor_lr", "color_over_time",
+           "mode")
+METHOD_GOLDEN = {
+    "avgcolor_lr/metrics.json": "67e26a81e3fadcd9dc839a5bfe72dd73db6c7b49f603ca86f7f9f81add0b7a29",
+    "avgcolor_lr/repeats.csv": "e748f7f267abf6469b124b4117f909ed8b87d0f26b88435bcbbf5903a397b704",
+    "avgcolor_threshold/metrics.json": "17b4bba1b123a8617752d2030b5e0f534e63828f17712b996c2d203e370b0113",
+    "avgcolor_threshold/repeats.csv": "e345217803bc4d785441542da0476520cf01876572c11715f9a6f948dd541b13",
+    "color_over_time/metrics.json": "8e2c0daecc8b1acfb92915cf7f6cb628d9166b66e53435fdc834905bbaa63996",
+    "color_over_time/repeats.csv": "e748f7f267abf6469b124b4117f909ed8b87d0f26b88435bcbbf5903a397b704",
+    "mode/metrics.json": "46ea46ad5e8cdcc13cd7f633edc25832d3132872e5ba64ceeb7fff9b029bd99a",
+    "mode/repeats.csv": "905b3f0ba2d16e40fe3ab60763103f00dc29753be6e3f737750ce741059b24f8",
+    "tcm_lr/metrics.json": "6a623e6d002f1124b73c69be259eb8be52e7b448cd6d2737eeacd015340aef48",
+    "tcm_lr/repeats.csv": "35e8e9e4a0b7f39d45f55aa28a951c90bfc16bdea31e266cd07d95569e38669b",
+    "tcm_semi/metrics.json": "2541cb0c21b42e5b80ab21c24dee88c94a925663a01ea1f85b27b4becb95b914",
+    "tcm_semi/repeats.csv": "8b097c122dbee3bfceaf15414f0ec6eb8cb8fb521146d41e1f7caf7e8c6a29b4",
+}
+
+
+def _method_outputs(base):
+    digests = {}
+    for method in METHODS:
+        out = base / f"eval-{method}"
+        assert cli_main(["evaluate", "--config", str(base / "run.json"), "--method", method,
+                         "--out", str(out)]) == 0
+        for name in ("metrics.json", "repeats.csv"):
+            digests[f"{method}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    return digests
+
 
 def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.setenv("TCM_LOG", "error")
     digests = _run_cli_outputs(tmp_path, "golden", 1)
-    changed = sorted(k for k in set(GOLDEN) | set(digests) if GOLDEN.get(k) != digests.get(k))
+    digests.update(_method_outputs(tmp_path / "golden-w1"))
+    pinned = {**GOLDEN, **METHOD_GOLDEN}
+    changed = sorted(k for k in set(pinned) | set(digests) if pinned.get(k) != digests.get(k))
     assert not changed, f"outputs differ from the pinned digests: {changed}"
 
 
