@@ -46,7 +46,6 @@ from .geometry import (
     Scene,
     buffered_extent,
     extract_chip_stack,
-    rasterize_polygon,
 )
 from .supervised import (
     LogisticModel,
@@ -56,8 +55,6 @@ from .supervised import (
     fit_threshold,
     lr_probabilities,
     mode_predictor,
-    model_from_dict,
-    model_to_dict,
     predict_lr,
 )
 from .synthgen import SynthConfig, generate

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -87,10 +88,23 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError(f"theta must be a number or 'auto', got {cfg.theta!r}")
     counts = [("k", cfg.k)] if cfg.k not in (None, "auto") else []
     counts += [("k_grid entry", v) for v in cfg.k_grid or ()]
-    counts += [(n, getattr(cfg, n)) for n in ("n_random", "n_bins", "n_repeats", "workers")]
+    counts += [(n, getattr(cfg, n))
+               for n in ("n_random", "n_bins", "n_repeats", "workers", "window")]
     for name, value in counts:
         if not (type(value) is int and value >= 1):  # JSON true/false are not counts
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if type(cfg.seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
+    if not (isinstance(cfg.eps, (int, float)) and 0 < cfg.eps < math.inf):
+        raise ConfigError(f"eps must be a finite number > 0, got {cfg.eps!r}")
+    try:
+        cfg.feature_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
+    if not isinstance(cfg.synth, (dict, type(None))):
+        raise ConfigError(f"synth must be an object, got {cfg.synth!r:.80}")
     if not (isinstance(cfg.percentile, (int, float)) and 0 < cfg.percentile < 100):
         raise ConfigError(f"percentile must be a number in (0, 100), got {cfg.percentile!r}")
     if not (isinstance(cfg.train_frac, (int, float)) and 0 < cfg.train_frac < 1):
@@ -132,7 +146,6 @@ def _load_store(cfg: RunConfig) -> DivergenceCache:
 
 
 def _calibrate(cfg: RunConfig, cache: DivergenceCache):
-    _require_grids(cfg)
     return calibrate(cache.dataset, cfg.k_grid, cfg.r_grid, cfg.n_random, cfg.n_bins,
                      cfg.percentile, cfg.seed, cache)
 
@@ -254,9 +267,7 @@ def _resolved_params(cfg: RunConfig, cache: DivergenceCache):
 def cmd_detect(cfg: RunConfig) -> int:
     cache = _load_store(cfg)
     k, r, theta = _resolved_params(cfg, cache)
-    params = {"k": k, "r": r, "theta": theta, "eps": float(cfg.eps),
-              "feature_mode": cfg.feature_mode, "seed": cfg.seed}
-    results = [decide(fid, values, cache.dataset.years, theta, params)
+    results = [decide(fid, values, cache.dataset.years, theta)
                for fid, values in cache.series(k, r).items()]
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)

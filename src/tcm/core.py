@@ -29,14 +29,13 @@ DEFAULT_EPS = 1.0  # add-one smoothing keeps every KL finite
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Predicted first-developed layer for one footprint, with provenance."""
+    """Predicted first-developed layer for one footprint."""
 
     footprint_id: str
     index: int  # 1-based layer index
     year: int
     values: np.ndarray  # (T,) float64 divergences d_1..d_T, nats
     crossed: bool  # False means the fallback "last layer" answer was used
-    params: dict
 
 
 def cluster_distribution(
@@ -121,12 +120,12 @@ def first_crossing(values: Sequence[float], theta: float) -> int:
     return int(np.argmax(above)) + 1
 
 
-def decide(footprint_id: str, values: np.ndarray, years: Sequence[int], theta: float,
-           params: dict) -> DetectionResult:
-    """First crossing of one footprint's computed series, with its provenance."""
+def decide(footprint_id: str, values: np.ndarray, years: Sequence[int],
+           theta: float) -> DetectionResult:
+    """First crossing of one footprint's computed series."""
     index = first_crossing(values, theta)
     return DetectionResult(footprint_id, index, years[index - 1], values,
-                           bool(values[index - 1] > theta), params)
+                           bool(values[index - 1] > theta))
 
 
 def detect(
@@ -137,11 +136,9 @@ def detect(
     seed: int = 0,
     eps: float = DEFAULT_EPS,
 ) -> DetectionResult:
-    """Run the full per-footprint decision: series, first crossing, provenance."""
+    """Run the full per-footprint decision: series, then first crossing."""
     values = divergence_series(chips, k, feature_config, seed, eps)
-    return decide(chips.footprint_id, values, chips.years, theta,
-                  {"k": k, "r": chips.buffer_radius, "theta": float(theta), "eps": float(eps),
-                   "feature_mode": feature_config.mode, "seed": seed})
+    return decide(chips.footprint_id, values, chips.years, theta)
 
 
 def _chip_divergences(task, feature_config, seed, eps) -> dict[int, Sequence[float]]:

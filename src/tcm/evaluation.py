@@ -39,7 +39,6 @@ class EvalResult:
     accuracy: float
     mae: float  # calendar years
     n: int
-    residuals: dict[str, int]  # id -> predicted_year - label_year
     mae_index: Optional[float] = None  # time-step units, when the year axis is known
 
 
@@ -61,7 +60,6 @@ def score(
     ids = sorted(labels)
     pred = np.array([int(predictions[i]) for i in ids])
     true = np.array([int(labels[i]) for i in ids])
-    residuals = {i: int(p - t) for i, p, t in zip(ids, pred, true)}
     mae_index = None
     if years is not None:
         pos = {int(y): i for i, y in enumerate(years)}
@@ -70,7 +68,6 @@ def score(
         accuracy=float((pred == true).mean()),
         mae=float(np.abs(pred - true).mean()),
         n=len(ids),
-        residuals=residuals,
         mae_index=mae_index,
     )
 
@@ -118,7 +115,7 @@ def _threshold_method(feature_fn, grid, labels_idx, train_ids, test_ids):
 
     _, cell, theta = min(fitted(cell) for cell in grid)
     series = feature_fn(cell)
-    return {i: first_crossing(series[i], theta) for i in test_ids}, {"cell": cell, "theta": theta}
+    return {i: first_crossing(series[i], theta) for i in test_ids}
 
 
 def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes):
@@ -135,12 +132,12 @@ def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes):
     feats = feature_fn(cell)
     x_test = np.stack([feats[i] for i in test_ids])
     preds = predict_lr(model, x_test) + 1
-    return {i: int(p) for i, p in zip(test_ids, preds)}, {"cell": cell}
+    return {i: int(p) for i, p in zip(test_ids, preds)}
 
 
 def _predict_split(method: str, cache: DivergenceCache, labels_idx: dict[str, int],
                    train_ids: list[str], test_ids: list[str], k_grid: Sequence[int],
-                   r_grid: Sequence[float]) -> tuple[dict[str, int], dict]:
+                   r_grid: Sequence[float]) -> dict[str, int]:
     """Predicted 1-based first-developed indices for the test side of one split."""
     n_classes = cache.dataset.n_layers
     kr_grid = [(k, r) for k in k_grid for r in r_grid]
@@ -161,7 +158,7 @@ def _predict_split(method: str, cache: DivergenceCache, labels_idx: dict[str, in
                           labels_idx, train_ids, test_ids, n_classes)
     if method == "mode":
         predictor = mode_predictor([labels_idx[i] for i in train_ids])
-        return {i: predictor() for i in test_ids}, {"mode": predictor.label}
+        return {i: predictor() for i in test_ids}
     raise ValueError(f"unknown split method {method!r}")
 
 
@@ -172,7 +169,6 @@ class SplitRecord:
     mae: float
     mae_index: float
     n_test: int
-    detail: dict
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ def repeated_splits(
         perm = rng.permutation(len(ids))
         train_ids = [ids[i] for i in perm[:n_train]]
         test_ids = sorted(ids[i] for i in perm[n_train:])
-        preds_idx, detail = _predict_split(
+        preds_idx = _predict_split(
             method, cache, labels_idx, train_ids, test_ids, k_grid, r_grid)
         preds_year = {i: dataset.year_of_index(preds_idx[i]) for i in test_ids}
         result = score(preds_year, {i: labels_year[i] for i in test_ids}, years=dataset.years)
@@ -227,7 +223,6 @@ def repeated_splits(
             mae=result.mae,
             mae_index=result.mae_index,
             n_test=result.n,
-            detail=detail,
         ))
 
     acc = np.array([r.accuracy for r in records])

@@ -2,10 +2,9 @@
 
 TCS layout (little-endian, bit-exact):
   magic "TCS1" | u32 T, H, W, C | u8 dtype code (1=u8, 2=u16, 4=f32)
-  | T*H*W*C samples in [t][channel][row][col] order
-  | optionally (chip files) H*W u8 mask bytes.
-Scene files carry T=1 and no mask; a sidecar <name>.json next to each scene
-holds {"year": int, "geotransform": [a, b, c, d, e, f]}.
+  | T*H*W*C samples in [t][channel][row][col] order, and nothing after them.
+Scene files carry T=1; a sidecar <name>.json next to each scene holds
+{"year": int, "geotransform": [a, b, c, d, e, f]}.
 """
 
 from __future__ import annotations
@@ -14,20 +13,20 @@ import csv
 import json
 import struct
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, CorruptScene, MalformedLabels, MalformedPolygons
-from .geometry import AffineGeoTransform, ChipStack, Polygon, Scene
+from .geometry import AffineGeoTransform, Polygon, Scene
 
 MAGIC = b"TCS1"
 _CODE_TO_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.float32}
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in _CODE_TO_DTYPE.items()}
 
 
-def write_tcs(path, stack: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
-    """Write a (T, H, W, C) stack, plus the footprint mask for chip files."""
+def write_tcs(path, stack: np.ndarray) -> None:
+    """Write a (T, H, W, C) stack."""
     stack = np.asarray(stack)
     if stack.ndim != 4:
         raise ValueError(f"stack must be (T, H, W, C), got {stack.shape}")
@@ -41,14 +40,9 @@ def write_tcs(path, stack: np.ndarray, mask: Optional[np.ndarray] = None) -> Non
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIIB", t, h, w, c, _DTYPE_TO_CODE[dtype]))
         fh.write(payload)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=np.uint8)
-            if mask.shape != (h, w):
-                raise ValueError("mask shape must match the stack's spatial shape")
-            fh.write(mask.tobytes())
 
 
-def read_tcs(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def read_tcs(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 4 + struct.calcsize("<IIIIB")
@@ -60,18 +54,11 @@ def read_tcs(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
     dtype = np.dtype(_CODE_TO_DTYPE[code]).newbyteorder("<")
     n_samples = t * h * w * c
     end = offset + n_samples * dtype.itemsize
-    if len(blob) < end:
-        raise CorruptScene(f"{path}: truncated, {len(blob)} bytes where the header needs {end}")
+    if len(blob) != end:
+        raise CorruptScene(f"{path}: {len(blob)} bytes where the header needs exactly {end}")
     data = np.frombuffer(blob, dtype=dtype, count=n_samples, offset=offset)
     stack = np.transpose(data.reshape(t, c, h, w), (0, 2, 3, 1))
-    stack = stack.astype(dtype.newbyteorder("="))
-    rest = blob[end:]
-    mask = None
-    if len(rest) == h * w:
-        mask = np.frombuffer(rest, dtype=np.uint8).reshape(h, w).copy()
-    elif len(rest) != 0:
-        raise CorruptScene(f"{path}: {len(rest)} trailing bytes, expected 0 or {h * w}")
-    return stack, mask
+    return stack.astype(dtype.newbyteorder("="))
 
 
 def write_scene(path, scene: Scene) -> None:
@@ -83,7 +70,7 @@ def write_scene(path, scene: Scene) -> None:
 
 def read_scene(path) -> Scene:
     path = Path(path)
-    stack, _ = read_tcs(path)
+    stack = read_tcs(path)
     if stack.shape[0] != 1:
         raise CorruptScene(f"{path}: scene files must hold exactly one layer")
     sidecar_path = path.with_suffix(".json")
@@ -108,10 +95,6 @@ def read_scenes_dir(directory) -> list[Scene]:
     scenes = [read_scene(p) for p in paths]
     scenes.sort(key=lambda s: s.year)
     return scenes
-
-
-def write_chip(path, chips: ChipStack) -> None:
-    write_tcs(path, chips.imagery, chips.mask)
 
 
 def _ring_coords(ring) -> list[list[float]]:

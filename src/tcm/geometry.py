@@ -200,8 +200,6 @@ def buffered_extent(poly: Polygon, r: float) -> tuple[float, float, float, float
     """Axis-aligned bounding box of the polygon expanded by r on every side."""
     if r <= 0:
         raise ValueError(f"buffer radius must be > 0, got {r}")
-    if abs(_ring_area(poly.exterior)) <= 0.0:
-        raise DegeneratePolygon(f"polygon {poly.id!r} has zero area")
     xmin, ymin, xmax, ymax = poly.bounds
     return (xmin - r, ymin - r, xmax + r, ymax + r)
 
@@ -250,24 +248,6 @@ def _mask_for_window(
     xs, ys = transform.pixel_to_world(cols.ravel(), rows.ravel())
     inside = _points_in_polygon(poly, xs, ys)
     return inside.reshape(height, width).astype(np.uint8)
-
-
-def rasterize_polygon(
-    poly: Polygon,
-    extent: tuple[float, float, float, float],
-    transform: AffineGeoTransform,
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """Binary mask over the grid window covering extent: 1 where the pixel
-    center lies inside the polygon (even-odd rule, holes excluded)."""
-    row0, row1, col0, col1 = _window_for_extent(extent, transform)
-    height, width = row1 - row0 + 1, col1 - col0 + 1
-    if (height, width) != tuple(shape):
-        raise ValueError(f"extent implies window {(height, width)}, caller expected {tuple(shape)}")
-    mask = _mask_for_window(poly, transform, row0, col0, height, width)
-    if not mask.any():
-        raise EmptyFootprintMask(f"polygon {poly.id!r} covers no pixel center in the extent")
-    return mask
 
 
 def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> ChipStack:

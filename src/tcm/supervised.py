@@ -74,7 +74,6 @@ class LogisticModel:
     bias: np.ndarray  # (C,)
     feat_mean: np.ndarray
     feat_scale: np.ndarray
-    lam: float
     n_iter: int  # Newton steps taken
     final_loss: float
     grad_norm: float  # at the returned weights; >= LR_GRAD_TOL only after LR_MAX_ITER steps
@@ -146,37 +145,8 @@ def fit_lr(features: np.ndarray, labels: Sequence[int],
 
     return LogisticModel(
         n_classes=c, weights=theta[:, :d], bias=theta[:, d],
-        feat_mean=mean, feat_scale=scale, lam=LR_LAM, n_iter=n_iter,
+        feat_mean=mean, feat_scale=scale, n_iter=n_iter,
         final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
-    )
-
-
-def model_to_dict(model: LogisticModel) -> dict:
-    """JSON-ready form of a trained model (weights, scaling, fit provenance)."""
-    return {
-        "n_classes": model.n_classes,
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "feat_mean": model.feat_mean.tolist(),
-        "feat_scale": model.feat_scale.tolist(),
-        "lam": model.lam,
-        "n_iter": model.n_iter,
-        "final_loss": model.final_loss,
-        "grad_norm": model.grad_norm,
-    }
-
-
-def model_from_dict(payload: dict) -> LogisticModel:
-    return LogisticModel(
-        n_classes=int(payload["n_classes"]),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=np.asarray(payload["bias"], dtype=np.float64),
-        feat_mean=np.asarray(payload["feat_mean"], dtype=np.float64),
-        feat_scale=np.asarray(payload["feat_scale"], dtype=np.float64),
-        lam=float(payload["lam"]),
-        n_iter=int(payload["n_iter"]),
-        final_loss=float(payload["final_loss"]),
-        grad_norm=float(payload["grad_norm"]),
     )
 
 
@@ -224,5 +194,4 @@ def mode_predictor(labels: Sequence[int]):
     def predict(_ignored=None) -> int:
         return best
 
-    predict.label = best
     return predict

@@ -281,7 +281,7 @@ def edit_sidecar(**changes):
 
 def nan_pixel(data):
     path = data / "scenes" / "scene_2016.tcs"
-    stack = read_tcs(path)[0].astype(np.float32)
+    stack = read_tcs(path).astype(np.float32)
     stack[0, 56, 56, 1] = np.nan
     write_tcs(path, stack)
 
@@ -378,6 +378,16 @@ MALFORMED = [
     ("workers_as_string", None, {"workers": "2"}, [], 2, "Config"),
     ("zero_n_repeats", None, {"n_repeats": 0}, [], 2, "Config"),
     ("train_frac_above_one", None, {"train_frac": 2.0}, [], 2, "Config"),
+    ("eps_as_string", None, {"eps": "a"}, [], 2, "Config"),
+    ("negative_eps", None, {"eps": -1.0}, [], 2, "Config"),
+    ("zero_eps", None, {"eps": 0}, [], 2, "Config"),
+    ("unknown_feature_mode", None, {"feature_mode": "nope"}, [], 2, "Config"),
+    ("zero_window", None, {"feature_mode": "spectral_window", "window": 0}, [], 2, "Config"),
+    ("out_dir_as_number", None, {"out_dir": 5}, [], 2, "Config"),
+    ("seed_as_string", None, {"seed": "x"}, [], 2, "Config"),
+    ("fractional_seed", None, {"seed": 1.5}, [], 2, "Config"),
+    ("seed_as_bool", None, {"seed": True}, [], 2, "Config"),
+    ("synth_as_list", None, {"synth": [1]}, [], 2, "Config"),
 ]
 
 
@@ -411,7 +421,7 @@ def edit_run_config(**changes):
 
 def bump_scene_pixel(data, cfg, out):
     path = data / "scenes" / "scene_2016.tcs"
-    stack = read_tcs(path)[0]
+    stack = read_tcs(path)
     stack[0, 56, 56, 1] ^= 1
     write_tcs(path, stack)
 

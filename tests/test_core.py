@@ -238,4 +238,3 @@ class TestDetect:
         assert res.index == 3
         assert res.year == 2013
         assert not res.crossed
-        assert res.params["theta"] == 10.0

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from tcm.core import DetectionResult
-from tcm.errors import ConfigError
+from tcm.errors import ConfigError, CorruptScene
 from tcm.formats import (
     read_labels_csv,
     read_polygons_geojson,
     read_scene,
     read_scenes_dir,
     read_tcs,
-    write_chip,
     write_detections_csv,
     write_labels_csv,
     write_polygons_geojson,
     write_scene,
     write_tcs,
 )
-from tcm.geometry import AffineGeoTransform, ChipStack, Polygon, Scene
+from tcm.geometry import AffineGeoTransform, Polygon, Scene
 
 
 class TestTCS:
@@ -29,19 +28,9 @@ class TestTCS:
         stack = rng.uniform(0, 200, (3, 5, 7, 2)).astype(dtype)
         path = tmp_path / "x.tcs"
         write_tcs(path, stack)
-        back, mask = read_tcs(path)
+        back = read_tcs(path)
         assert back.dtype == dtype
         assert np.array_equal(back, stack)
-        assert mask is None
-
-    def test_roundtrip_with_mask(self, tmp_path):
-        stack = np.arange(2 * 3 * 4 * 1, dtype=np.uint8).reshape(2, 3, 4, 1)
-        mask = (np.arange(12).reshape(3, 4) % 2).astype(np.uint8)
-        path = tmp_path / "chip.tcs"
-        write_tcs(path, stack, mask)
-        back, back_mask = read_tcs(path)
-        assert np.array_equal(back, stack)
-        assert np.array_equal(back_mask, mask)
 
     def test_golden_byte_layout(self, tmp_path):
         # 1 layer, 2x2, 2 channels: samples stored [t][channel][row][col].
@@ -64,11 +53,13 @@ class TestTCS:
             read_tcs(path)
 
     def test_rejects_trailing_garbage(self, tmp_path):
+        # The second tail is an H*W mask, which chip files once carried.
         path = tmp_path / "x.tcs"
-        write_tcs(path, np.zeros((1, 2, 2, 1), dtype=np.uint8))
-        path.write_bytes(path.read_bytes() + b"zz")
-        with pytest.raises(ValueError):
-            read_tcs(path)
+        for tail in (b"zz", bytes(4)):
+            write_tcs(path, np.zeros((1, 2, 2, 1), dtype=np.uint8))
+            path.write_bytes(path.read_bytes() + tail)
+            with pytest.raises(CorruptScene):
+                read_tcs(path)
 
 
 class TestSceneIO:
@@ -103,16 +94,6 @@ class TestSceneIO:
     def test_empty_dir_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             read_scenes_dir(tmp_path)
-
-    def test_chip_file_carries_mask(self, tmp_path):
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        mask[1:3, 1:3] = 1
-        chips = ChipStack("f", np.zeros((2, 4, 4, 3), dtype=np.uint8), mask,
-                          (2011, 2013), 2.0)
-        write_chip(tmp_path / "c.tcs", chips)
-        stack, back_mask = read_tcs(tmp_path / "c.tcs")
-        assert stack.shape == (2, 4, 4, 3)
-        assert np.array_equal(back_mask, mask)
 
 
 class TestGeoJSON:
@@ -167,8 +148,8 @@ class TestCSV:
         assert read_labels_csv(path) == labels
 
     def test_detections_csv_layout(self, tmp_path):
-        res_b = DetectionResult("b", 2, 2013, np.array([0.25, 1.5]), True, {})
-        res_a = DetectionResult("a", 2, 2013, np.array([0.1, 0.2]), False, {})
+        res_b = DetectionResult("b", 2, 2013, np.array([0.25, 1.5]), True)
+        res_a = DetectionResult("a", 2, 2013, np.array([0.1, 0.2]), False)
         path = tmp_path / "det.csv"
         write_detections_csv(path, [res_b, res_a])
         lines = path.read_text().strip().splitlines()

@@ -15,9 +15,10 @@ from tcm.geometry import (
     AffineGeoTransform,
     Polygon,
     Scene,
+    _mask_for_window,
+    _window_for_extent,
     buffered_extent,
     extract_chip_stack,
-    rasterize_polygon,
 )
 
 IDENTITY = AffineGeoTransform(1, 0, 0, 0, 1, 0)
@@ -67,24 +68,23 @@ class TestBufferedExtent:
 
 class TestRasterize:
     def test_square_fills_grid(self):
-        mask = rasterize_polygon(SQUARE10, (0, 0, 10, 10), CORNER_ALIGNED, (10, 10))
+        assert _window_for_extent((0, 0, 10, 10), CORNER_ALIGNED) == (0, 9, 0, 9)
+        mask = _mask_for_window(SQUARE10, CORNER_ALIGNED, 0, 0, 10, 10)
         assert mask.shape == (10, 10)
         assert mask.sum() == 100
 
     def test_square_with_hole(self):
         poly = Polygon("p", [(0, 0), (10, 0), (10, 10), (0, 10)],
                        holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
-        mask = rasterize_polygon(poly, (0, 0, 10, 10), CORNER_ALIGNED, (10, 10))
-        assert mask.sum() == 96
+        assert _mask_for_window(poly, CORNER_ALIGNED, 0, 0, 10, 10).sum() == 96
 
     def test_polygon_outside_extent(self):
         far = Polygon("far", [(100, 100), (105, 100), (105, 105), (100, 105)])
+        assert not _mask_for_window(far, CORNER_ALIGNED, 0, 0, 10, 10).any()
+        # Inside the imagery but between pixel centers: a chip with no footprint.
+        between = Polygon("between", [(5.1, 5.1), (5.4, 5.1), (5.4, 5.4), (5.1, 5.4)])
         with pytest.raises(EmptyFootprintMask):
-            rasterize_polygon(far, (0, 0, 10, 10), CORNER_ALIGNED, (10, 10))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rasterize_polygon(SQUARE10, (0, 0, 10, 10), CORNER_ALIGNED, (5, 5))
+            extract_chip_stack([make_scene(2000, size=(12, 12), seed=0)], between, 0.2)
 
     def test_matches_oracle_on_random_polygons(self):
         # 100 randomized simple polygons (convex and star-shaped) on small grids.

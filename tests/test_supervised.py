@@ -17,8 +17,6 @@ from tcm.supervised import (
     fit_threshold,
     lr_probabilities,
     mode_predictor,
-    model_from_dict,
-    model_to_dict,
     predict_lr,
 )
 
@@ -112,7 +110,7 @@ class TestLogisticRegression:
         model = LogisticModel(
             n_classes=4, weights=np.zeros((4, 3)), bias=np.zeros(4),
             feat_mean=np.zeros(3), feat_scale=np.ones(3),
-            lam=0.0, n_iter=0, final_loss=float("nan"), grad_norm=float("nan"))
+            n_iter=0, final_loss=float("nan"), grad_norm=float("nan"))
         probs = lr_probabilities(model, np.array([[5.0, -2.0, 9.0]]))
         assert np.allclose(probs, 0.25)
 
@@ -128,11 +126,10 @@ class TestLogisticRegression:
         y[:2] = (0, 1)
         model = fit_lr(x, y, n_classes=c + 2 * absent)
         assert model.n_iter < LR_MAX_ITER
-        assert model.lam == LR_LAM
 
         xs = (x - model.feat_mean) / model.feat_scale
         onehot = np.eye(model.n_classes)[y]
-        loss, gw, gb = _loss_and_grad(model.weights, model.bias, xs, onehot, model.lam)
+        loss, gw, gb = _loss_and_grad(model.weights, model.bias, xs, onehot, LR_LAM)
         grad_norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
         assert grad_norm < LR_GRAD_TOL
         assert grad_norm == pytest.approx(model.grad_norm, rel=1e-6, abs=1e-12)
@@ -140,7 +137,7 @@ class TestLogisticRegression:
         for _ in range(20):
             w = model.weights + rng.normal(scale=1e-3, size=model.weights.shape)
             b = model.bias + rng.normal(scale=1e-3, size=model.bias.shape)
-            assert _loss_and_grad(w, b, xs, onehot, model.lam)[0] >= loss
+            assert _loss_and_grad(w, b, xs, onehot, LR_LAM)[0] >= loss
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
@@ -150,25 +147,12 @@ class TestLogisticRegression:
         model = LogisticModel(
             n_classes=3, weights=np.zeros((3, 2)), bias=np.zeros(3),
             feat_mean=np.zeros(2), feat_scale=np.ones(2),
-            lam=0.0, n_iter=0, final_loss=0.0, grad_norm=0.0)
+            n_iter=0, final_loss=0.0, grad_norm=0.0)
         assert predict_lr(model, np.array([[1.0, 2.0]]))[0] == 0
 
     def test_labels_capped_by_n_classes(self):
         with pytest.raises(ValueError):
             fit_lr(np.zeros((4, 2)), [0, 1, 2, 3], n_classes=3)
-
-    def test_json_roundtrip_preserves_predictions(self):
-        import json
-
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(30, 3))
-        y = rng.integers(0, 4, 30)
-        model = fit_lr(x, y, n_classes=4)
-        payload = json.loads(json.dumps(model_to_dict(model)))
-        back = model_from_dict(payload)
-        assert np.array_equal(predict_lr(back, x), predict_lr(model, x))
-        assert np.allclose(lr_probabilities(back, x), lr_probabilities(model, x))
-        assert (back.n_iter, back.grad_norm) == (model.n_iter, model.grad_norm)
 
 
 def chips_with_layers(layers, mask):
