@@ -111,8 +111,6 @@ class TestRasterize:
             transform = AffineGeoTransform(res, 0, origin[0], 0, res, origin[1])
             size = int(rng.integers(8, 65))
             row0, col0 = int(rng.integers(-40, 0)), int(rng.integers(-40, 0))
-            from tcm.geometry import _mask_for_window
-
             mask = _mask_for_window(poly, transform, row0, col0, size, size)
             expect = oracle_mask(poly, transform, row0, col0, size, size)
             assert np.array_equal(mask, expect), f"trial {trial} disagrees with oracle"
@@ -120,8 +118,6 @@ class TestRasterize:
     def test_matches_oracle_on_rotated_grid(self):
         transform = AffineGeoTransform(0.8, -0.6, 2.0, 0.6, 0.8, -1.0)
         poly = Polygon("rot", [(1.3, 0.2), (7.9, 1.1), (6.2, 8.3), (0.4, 6.7)])
-        from tcm.geometry import _mask_for_window
-
         mask = _mask_for_window(poly, transform, -10, -10, 24, 24)
         expect = oracle_mask(poly, transform, -10, -10, 24, 24)
         assert np.array_equal(mask, expect)
@@ -220,8 +216,6 @@ def test_rect_mask_matches_oracle(x0, y0, w, h):
     for coord in (x0, y0, x0 + w, y0 + h):
         assume(abs(coord - round(coord)) > 1e-3)
     poly = Polygon("r", [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
-    from tcm.geometry import _mask_for_window
-
     mask = _mask_for_window(poly, IDENTITY, -6, -6, 32, 32)
     expect = oracle_mask(poly, IDENTITY, -6, -6, 32, 32)
     assert np.array_equal(mask, expect)
