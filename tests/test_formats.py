@@ -53,7 +53,7 @@ class TestTCS:
             read_tcs(path)
 
     def test_rejects_trailing_garbage(self, tmp_path):
-        # The second tail is an H*W mask, which chip files once carried.
+        # The second tail is H*W bytes long, as a footprint mask after the samples would be.
         path = tmp_path / "x.tcs"
         for tail in (b"zz", bytes(4)):
             write_tcs(path, np.zeros((1, 2, 2, 1), dtype=np.uint8))
