@@ -1,4 +1,5 @@
-/* Compiled steps of tcm.clustering.fit_kmeans and assign_features.
+/* Compiled k-means of tcm.clustering: whole fits (fit_kmeans), the fits and
+ * region counts of a chip's layers (region_counts), and assign_features.
  *
  * Each function repeats the numpy code it stands in for operation by
  * operation, so that a fit gives the same centroids, iteration count and
@@ -6,7 +7,10 @@
  *   - row norms and point-to-centre distances sum their squares in the order
  *     of numpy's einsum("ij,ij->i") inner loop: two lanes, eight elements per
  *     main step taken from the back, then the tail two at a time;
- *   - the inertia and the centroid shift sum in numpy's pairwise order;
+ *   - the init's total weight, the inertia and the centroid shift sum in
+ *     numpy's pairwise order;
+ *   - an init pick is Generator.choice(n, p=closest / total) for the uniform
+ *     draw that the caller made up front;
  *   - centroid sums accumulate point by point, as np.bincount does;
  *   - distances are norm expansions clamped at 0, ties go to the lowest index.
  * The cross term x.c is a plain left-to-right sum, where BLAS may fuse
@@ -16,6 +20,11 @@
  * The exported functions call always-inlined bodies with d = 3, the
  * spectral feature dimension, as a constant where it applies; the compiler
  * then unrolls the per-dimension loops without changing their order.
+ *
+ * Status codes: 0 done; 1 an iteration raised the inertia (a bug); 2 memory
+ * ran out; 3 the init's weights did not sum to a positive finite number.
+ * There numpy draws an integer from a stream that the up-front draws have
+ * already moved past, so the caller redoes that fit on the numpy path.
  */
 #include <math.h>
 #include <stdint.h>
@@ -93,6 +102,8 @@ INLINE long nearest(const double *restrict x, double norm, const double *restric
     return best;
 }
 
+/* closest[i] = squared distance from point i to `centroid` when `first`,
+ * else the lower of that and closest[i]. */
 INLINE void pp_add(const double *restrict x, long n, long d, const double *restrict centroid,
                    double *restrict closest, double *restrict diff, int first)
 {
@@ -106,46 +117,78 @@ INLINE void pp_add(const double *restrict x, long n, long d, const double *restr
     }
 }
 
-/* k-means++: copy row `pick` of x into `centroid` and lower each point's
- * squared distance to its closest centre so far (set it when `first`).
- * Returns 0, or 2 when memory ran out. */
-int tcm_pp_add(const double *x, long n, long d, long pick, double *centroid,
-               double *closest, int first)
+/* Generator.choice(n, p=closest / total) for its uniform draw u: the first
+ * index whose normalized cumulative probability exceeds u, found as
+ * np.searchsorted(side="right") finds it. cdf is scratch of n doubles. */
+INLINE long pp_pick(const double *restrict closest, long n, double total, double u,
+                    double *restrict cdf)
 {
-    memcpy(centroid, x + pick * d, (size_t)d * sizeof(double));
-    double *diff = malloc((size_t)(d + 1) * sizeof(double));
-    if (diff == NULL)
-        return 2;
-    if (d == 3)
-        pp_add(x, n, 3, centroid, closest, diff, first);
-    else
-        pp_add(x, n, d, centroid, closest, diff, first);
-    free(diff);
+    for (long i = 0; i < n; i++)
+        cdf[i] = closest[i] / total;
+    for (long i = 1; i < n; i++)
+        cdf[i] += cdf[i - 1];
+    /* cdf[i] / cdf[n - 1] never decreases with i, so bisection finds it. */
+    double last = cdf[n - 1];
+    long lo = 0, hi = n;
+    while (lo < hi) {
+        long mid = lo + (hi - lo) / 2;
+        if (cdf[mid] / last > u)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo < n ? lo : n - 1;
+}
+
+/* k-means++ from the draws of the fit's Generator: centre 0 is row `first`
+ * and centre j the pick for uniform u[j - 1]. Returns 0 or 3. */
+INLINE int pp_init(const double *restrict x, long n, long d, long k, long first,
+                   const double *restrict u, double *restrict centroids,
+                   double *restrict closest, double *restrict cdf, double *restrict diff)
+{
+    for (long j = 0; j < k; j++) {
+        long pick = first;
+        if (j) {
+            double total = pairwise_sum(closest, n);
+            if (!(total > 0.0 && total < INFINITY))
+                return 3;
+            pick = pp_pick(closest, n, total, u[j - 1], cdf);
+        }
+        memcpy(centroids + j * d, x + pick * d, (size_t)d * sizeof(double));
+        pp_add(x, n, d, centroids + j * d, closest, diff, j == 0);
+    }
     return 0;
 }
 
-/* Generator.choice(n, p=closest / total) for its uniform draw u: the first
- * index whose normalized cumulative probability exceeds u. */
-long tcm_pp_pick(const double *closest, long n, double total, double u)
-{
-    double last = 0.0;
-    for (long i = 0; i < n; i++)
-        last += closest[i] / total;
-    double run = 0.0;
-    for (long i = 0; i < n; i++) {
-        run += closest[i] / total;
-        if (run / last > u)
-            return i;
-    }
-    return n - 1;
-}
-
-/* Scratch of one Lloyd fit. */
+/* Scratch of one fit. The init uses norms as its cdf, point_d as its
+ * closest distances and sq as its difference vector. */
 struct lloyd_buf {
     double *norms, *point_d, *sums, *counts, *cnorms, *sq;
     long *labels;
     char *taken;
 };
+
+static int buf_alloc(struct lloyd_buf *b, long n, long d, long k)
+{
+    b->norms = malloc((size_t)(2 * n + k * d + 2 * k + d + 1) * sizeof(double));
+    b->labels = malloc((size_t)(n + 1) * sizeof(long));
+    b->taken = malloc((size_t)(n + 1));
+    if (b->norms == NULL || b->labels == NULL || b->taken == NULL)
+        return 2;
+    b->point_d = b->norms + n;
+    b->sums = b->point_d + n;
+    b->counts = b->sums + k * d;
+    b->cnorms = b->counts + k;
+    b->sq = b->cnorms + k;  /* d doubles */
+    return 0;
+}
+
+static void buf_free(struct lloyd_buf *b)
+{
+    free(b->norms);
+    free(b->labels);
+    free(b->taken);
+}
 
 INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter, double tol,
                  double *restrict centroids, long *n_iter, double *inertia, struct lloyd_buf b)
@@ -209,31 +252,89 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
     return 0;
 }
 
-/* Lloyd iterations from the centroids given, updated in place. Returns 0,
- * 1 when an iteration raised the inertia, or 2 when memory ran out. */
-int tcm_lloyd(const double *x, long n, long d, long k, long max_iter, double tol,
-              double *centroids, long *n_iter, double *inertia)
+/* The init, then Lloyd iterations; b.norms then holds the row norms. */
+INLINE int fit(const double *restrict x, long n, long d, long k, long first,
+               const double *restrict u, long max_iter, double tol,
+               double *restrict centroids, long *n_iter, double *inertia, struct lloyd_buf b)
 {
-    double *block = malloc((size_t)(2 * n + k * d + 2 * k + d + 1) * sizeof(double));
-    long *labels = malloc((size_t)(n + 1) * sizeof(long));
-    char *taken = malloc((size_t)(n + 1));
-    int status = 2;
-    if (block != NULL && labels != NULL && taken != NULL) {
-        struct lloyd_buf b = {.norms = block, .labels = labels, .taken = taken};
-        b.point_d = b.norms + n;
-        b.sums = b.point_d + n;
-        b.counts = b.sums + k * d;
-        b.cnorms = b.counts + k;
-        b.sq = b.cnorms + k;  /* d doubles */
+    int status = pp_init(x, n, d, k, first, u, centroids, b.point_d, b.norms, b.sq);
+    if (status)
+        return status;
+    return lloyd(x, n, d, k, max_iter, tol, centroids, n_iter, inertia, b);
+}
+
+/* One fit of the n x d points x: k-means++ from the draws `first` and
+ * u[0 .. k - 1), then Lloyd iterations from there. Writes the centroids,
+ * the iteration count and the inertia. Returns a status code. */
+int tcm_fit(const double *x, long n, long d, long k, long first, const double *u,
+            long max_iter, double tol, double *centroids, long *n_iter, double *inertia)
+{
+    struct lloyd_buf b;
+    int status = buf_alloc(&b, n, d, k);
+    if (!status) {
         if (d == 3)
-            status = lloyd(x, n, 3, k, max_iter, tol, centroids, n_iter, inertia, b);
+            status = fit(x, n, 3, k, first, u, max_iter, tol, centroids, n_iter, inertia, b);
         else
-            status = lloyd(x, n, d, k, max_iter, tol, centroids, n_iter, inertia, b);
+            status = fit(x, n, d, k, first, u, max_iter, tol, centroids, n_iter, inertia, b);
     }
-    free(block);
-    free(labels);
-    free(taken);
+    buf_free(&b);
     return status;
+}
+
+INLINE int layer_counts(const double *restrict x, long n, long d, long k,
+                        const uint8_t *restrict region, long first, const double *restrict u,
+                        long max_iter, double tol, double *restrict centroids,
+                        int64_t *restrict counts, long *n_iter, struct lloyd_buf b)
+{
+    double inertia;
+    int status = fit(x, n, d, k, first, u, max_iter, tol, centroids, n_iter, &inertia, b);
+    if (status)
+        return status;
+    for (long m = 0; m < k; m++)
+        b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
+    memset(counts, 0, (size_t)(2 * k) * sizeof(int64_t));
+    double dist;
+    for (long i = 0; i < n; i++) {
+        long m = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d, &dist);
+        if (region[i] < 2)
+            counts[region[i] * k + m]++;
+    }
+    return 0;
+}
+
+/* Fits of L layers of n x d points (x is L x n x d), layer l from the draws
+ * first[l] and u[l * (k - 1) ...], each followed by the assignment of its
+ * points to the final centroids. counts[l] (2 x k) counts the labels of the
+ * points whose region code is 0, then of those whose code is 1; other codes
+ * count nowhere. status[l] is 0, or 3 where the layer's counts and n_iter
+ * are left unset. Returns 0, or 1 or 2 from the first layer that failed. */
+int tcm_region_counts(const double *x, long L, long n, long d, long k, const uint8_t *region,
+                      const int64_t *first, const double *u, long max_iter, double tol,
+                      int64_t *counts, int64_t *n_iter, int32_t *status)
+{
+    struct lloyd_buf b;
+    double *centroids = malloc((size_t)(k * d + 1) * sizeof(double));
+    int failed = buf_alloc(&b, n, d, k);
+    if (centroids == NULL)
+        failed = 2;
+    for (long l = 0; l < L && !failed; l++) {
+        const double *xl = x + l * n * d;
+        const double *ul = u + l * (k - 1);
+        int64_t *cl = counts + l * 2 * k;
+        long it = 0;
+        if (d == 3)
+            status[l] = layer_counts(xl, n, 3, k, region, first[l], ul, max_iter, tol,
+                                     centroids, cl, &it, b);
+        else
+            status[l] = layer_counts(xl, n, d, k, region, first[l], ul, max_iter, tol,
+                                     centroids, cl, &it, b);
+        n_iter[l] = it;
+        if (status[l] == 1 || status[l] == 2)
+            failed = status[l];
+    }
+    buf_free(&b);
+    free(centroids);
+    return failed;
 }
 
 INLINE void assign(const double *restrict x, long n, long d, const double *restrict centroids,

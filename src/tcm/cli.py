@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -101,8 +102,11 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         cfg.feature_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not isinstance(cfg.out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
+    given = [name for name in ("scenes_dir", "polygons", "labels")
+             if getattr(cfg, name) is not None]
+    for name in given + ["out_dir"]:
+        if not isinstance(getattr(cfg, name), str):
+            raise ConfigError(f"{name} must be a string, got {getattr(cfg, name)!r}")
     if not isinstance(cfg.synth, (dict, type(None))):
         raise ConfigError(f"synth must be an object, got {cfg.synth!r:.80}")
     if not (isinstance(cfg.percentile, (int, float)) and 0 < cfg.percentile < 100):
@@ -150,23 +154,44 @@ def _calibrate(cfg: RunConfig, cache: DivergenceCache):
                      cfg.percentile, cfg.seed, cache)
 
 
+def _log_fit_stats(cache: DivergenceCache) -> None:
+    stats = cache.fit_stats
+    log.debug("k-means: %d fits, %d Lloyd iterations, %d stopped at max_iter",
+              stats.fits, stats.lloyd_iters, stats.cap_hits)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _as_type(value, hint):
+    """A JSON value as the field type `hint`, lists becoming tuples; ValueError
+    when it is of another type. A float field takes an integer too."""
+    if type(value) is int and hint in (int, float) or type(value) is float and hint is float:
+        return value
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return tuple(_as_type(v, a) for v, a in zip(value, args))
+    raise ValueError
+
+
 def cmd_generate(cfg: RunConfig) -> int:
-    fields = {f.name for f in dataclasses.fields(synthgen.SynthConfig)}
+    declared = {f.name: f.type for f in dataclasses.fields(synthgen.SynthConfig)}
+    hints = typing.get_type_hints(synthgen.SynthConfig)
     overrides = dict(cfg.synth or {})
-    unknown = set(overrides) - fields
+    unknown = set(overrides) - set(declared)
     if unknown:
         raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-    for key in ("year_weights", "size_range", "roof_base"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
-    if "palette" in overrides:
-        overrides["palette"] = tuple(tuple(c) for c in overrides["palette"])
+    for key, value in overrides.items():
+        try:
+            overrides[key] = _as_type(value, hints[key])
+        except ValueError:
+            raise ConfigError(f"synth {key} must be {declared[key]}, got {value!r:.80}") from None
     overrides.setdefault("seed", cfg.seed)
     try:
         synth_cfg = synthgen.SynthConfig(**overrides)
@@ -200,6 +225,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             writer.writerow([row["k"]] + [repr(float(v)) for v in list(row.values())[1:]])
     log.info("chose k=%d r=%g theta=%.6g (BC grid of %d cells)",
              report.chosen_k, report.chosen_r, report.chosen_theta, len(report.cells))
+    _log_fit_stats(cache)
     return 0
 
 
@@ -272,6 +298,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)
     log.info("detected %d footprints with k=%d r=%g theta=%.6g", len(results), k, r, theta)
+    _log_fit_stats(cache)
     return 0
 
 

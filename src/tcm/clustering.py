@@ -6,12 +6,15 @@ initialization, Lloyd updates with a fixed tie-break (lowest centroid index),
 and single-threaded distance math that takes the same evaluation path for a
 given input shape.
 
-The Lloyd loop, the distance updates of the initialization and the
-assignment run in a small C kernel, `_lloyd.c`, that repeats the numpy code
-below operation by operation. Only a distance's cross term can differ in its
-last bits, where BLAS fuses multiply-adds; the tests demand the same
-centroids, iteration counts and labels from both paths, on real chip layers
-and on edge cases. The random draws stay in numpy.
+Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
+below operation by operation: the k-means++ init, the Lloyd loop and the
+assignment. `region_counts` fits all of a chip's wanted layers and counts
+their labels per region in one kernel call. Only a distance's cross term can
+differ in its last bits, where BLAS fuses multiply-adds; the tests demand
+the same centroids, iteration counts and labels from both paths, on real
+chip layers and on edge cases. The random draws stay in numpy and are made
+up front (`_draws`); a fit whose init meets zero total weight, where numpy
+would draw in another order, is redone on the numpy path.
 
 On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
@@ -31,13 +34,14 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FeatureDimMismatch, TooFewPixels
 
 FEATURE_MODES = ("spectral", "spectral_window")
+MAX_ITER, TOL = 50, 1e-4  # Lloyd's defaults: iteration cap and centroid-shift tolerance
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,9 @@ def _assign_features_numpy(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.argmin(_sqdist(x, centroids), axis=1).astype(np.int32)
 
 
+_REDO = 3  # kernel status: redo this fit on the numpy path (see `_draws`)
+
+
 def _check_kernel(status: int) -> None:
     if status == 1:
         raise AssertionError("inertia increased")
@@ -205,12 +212,26 @@ def _check_kernel(status: int) -> None:
         raise MemoryError("k-means kernel could not allocate its buffers")
 
 
+def _draws(seed: int, n: int, k: int) -> tuple[int, np.ndarray]:
+    """The draws of `_plus_plus_init` from Generator(seed), made up front: the
+    first centre's index, then one uniform per later pick.
+
+    The numpy init interleaves them with its distance updates. The stream is
+    the same, because random() never reads the 32-bit half that integers()
+    may leave buffered, until a pick meets a total weight <= 0 and draws an
+    integer instead; the kernel then returns status 3 and the fit is redone
+    on the numpy path.
+    """
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(n)), rng.random(k - 1)
+
+
 def fit_kmeans(
     features: np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 50,
-    tol: float = 1e-4,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
 ) -> ClusterModel:
     """Lloyd's algorithm with seeded greedy (D^2-weighted) initialization.
 
@@ -220,28 +241,80 @@ def fit_kmeans(
     inertia is a bug and raises AssertionError.
     """
     x = _checked_features(features, k)
-    if _lib is None:
-        return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
-    n, d = x.shape
-    rng = np.random.default_rng(seed)
-    centroids = np.empty((k, d), dtype=np.float64)
-    closest = np.empty(n, dtype=np.float64)
-    x_p, c_p, closest_p = x.ctypes.data, centroids.ctypes.data, closest.ctypes.data
-    pick = int(rng.integers(n))
-    for j in range(k):
-        if j:
-            total = closest.sum()
-            if total <= 0.0:
-                pick = int(rng.integers(n))
-            else:
-                pick = _lib.tcm_pp_pick(closest_p, n, total, rng.random())
-        centre_p = c_p + j * centroids.strides[0]
-        _check_kernel(_lib.tcm_pp_add(x_p, n, d, pick, centre_p, closest_p, j == 0))
-    n_iter, inertia = ctypes.c_long(), ctypes.c_double()
-    _check_kernel(_lib.tcm_lloyd(x_p, n, d, k, max_iter, tol, c_p,
-                                 ctypes.byref(n_iter), ctypes.byref(inertia)))
-    return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
-                        inertia=inertia.value)
+    if _lib is not None:
+        n, d = x.shape
+        first, u = _draws(seed, n, k)
+        centroids = np.empty((k, d), dtype=np.float64)
+        n_iter, inertia = ctypes.c_long(), ctypes.c_double()
+        status = _lib.tcm_fit(x.ctypes.data, n, d, k, first, u.ctypes.data, max_iter, tol,
+                              centroids.ctypes.data, ctypes.byref(n_iter),
+                              ctypes.byref(inertia))
+        if status != _REDO:
+            _check_kernel(status)
+            return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
+                                inertia=inertia.value)
+    return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
+
+
+def region_counts(features: np.ndarray, region: np.ndarray, k: int, seeds: Sequence[int],
+                  max_iter: int = MAX_ITER, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster every layer of an (L, n, d) feature stack and count its labels
+    per region: one kernel call for all the layers.
+
+    Layer l is fitted as `fit_kmeans(features[l], k, seeds[l], max_iter, tol)`
+    and labelled as `assign_features` labels it. Returns the (L, 2, k) int64
+    label counts, row 0 over the points whose `region` code is 0 and row 1
+    over code 1 (other codes count nowhere), and each layer's n_iter.
+    """
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"features must be 3-D, got shape {x.shape}")
+    _checked_features(x[0], k)
+    n_layers, n, d = x.shape
+    region = np.ascontiguousarray(region, dtype=np.uint8)
+    if region.shape != (n,) or len(seeds) != n_layers:
+        raise ValueError(f"{region.shape} region codes and {len(seeds)} seeds for features "
+                         f"of shape {x.shape}")
+    counts = np.empty((n_layers, 2, k), dtype=np.int64)
+    n_iter = np.empty(n_layers, dtype=np.int64)
+    status = np.full(n_layers, _REDO, dtype=np.int32)
+    if _lib is not None:
+        first = np.empty(n_layers, dtype=np.int64)
+        u = np.empty((n_layers, k - 1), dtype=np.float64)
+        for l, seed in enumerate(seeds):
+            first[l], u[l] = _draws(seed, n, k)
+        _check_kernel(_lib.tcm_region_counts(
+            x.ctypes.data, n_layers, n, d, k, region.ctypes.data, first.ctypes.data,
+            u.ctypes.data, max_iter, tol, counts.ctypes.data, n_iter.ctypes.data,
+            status.ctypes.data))
+    for l in np.flatnonzero(status == _REDO):
+        model = _fit_kmeans_numpy(x[l], k, seeds[l], max_iter, tol)
+        labels = _assign_features_numpy(model.centroids, x[l])
+        counts[l] = [np.bincount(labels[region == code], minlength=k) for code in (0, 1)]
+        n_iter[l] = model.n_iter
+    return counts, n_iter
+
+
+@dataclass
+class FitStats:
+    """Deterministic counters over k-means fits."""
+
+    fits: int = 0
+    lloyd_iters: int = 0
+    cap_hits: int = 0  # fits whose n_iter reached max_iter
+
+    def add(self, n_iter: np.ndarray, max_iter: int = MAX_ITER) -> None:
+        """Count the fits whose iteration counts are n_iter."""
+        n_iter = np.asarray(n_iter)
+        self.fits += int(n_iter.size)
+        self.lloyd_iters += int(n_iter.sum())
+        self.cap_hits += int((n_iter == max_iter).sum())
+
+    def __iadd__(self, other: "FitStats") -> "FitStats":
+        self.fits += other.fits
+        self.lloyd_iters += other.lloyd_iters
+        self.cap_hits += other.cap_hits
+        return self
 
 
 def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
@@ -268,9 +341,8 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Werror")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
-    "tcm_pp_add": ([_P, _L, _L, _L, _P, _P, _I], _I),
-    "tcm_pp_pick": ([_P, _L, _D, _D], _L),
-    "tcm_lloyd": ([_P, _L, _L, _L, _L, _D, _P, _P, _P], _I),
+    "tcm_fit": ([_P, _L, _L, _L, _L, _P, _L, _D, _P, _P, _P], _I),
+    "tcm_region_counts": ([_P, _L, _L, _L, _L, _P, _P, _P, _L, _D, _P, _P, _P], _I),
     "tcm_assign": ([_P, _L, _L, _P, _L, _P], _I),
 }
 

@@ -7,6 +7,14 @@ from the first layer whose divergence exceeds the decision threshold. Because
 every layer is clustered on its own, the comparison is immune to global
 color shifts between years. `DivergenceCache` is the one store through which
 calibration, detection and evaluation read these divergences.
+
+`layer_divergence` states one layer's computation and is its reference.
+The store computes a chip's layers at one k together: one `region_counts`
+call fits them and counts their clusters per region, and the KL of every
+layer follows in one vectorized step with the arithmetic of
+`cluster_distribution` and `kl_divergence`, so the values are the same bits.
+The store also counts the fits it made (`fit_stats`), merged in chip order,
+so the counts do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import PixelFeatureConfig, assign_features, extract_features, fit_kmeans
+from .clustering import (FitStats, PixelFeatureConfig, assign_features, extract_features,
+                         fit_kmeans, region_counts)
 from .data import FootprintDataset
 from .errors import EmptyRegion, SupportMismatch
 from .geometry import ChipStack, Polygon, extract_chip_stack
@@ -94,17 +103,56 @@ def layer_divergence(
     return kl_divergence(d_fp, d_nb)
 
 
+def _kl_rows(counts: np.ndarray, eps: float) -> np.ndarray:
+    """KL(footprint || neighborhood) of each layer's (2, k) cluster counts,
+    with the arithmetic of `cluster_distribution` and `kl_divergence`."""
+    dist = counts.astype(np.float64)
+    dist += eps
+    dist /= dist.sum(axis=2, keepdims=True)
+    p = dist[:, 0]
+    if not (p > 0).all():  # kl_divergence sums only the positive terms, in their order
+        return np.array([kl_divergence(fp, nb) for fp, nb in dist])
+    with np.errstate(divide="ignore"):
+        logs = np.log(dist)
+    return (p * (logs[:, 0] - logs[:, 1])).sum(axis=1)
+
+
+def _divergences(chips: ChipStack, layers: Sequence[int], k: int,
+                 feature_config: PixelFeatureConfig, seed: int,
+                 eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The divergences of the given chip layers and their fits' n_iter.
+
+    Each value equals `layer_divergence` of that layer; the layers' fits and
+    region counts take one `region_counts` call.
+    """
+    footprint, neighborhood = chips.mask == 1, chips.mask == 0
+    for region, inside in (("footprint", footprint), ("neighborhood", neighborhood)):
+        if not inside.any():
+            raise EmptyRegion(f"{region} region is empty")
+    codes = np.where(footprint, 0, np.where(neighborhood, 1, 2)).ravel()
+    feats = np.stack([extract_features(chips.imagery[l], feature_config) for l in layers])
+    seeds = [stable_seed(seed, chips.footprint_id, l) for l in layers]
+    counts, n_iter = region_counts(feats, codes, k, seeds)
+    return _kl_rows(counts, eps), n_iter
+
+
 def divergence_series(
     chips: ChipStack,
     k: int,
     feature_config: PixelFeatureConfig = PixelFeatureConfig(),
     seed: int = 0,
     eps: float = DEFAULT_EPS,
+    *,
+    stats: Optional[FitStats] = None,
 ) -> np.ndarray:
-    """(T,) divergence of every chip layer, clustered independently per layer."""
-    return np.array(
-        [layer_divergence(chips, l, k, feature_config, seed, eps) for l in range(chips.n_layers)]
-    )
+    """(T,) divergence of every chip layer, clustered independently per layer.
+
+    The layers' fits are counted into `stats` when it is given.
+    """
+    values, n_iter = _divergences(chips, range(chips.n_layers), k, feature_config, seed, eps)
+    if stats is not None:
+        stats.add(n_iter)
+    return values
 
 
 def first_crossing(values: Sequence[float], theta: float) -> int:
@@ -141,15 +189,20 @@ def detect(
     return decide(chips.footprint_id, values, chips.years, theta)
 
 
-def _chip_divergences(task, feature_config, seed, eps) -> dict[int, Sequence[float]]:
-    """One chip's divergences at each requested k, over that k's layers."""
+def _chip_divergences(task, feature_config, seed,
+                      eps) -> tuple[dict[int, np.ndarray], FitStats]:
+    """One chip's divergences at each requested k, over that k's layers, and
+    the counters of its fits."""
     chips, wanted = task
-    return {
-        k: (divergence_series(chips, k, feature_config, seed, eps)
-            if len(layers) == chips.n_layers
-            else [layer_divergence(chips, l, k, feature_config, seed, eps) for l in layers])
-        for k, layers in wanted.items()
-    }
+    stats = FitStats()
+    rows = {}
+    for k, layers in wanted.items():
+        if len(layers) == chips.n_layers:
+            rows[k] = divergence_series(chips, k, feature_config, seed, eps, stats=stats)
+        else:
+            rows[k], n_iter = _divergences(chips, layers, k, feature_config, seed, eps)
+            stats.add(n_iter)
+    return rows, stats
 
 
 class DivergenceCache:
@@ -176,6 +229,7 @@ class DivergenceCache:
         self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
         self._avg: dict[float, dict[str, np.ndarray]] = {}
         self._cot: dict[float, dict[str, np.ndarray]] = {}
+        self.fit_stats = FitStats()  # every fit this store made, at any worker count
 
     def chips(self, r: float) -> dict[str, ChipStack]:
         r = float(r)
@@ -216,10 +270,12 @@ class DivergenceCache:
 
     def _compute(self, chips: list[ChipStack], wanted: dict) -> dict[int, np.ndarray]:
         """Per k, a (chip, layer) table of the layers wanted: one task per chip."""
-        rows = run_tasks(partial(_chip_divergences, feature_config=self.feature_config,
-                                 seed=self.seed, eps=self.eps),
-                         [(ch, wanted) for ch in chips], self.workers)
-        return {k: np.array([row[k] for row in rows]) for k in wanted}
+        results = run_tasks(partial(_chip_divergences, feature_config=self.feature_config,
+                                    seed=self.seed, eps=self.eps),
+                            [(ch, wanted) for ch in chips], self.workers)
+        for _, stats in results:
+            self.fit_stats += stats
+        return {k: np.array([rows[k] for rows, _ in results]) for k in wanted}
 
     def avg_color(self, r: float) -> dict[str, np.ndarray]:
         return self._per_chip(self._avg, avg_color_series, r)

@@ -43,11 +43,17 @@ def _normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
     return tuple(pts)
 
 
+def _edges(ring: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x, y of every vertex and x, y of the vertex after it, wrapping around."""
+    v = np.asarray(ring, dtype=np.float64)
+    after = np.concatenate((v[1:], v[:1]))
+    return v[:, 0], v[:, 1], after[:, 0], after[:, 1]
+
+
 def _ring_area(ring: Ring) -> float:
     """Signed shoelace area."""
-    v = np.asarray(ring, dtype=np.float64)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x, y, xn, yn = _edges(ring)
+    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,7 @@ class Polygon:
     @property
     def centroid(self) -> Point:
         """Area centroid of the exterior ring."""
-        v = np.asarray(self.exterior, dtype=np.float64)
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        x, y, xn, yn = _edges(self.exterior)
         cross = x * yn - xn * y
         a = cross.sum() / 2.0
         cx = float(((x + xn) * cross).sum() / (6.0 * a))
@@ -208,10 +212,8 @@ def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndar
     """Even-odd inclusion test for arrays of points; holes flip parity."""
     inside = np.zeros(px.shape, dtype=bool)
     for ring in (poly.exterior, *poly.holes):
-        v = np.asarray(ring, dtype=np.float64)
-        x1, y1 = v[:, 0], v[:, 1]
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        for i in range(len(v)):
+        x1, y1, x2, y2 = _edges(ring)
+        for i in range(len(x1)):
             crosses = (y1[i] > py) != (y2[i] > py)
             if not crosses.any():
                 continue
@@ -236,6 +238,18 @@ def _window_for_extent(
     return row0, row1, col0, col1
 
 
+def _window_points(transform: AffineGeoTransform, row0: int, col0: int, height: int,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """World (x, y) of the window's pixel centers, in row-major order."""
+    rows, cols = np.mgrid[row0 : row0 + height, col0 : col0 + width]
+    return transform.pixel_to_world(cols.ravel(), rows.ravel())
+
+
+def _mask_for_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray, height: int,
+                     width: int) -> np.ndarray:
+    return _points_in_polygon(poly, xs, ys).reshape(height, width).astype(np.uint8)
+
+
 def _mask_for_window(
     poly: Polygon,
     transform: AffineGeoTransform,
@@ -244,10 +258,8 @@ def _mask_for_window(
     height: int,
     width: int,
 ) -> np.ndarray:
-    rows, cols = np.mgrid[row0 : row0 + height, col0 : col0 + width]
-    xs, ys = transform.pixel_to_world(cols.ravel(), rows.ravel())
-    inside = _points_in_polygon(poly, xs, ys)
-    return inside.reshape(height, width).astype(np.uint8)
+    xs, ys = _window_points(transform, row0, col0, height, width)
+    return _mask_for_points(poly, xs, ys, height, width)
 
 
 def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> ChipStack:
@@ -268,31 +280,32 @@ def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> Chip
     extent = buffered_extent(poly, r)
     row0, row1, col0, col1 = _window_for_extent(extent, ref.transform)
 
-    ref_h, ref_w, _ = ref.pixels.shape
-    clipped = row0 < 0 or col0 < 0 or row1 >= ref_h or col1 >= ref_w
-    row0, row1 = max(row0, 0), min(row1, ref_h - 1)
-    col0, col1 = max(col0, 0), min(col1, ref_w - 1)
+    # Scenes on the reference grid are cropped with slices, so the window
+    # first shrinks to the pixels that all of them hold.
+    on_grid = [sc.transform == ref.transform for sc in scenes]
+    grid_h = min(sc.pixels.shape[0] for sc, same in zip(scenes, on_grid) if same)
+    grid_w = min(sc.pixels.shape[1] for sc, same in zip(scenes, on_grid) if same)
+    clipped = row0 < 0 or col0 < 0 or row1 >= grid_h or col1 >= grid_w
+    row0, row1 = max(row0, 0), min(row1, grid_h - 1)
+    col0, col1 = max(col0, 0), min(col1, grid_w - 1)
     if row1 < row0 or col1 < col0:
         raise FootprintOutsideImagery(f"footprint {poly.id!r} lies outside the imagery")
 
-    # Nearest-neighbor source indices per scene, shrinking the window to the
-    # rectangle every scene can fill.
+    # Nearest-neighbor source indices per resampled scene, shrinking the
+    # window to the rectangle every scene can fill.
     while True:
         height, width = row1 - row0 + 1, col1 - col0 + 1
-        rows, cols = np.mgrid[row0 : row1 + 1, col0 : col1 + 1]
-        xs, ys = ref.transform.pixel_to_world(cols.ravel(), rows.ravel())
+        xs, ys = _window_points(ref.transform, row0, col0, height, width)
         samplers = []
         valid = np.ones((height, width), dtype=bool)
-        for sc in scenes:
-            if sc.transform == ref.transform:
-                src_r, src_c = rows, cols
-            else:
-                pc, pr = sc.transform.world_to_pixel(xs, ys)
-                src_c = np.floor(pc + 0.5).astype(np.int64).reshape(height, width)
-                src_r = np.floor(pr + 0.5).astype(np.int64).reshape(height, width)
+        for sc, same in zip(scenes, on_grid):
+            if same:
+                continue
+            pc, pr = sc.transform.world_to_pixel(xs, ys)
+            src_c = np.floor(pc + 0.5).astype(np.int64).reshape(height, width)
+            src_r = np.floor(pr + 0.5).astype(np.int64).reshape(height, width)
             h, w, _ = sc.pixels.shape
-            ok = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-            valid &= ok
+            valid &= (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
             samplers.append((src_r, src_c))
         if valid.all():
             break
@@ -307,11 +320,13 @@ def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> Chip
             raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly.id!r}")
         row0, row1, col0, col1 = new
 
+    resampled = iter(samplers)
     chips = np.stack([
-        sc.pixels[src_r, src_c] for sc, (src_r, src_c) in zip(scenes, samplers)
+        sc.pixels[row0 : row1 + 1, col0 : col1 + 1] if same else sc.pixels[next(resampled)]
+        for sc, same in zip(scenes, on_grid)
     ])
 
-    mask = _mask_for_window(poly, ref.transform, row0, col0, height, width)
+    mask = _mask_for_points(poly, xs, ys, height, width)
     if not mask.any():
         if clipped:
             raise FootprintOutsideImagery(f"clipping emptied the mask of footprint {poly.id!r}")

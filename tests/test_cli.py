@@ -66,6 +66,20 @@ class TestGenerate:
         cfg = write_config(tmp_path, synth={"bogus": 1})
         assert main(["generate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("synth", [
+        {"height": "x"},
+        {"palette": 5},
+        {"palette": [[1.0, 2.0, 3.0], "abc"]},
+        {"size_range": [5.0, 8.0, 9.0]},
+        {"footprints": True},
+        {"noise_sigma": None},
+    ], ids=["height_as_string", "palette_as_number", "palette_color_as_string",
+            "size_range_of_three", "footprints_as_bool", "noise_sigma_as_null"])
+    def test_mistyped_synth_entry_is_config_error(self, tmp_path, capsys, synth):
+        cfg = write_config(tmp_path, synth=synth)
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "error[Config]" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_writes_report_and_cells(self, tmp_path):
@@ -134,27 +148,17 @@ class TestDetect:
                      "--theta", "0.5"])
         assert code == 3
 
-    def test_auto_theta_fits_each_layer_once(self, tmp_path, monkeypatch):
+    def test_auto_theta_fits_each_layer_once(self, tmp_path, monkeypatch, capsys):
         cfg, _, _ = generated_config(tmp_path)
-        keys, fits = [], []
-        layer_divergence, fit_kmeans = tcm.core.layer_divergence, tcm.core.fit_kmeans
-
-        def counted_layer(chips, layer, k, *args):
-            keys.append((chips.footprint_id, chips.buffer_radius, k, layer))
-            return layer_divergence(chips, layer, k, *args)
-
-        def counted_fit(*args, **kwargs):
-            fits.append(1)
-            return fit_kmeans(*args, **kwargs)
-
-        monkeypatch.setattr(tcm.core, "layer_divergence", counted_layer)
-        monkeypatch.setattr(tcm.core, "fit_kmeans", counted_fit)
+        keys = count_fits(monkeypatch)
+        monkeypatch.setenv("TCM_LOG", "debug")
         assert main(["detect", "--config", str(cfg), "--theta", "auto"]) == 0
-        assert len(keys) == len(set(keys)) == len(fits)
+        assert len(keys) == len(set(keys))
         # Calibration: 12 footprint finals and 20 random series (3 layers) per
         # (k, r) cell of the 2x2 grid; detection then adds the 2 layers of each
         # footprint that calibration did not fit.
-        assert len(fits) == 12 * 4 + 20 * 3 * 4 + 12 * 2
+        assert len(keys) == 12 * 4 + 20 * 3 * 4 + 12 * 2
+        assert f"k-means: {len(keys)} fits, " in capsys.readouterr().err
 
     def test_duplicate_footprint_id_is_data_error(self, tmp_path, capsys):
         cfg, data, _ = generated_config(tmp_path)
@@ -388,6 +392,9 @@ MALFORMED = [
     ("fractional_seed", None, {"seed": 1.5}, [], 2, "Config"),
     ("seed_as_bool", None, {"seed": True}, [], 2, "Config"),
     ("synth_as_list", None, {"synth": [1]}, [], 2, "Config"),
+    ("scenes_dir_as_number", None, {"scenes_dir": 5}, [], 2, "Config"),
+    ("polygons_as_number", None, {"polygons": 5}, [], 2, "Config"),
+    ("labels_as_number", None, {"labels": 5}, [], 2, "Config"),
 ]
 
 
@@ -402,15 +409,16 @@ def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, co
 
 
 def count_fits(monkeypatch):
-    fits = []
-    fit_kmeans = tcm.core.fit_kmeans
+    """The (footprint, r, k, layer) key of every layer fit, in call order."""
+    keys = []
+    divergences = tcm.core._divergences
 
-    def counted_fit(*args, **kwargs):
-        fits.append(1)
-        return fit_kmeans(*args, **kwargs)
+    def counted(chips, layers, k, *args):
+        keys.extend((chips.footprint_id, chips.buffer_radius, k, layer) for layer in layers)
+        return divergences(chips, layers, k, *args)
 
-    monkeypatch.setattr(tcm.core, "fit_kmeans", counted_fit)
-    return fits
+    monkeypatch.setattr(tcm.core, "_divergences", counted)
+    return keys
 
 
 def edit_run_config(**changes):

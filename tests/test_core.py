@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcm.clustering import FitStats
 from tcm.core import (
+    DivergenceCache,
     cluster_distribution,
     detect,
     divergence_series,
@@ -14,6 +16,7 @@ from tcm.core import (
 )
 from tcm.errors import EmptyRegion, SupportMismatch
 from tcm.geometry import ChipStack
+from tcm.synthgen import SynthConfig, generate
 
 
 def hand_kl(p, q):
@@ -165,6 +168,29 @@ class TestLayerDivergence:
         series = divergence_series(chips, k=3, seed=5)
         singles = [layer_divergence(chips, l, k=3, seed=5) for l in range(3)]
         assert np.array_equal(series, singles)
+
+
+def test_fit_counters_do_not_depend_on_workers():
+    dataset = generate(SynthConfig(height=96, width=96, layers=3, footprints=8,
+                                   size_range=(5.0, 8.0), margin=8.0,
+                                   year_weights=(0.4, 0.35, 0.25), seed=2))
+    counted = []
+    for workers in (1, 2):
+        store = DivergenceCache(dataset, workers=workers)
+        store.layer_values([2], 3.0, [2])  # the final layer alone, as calibration asks
+        store.series(4, 3.0)
+        store.series(2, 3.0)  # adds only the two layers not yet fitted at k=2
+        counted.append(store.fit_stats)
+    assert counted[0] == counted[1]
+    assert counted[0].fits == 8 * (1 + 3 + 2)
+    assert counted[0].lloyd_iters >= counted[0].fits
+
+
+def test_fit_stats_count_cap_hits():
+    stats = FitStats()
+    stats.add(np.array([50, 3, 50]), max_iter=50)
+    stats += FitStats(fits=1, lloyd_iters=7, cap_hits=0)
+    assert stats == FitStats(fits=4, lloyd_iters=110, cap_hits=2)
 
 
 class TestDivergenceSeries:

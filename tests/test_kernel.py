@@ -4,7 +4,9 @@ Every fit here runs twice, through the kernel and through the numpy path
 that `tcm.clustering` falls back to, and must give the same centroid bits,
 iteration count and labels. Inertia is only compared to 1e-12, relative to
 itself and to the data's sum of squares: BLAS may fuse the multiply-adds of
-the cross term, and no output contains the inertia.
+the cross term, and no output contains the inertia. The chip path, one
+kernel call for a chip's layers, must give the divergence bits and n_iter
+of `layer_divergence` and `fit_kmeans` on the numpy path.
 """
 
 import shutil
@@ -15,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tcm import clustering
 from tcm.clustering import PixelFeatureConfig, assign_features, extract_features, fit_kmeans
-from tcm.geometry import extract_chip_stack
+from tcm.core import DEFAULT_EPS, DivergenceCache, _divergences, layer_divergence
+from tcm.data import FootprintDataset
+from tcm.geometry import ChipStack, extract_chip_stack
 from tcm.synthgen import SynthConfig, generate
 from tcm.util import stable_seed
 
@@ -60,6 +64,81 @@ def test_real_chip_fits_match_numpy(chip_layers, mode):
         x = extract_features(image, config)
         for k in (1, 2, 4, 8):
             assert_same_fit(x, k, stable_seed(1, fid, layer))
+
+
+def numpy_divergences(chips, layers, k, config, seed, eps):
+    """Divergences and n_iter of the layers on the numpy per-layer path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_lib", None)
+        values = np.array([layer_divergence(chips, l, k, config, seed, eps) for l in layers])
+        n_iter = [fit_kmeans(extract_features(chips.imagery[l], config), k,
+                             stable_seed(seed, chips.footprint_id, l)).n_iter for l in layers]
+    return values, n_iter
+
+
+def assert_same_divergences(chips, layers, k, config, seed=1, eps=DEFAULT_EPS):
+    values, n_iter = _divergences(chips, layers, k, config, seed, eps)
+    oracle, oracle_iter = numpy_divergences(chips, layers, k, config, seed, eps)
+    assert values.tobytes() == oracle.tobytes()
+    assert n_iter.tolist() == oracle_iter
+
+
+@pytest.fixture(scope="module")
+def stock_dataset():
+    return generate(SynthConfig(footprints=40, seed=1))
+
+
+@needs_kernel
+@pytest.mark.parametrize("mode", ["spectral", "spectral_window"])
+def test_chip_path_matches_numpy(stock_dataset, mode):
+    config = PixelFeatureConfig(mode)
+    for p in stock_dataset.polygons[:12]:
+        for r in (2.0, 8.0):
+            chips = extract_chip_stack(stock_dataset.scenes, p, r)
+            for k in (1, 2, 4, 8):
+                # A full series, and the final layer alone, as calibration asks.
+                assert_same_divergences(chips, range(chips.n_layers), k, config)
+                assert_same_divergences(chips, [chips.n_layers - 1], k, config)
+
+
+@needs_kernel
+def test_constant_layer_is_redone_on_numpy_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    imagery = rng.integers(0, 256, size=(3, 12, 12, 3)).astype(np.uint8)
+    imagery[1] = 77  # its k-means++ weights sum to 0 after the first pick
+    mask = np.zeros((12, 12), dtype=np.uint8)
+    mask[3:8, 4:9] = 1
+    chips = ChipStack("const", imagery, mask, (2015, 2016, 2017), 2.0)
+    numpy_fit = clustering._fit_kmeans_numpy
+    for k in (1, 2, 4, 8):
+        redone = []
+        with monkeypatch.context() as mp:
+            mp.setattr(clustering, "_fit_kmeans_numpy",
+                       lambda x, *args: redone.append(x) or numpy_fit(x, *args))
+            _divergences(chips, range(3), k, PixelFeatureConfig(), 1, DEFAULT_EPS)
+        # The chip path redoes the constant layer, and only it, once k > 1.
+        assert len(redone) == (k > 1) and all((x == 77).all() for x in redone)
+        assert_same_divergences(chips, range(3), k, PixelFeatureConfig())
+
+
+@needs_kernel
+@pytest.mark.parametrize("k", [2, 8])
+def test_store_without_smoothing_matches_numpy(stock_dataset, k):
+    """eps=0 leaves bins empty: kl_divergence skips an empty footprint bin and
+    gives inf for a footprint bin that the neighborhood lacks."""
+    dataset = FootprintDataset(stock_dataset.scenes, stock_dataset.polygons[:20], {})
+    store = DivergenceCache(dataset, eps=0.0, seed=4)
+    final = store.layer_values([k], 2.0, [dataset.n_layers - 1])[k]
+    series = store.series(k, 2.0)
+    config = PixelFeatureConfig()
+    for p, last in zip(dataset.polygons, final):
+        chips = store.chips(2.0)[p.id]
+        oracle, _ = numpy_divergences(chips, range(chips.n_layers), k, config, 4, 0.0)
+        assert series[p.id].tobytes() == oracle.tobytes()
+        assert last.tobytes() == oracle[-1:].tobytes()
+    assert store.fit_stats.fits == len(dataset.polygons) * dataset.n_layers
+    values = np.concatenate(list(series.values()))
+    assert np.isinf(values).any() and np.isfinite(values).any()
 
 
 @st.composite
