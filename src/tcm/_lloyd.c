@@ -1,5 +1,5 @@
-/* Compiled k-means of tcm.clustering: whole fits (fit_kmeans), the fits and
- * region counts of a chip's layers (region_counts), and assign_features.
+/* Compiled k-means of tcm.clustering: whole fits (fit_kmeans), and the fits
+ * and region counts of a chip's layers (region_counts).
  *
  * Each function repeats the numpy code it stands in for operation by
  * operation, so that a fit gives the same centroids, iteration count and
@@ -335,31 +335,4 @@ int tcm_region_counts(const double *x, long L, long n, long d, long k, const uin
     buf_free(&b);
     free(centroids);
     return failed;
-}
-
-INLINE void assign(const double *restrict x, long n, long d, const double *restrict centroids,
-                   const double *restrict cnorms, long k, int32_t *restrict labels)
-{
-    double dist;
-    for (long i = 0; i < n; i++)
-        labels[i] = (int32_t)nearest(x + i * d, einsum_dot(x + i * d, x + i * d, d),
-                                     centroids, cnorms, k, d, &dist);
-}
-
-/* Nearest-centroid label of every row of x, ties to the lowest index.
- * Returns 0, or 2 when memory ran out. */
-int tcm_assign(const double *x, long n, long d, const double *centroids, long k,
-               int32_t *labels)
-{
-    double *cnorms = malloc((size_t)(k + 1) * sizeof(double));
-    if (cnorms == NULL)
-        return 2;
-    for (long m = 0; m < k; m++)
-        cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
-    if (d == 3)
-        assign(x, n, 3, centroids, cnorms, k, labels);
-    else
-        assign(x, n, d, centroids, cnorms, k, labels);
-    free(cnorms);
-    return 0;
 }

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -181,17 +182,17 @@ def _as_type(value, hint):
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    declared = {f.name: f.type for f in dataclasses.fields(synthgen.SynthConfig)}
     hints = typing.get_type_hints(synthgen.SynthConfig)
     overrides = dict(cfg.synth or {})
-    unknown = set(overrides) - set(declared)
+    unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
     for key, value in overrides.items():
         try:
             overrides[key] = _as_type(value, hints[key])
         except ValueError:
-            raise ConfigError(f"synth {key} must be {declared[key]}, got {value!r:.80}") from None
+            raise ConfigError(f"synth {key} must be {inspect.formatannotation(hints[key])}, "
+                              f"got {value!r:.80}") from None
     overrides.setdefault("seed", cfg.seed)
     try:
         synth_cfg = synthgen.SynthConfig(**overrides)

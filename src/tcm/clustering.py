@@ -8,11 +8,12 @@ given input shape.
 
 Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
 below operation by operation: the k-means++ init, the Lloyd loop and the
-assignment. `region_counts` fits all of a chip's wanted layers and counts
-their labels per region in one kernel call. Only a distance's cross term can
-differ in its last bits, where BLAS fuses multiply-adds; the tests demand
-the same centroids, iteration counts and labels from both paths, on real
-chip layers and on edge cases. The random draws stay in numpy and are made
+final assignment. `region_counts` fits all of a chip's wanted layers and
+counts their labels per region in one kernel call; `assign_features` stays
+in numpy. Only a distance's cross term can differ in its last bits, where
+BLAS fuses multiply-adds; the tests demand the same centroids, iteration
+counts and region counts from both paths, on real chip layers and on edge
+cases. The random draws stay in numpy and are made
 up front (`_draws`); a fit whose init meets zero total weight, where numpy
 would draw in another order, is redone on the numpy path.
 
@@ -256,12 +257,12 @@ def fit_kmeans(
     return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
 
 
-def region_counts(features: np.ndarray, region: np.ndarray, k: int, seeds: Sequence[int],
-                  max_iter: int = MAX_ITER, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+def region_counts(features: np.ndarray, region: np.ndarray, k: int,
+                  seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Cluster every layer of an (L, n, d) feature stack and count its labels
     per region: one kernel call for all the layers.
 
-    Layer l is fitted as `fit_kmeans(features[l], k, seeds[l], max_iter, tol)`
+    Layer l is fitted as `fit_kmeans(features[l], k, seeds[l])`
     and labelled as `assign_features` labels it. Returns the (L, 2, k) int64
     label counts, row 0 over the points whose `region` code is 0 and row 1
     over code 1 (other codes count nowhere), and each layer's n_iter.
@@ -285,10 +286,10 @@ def region_counts(features: np.ndarray, region: np.ndarray, k: int, seeds: Seque
             first[l], u[l] = _draws(seed, n, k)
         _check_kernel(_lib.tcm_region_counts(
             x.ctypes.data, n_layers, n, d, k, region.ctypes.data, first.ctypes.data,
-            u.ctypes.data, max_iter, tol, counts.ctypes.data, n_iter.ctypes.data,
+            u.ctypes.data, MAX_ITER, TOL, counts.ctypes.data, n_iter.ctypes.data,
             status.ctypes.data))
     for l in np.flatnonzero(status == _REDO):
-        model = _fit_kmeans_numpy(x[l], k, seeds[l], max_iter, tol)
+        model = _fit_kmeans_numpy(x[l], k, seeds[l], MAX_ITER, TOL)
         labels = _assign_features_numpy(model.centroids, x[l])
         counts[l] = [np.bincount(labels[region == code], minlength=k) for code in (0, 1)]
         n_iter[l] = model.n_iter
@@ -301,14 +302,14 @@ class FitStats:
 
     fits: int = 0
     lloyd_iters: int = 0
-    cap_hits: int = 0  # fits whose n_iter reached max_iter
+    cap_hits: int = 0  # fits whose n_iter reached MAX_ITER
 
-    def add(self, n_iter: np.ndarray, max_iter: int = MAX_ITER) -> None:
+    def add(self, n_iter: np.ndarray) -> None:
         """Count the fits whose iteration counts are n_iter."""
         n_iter = np.asarray(n_iter)
         self.fits += int(n_iter.size)
         self.lloyd_iters += int(n_iter.sum())
-        self.cap_hits += int((n_iter == max_iter).sum())
+        self.cap_hits += int((n_iter == MAX_ITER).sum())
 
     def __iadd__(self, other: "FitStats") -> "FitStats":
         self.fits += other.fits
@@ -324,14 +325,7 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
         raise FeatureDimMismatch(
             f"features of dim {x.shape[-1] if x.ndim else '?'} vs model dim {model.centroids.shape[1]}"
         )
-    if _lib is None or not x.shape[0]:  # numpy also raises on an empty input
-        return _assign_features_numpy(model.centroids, x)
-    x = np.ascontiguousarray(x)
-    centroids = np.ascontiguousarray(model.centroids, dtype=np.float64)
-    labels = np.empty(x.shape[0], dtype=np.int32)
-    _check_kernel(_lib.tcm_assign(x.ctypes.data, x.shape[0], x.shape[1], centroids.ctypes.data,
-                                  model.k, labels.ctypes.data))
-    return labels
+    return _assign_features_numpy(model.centroids, x)
 
 
 # -O3 vectorizes across points, which leaves each point's operations in their
@@ -343,7 +337,6 @@ _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
     "tcm_fit": ([_P, _L, _L, _L, _L, _P, _L, _D, _P, _P, _P], _I),
     "tcm_region_counts": ([_P, _L, _L, _L, _L, _P, _P, _P, _L, _D, _P, _P, _P], _I),
-    "tcm_assign": ([_P, _L, _L, _P, _L, _P], _I),
 }
 
 

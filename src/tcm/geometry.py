@@ -43,17 +43,11 @@ def _normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
     return tuple(pts)
 
 
-def _edges(ring: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """x, y of every vertex and x, y of the vertex after it, wrapping around."""
-    v = np.asarray(ring, dtype=np.float64)
-    after = np.concatenate((v[1:], v[:1]))
-    return v[:, 0], v[:, 1], after[:, 0], after[:, 1]
-
-
 def _ring_area(ring: Ring) -> float:
     """Signed shoelace area."""
-    x, y, xn, yn = _edges(ring)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    v = np.asarray(ring, dtype=np.float64)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,9 @@ class Polygon:
     @property
     def centroid(self) -> Point:
         """Area centroid of the exterior ring."""
-        x, y, xn, yn = _edges(self.exterior)
+        v = np.asarray(self.exterior, dtype=np.float64)
+        x, y = v[:, 0], v[:, 1]
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
         cross = x * yn - xn * y
         a = cross.sum() / 2.0
         cx = float(((x + xn) * cross).sum() / (6.0 * a))
@@ -212,8 +208,10 @@ def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndar
     """Even-odd inclusion test for arrays of points; holes flip parity."""
     inside = np.zeros(px.shape, dtype=bool)
     for ring in (poly.exterior, *poly.holes):
-        x1, y1, x2, y2 = _edges(ring)
-        for i in range(len(x1)):
+        v = np.asarray(ring, dtype=np.float64)
+        x1, y1 = v[:, 0], v[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        for i in range(len(v)):
             crosses = (y1[i] > py) != (y2[i] > py)
             if not crosses.any():
                 continue

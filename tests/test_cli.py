@@ -151,6 +151,11 @@ class TestDetect:
     def test_auto_theta_fits_each_layer_once(self, tmp_path, monkeypatch, capsys):
         cfg, _, _ = generated_config(tmp_path)
         keys = count_fits(monkeypatch)
+        fitted = []  # the number of layers of each region_counts call
+        counts = tcm.core.region_counts
+        monkeypatch.setattr(tcm.core, "region_counts",
+                            lambda feats, codes, k, seeds: fitted.append(len(seeds))
+                            or counts(feats, codes, k, seeds))
         monkeypatch.setenv("TCM_LOG", "debug")
         assert main(["detect", "--config", str(cfg), "--theta", "auto"]) == 0
         assert len(keys) == len(set(keys))
@@ -158,6 +163,7 @@ class TestDetect:
         # (k, r) cell of the 2x2 grid; detection then adds the 2 layers of each
         # footprint that calibration did not fit.
         assert len(keys) == 12 * 4 + 20 * 3 * 4 + 12 * 2
+        assert sum(fitted) == len(keys)
         assert f"k-means: {len(keys)} fits, " in capsys.readouterr().err
 
     def test_duplicate_footprint_id_is_data_error(self, tmp_path, capsys):
