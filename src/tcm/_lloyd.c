@@ -4,27 +4,33 @@
  * Each function repeats the numpy code it stands in for operation by
  * operation, so that a fit gives the same centroids, iteration count and
  * labels on either path:
+ *   - each fit draws from its own np.random.default_rng(seed), run here bit
+ *     for bit: SeedSequence hashing, PCG64 seeding and its XSL-RR output,
+ *     integers(n) as Lemire's bounded draw on the generator's buffered
+ *     32-bit halves, and random() from the top 53 bits of an output;
  *   - row norms and point-to-centre distances sum their squares in the order
  *     of numpy's einsum("ij,ij->i") inner loop: two lanes, eight elements per
  *     main step taken from the back, then the tail two at a time;
  *   - the init's total weight, the inertia and the centroid shift sum in
  *     numpy's pairwise order;
- *   - an init pick is Generator.choice(n, p=closest / total) for the uniform
- *     draw that the caller made up front;
+ *   - an init pick is Generator.choice(n, p=closest / total), or
+ *     Generator.integers(n) where the total weight is <= 0;
  *   - centroid sums accumulate point by point, as np.bincount does;
  *   - distances are norm expansions clamped at 0, ties go to the lowest index.
  * The cross term x.c is a plain left-to-right sum, where BLAS may fuse
- * multiply-adds; only the last bits of a distance can differ. Build with
- * -ffp-contract=off so that the compiler fuses nothing either.
+ * multiply-adds; only the last bits of a distance can differ, which is
+ * exact on integer-valued pixels and can break a tie between points on
+ * float-valued ones. Build with -ffp-contract=off so that the compiler
+ * fuses nothing either.
  *
  * The exported functions call always-inlined bodies with d = 3, the
  * spectral feature dimension, as a constant where it applies; the compiler
  * then unrolls the per-dimension loops without changing their order.
  *
  * Status codes: 0 done; 1 an iteration raised the inertia (a bug); 2 memory
- * ran out; 3 the init's weights did not sum to a positive finite number.
- * There numpy draws an integer from a stream that the up-front draws have
- * already moved past, so the caller redoes that fit on the numpy path.
+ * ran out; 3 the fit leaves what the kernel repeats: the init's total weight
+ * is not finite, where numpy's choice raises, or n >= 2^32, where numpy draws
+ * integers another way. The caller redoes such a fit on the numpy path.
  */
 #include <math.h>
 #include <stdint.h>
@@ -32,6 +38,108 @@
 #include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
+
+/* numpy's PCG64 (XSL-RR 128/64) and the Generator draws that a fit makes. */
+struct pcg64 {
+    __uint128_t state, inc;
+    int has_half;   /* next32 buffers the high half of a 64-bit output */
+    uint32_t half;
+};
+
+#define PCG_MULT (((__uint128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static void pcg_step(struct pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+}
+
+static uint64_t next64(struct pcg64 *g)
+{
+    pcg_step(g);
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (v >> rot) | (v << ((-rot) & 63));
+}
+
+static uint32_t next32(struct pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
+    }
+    uint64_t v = next64(g);
+    g->has_half = 1;
+    g->half = (uint32_t)(v >> 32);
+    return (uint32_t)v;
+}
+
+/* SeedSequence's hash of one 32-bit word; *h is its running multiplier. */
+static uint32_t ss_hashmix(uint32_t value, uint32_t *h)
+{
+    value ^= *h;
+    *h *= 0x931e8875u;
+    value *= *h;
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* PCG64(SeedSequence(seed)): the seed's 32-bit words (one below 2^32, else
+ * two) mixed into a pool of four, and generate_state(4, np.uint64) read
+ * from the pool as the 128-bit initial state and stream. */
+static void pcg_seed(struct pcg64 *g, uint64_t seed)
+{
+    uint32_t entropy[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int words = seed >> 32 ? 2 : 1;
+    uint32_t pool[4], h = 0x43b0d7e5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < words ? entropy[i] : 0, &h);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &h));
+    uint64_t st[4];
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ h;
+        h *= 0x58f38dedu;
+        v *= h;
+        v ^= v >> 16;
+        st[i / 2] = i % 2 ? st[i / 2] | (uint64_t)v << 32 : v;
+    }
+    g->state = 0;
+    g->inc = ((__uint128_t)st[2] << 64 | st[3]) << 1 | 1;
+    pcg_step(g);
+    g->state += (__uint128_t)st[0] << 64 | st[1];
+    pcg_step(g);
+    g->has_half = 0;
+}
+
+/* Generator.integers(n) for 1 <= n < 2^32: Lemire's bounded draw with
+ * rejection; n == 1 draws nothing. */
+static long gen_integers(struct pcg64 *g, long n)
+{
+    if (n == 1)
+        return 0;
+    uint32_t bound = (uint32_t)n;
+    uint64_t m = (uint64_t)next32(g) * bound;
+    if ((uint32_t)m < bound) {
+        uint32_t threshold = (UINT32_MAX - (bound - 1)) % bound;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next32(g) * bound;
+    }
+    return (long)(m >> 32);
+}
+
+/* Generator.random() */
+static double gen_random(struct pcg64 *g)
+{
+    return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
 
 /* a.b summed as numpy's einsum sums a row: see the comment at the top. */
 INLINE double einsum_dot(const double *restrict a, const double *restrict b, long d)
@@ -102,6 +210,48 @@ INLINE long nearest(const double *restrict x, double norm, const double *restric
     return best;
 }
 
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2i __attribute__((vector_size(16)));
+
+/* nearest() of the points x and x + d, one in each vector lane: each lane
+ * makes nearest()'s operations in nearest()'s order, with the branches as
+ * bit masks. */
+INLINE void nearest2(const double *restrict x, const double *restrict norm,
+                     const double *restrict centroids, const double *restrict cnorms, long k,
+                     long d, long *restrict label, double *restrict dist_out)
+{
+    const v2d zero = {0.0, 0.0}, nrm = {norm[0], norm[1]};
+    v2d best_d = zero;
+    v2i best = {0, 0};
+    for (long m = 0; m < k; m++) {
+        const double *c = centroids + m * d;
+        v2d cross = zero;
+        for (long j = 0; j < d; j++)
+            cross += (v2d){x[j], x[d + j]} * c[j];
+        v2d dist = nrm + cnorms[m] - 2.0 * cross;
+        dist = (v2d)((v2i)dist & ~(v2i)(dist < zero));
+        v2i take = m == 0 ? (v2i){-1, -1} : (v2i)(dist < best_d);
+        best_d = (v2d)(((v2i)dist & take) | ((v2i)best_d & ~take));
+        best = ((v2i){m, m} & take) | (best & ~take);
+    }
+    label[0] = best[0];
+    label[1] = best[1];
+    dist_out[0] = best_d[0];
+    dist_out[1] = best_d[1];
+}
+
+/* labels[i] and point_d[i]: nearest() of every point, two at a time. */
+INLINE void assign_all(const double *restrict x, const double *restrict norms, long n, long d,
+                       const double *restrict centroids, const double *restrict cnorms, long k,
+                       long *restrict labels, double *restrict point_d)
+{
+    long i = 0;
+    for (; i + 1 < n; i += 2)
+        nearest2(x + i * d, norms + i, centroids, cnorms, k, d, labels + i, point_d + i);
+    if (i < n)
+        labels[i] = nearest(x + i * d, norms[i], centroids, cnorms, k, d, point_d + i);
+}
+
 /* closest[i] = squared distance from point i to `centroid` when `first`,
  * else the lower of that and closest[i]. */
 INLINE void pp_add(const double *restrict x, long n, long d, const double *restrict centroid,
@@ -140,20 +290,25 @@ INLINE long pp_pick(const double *restrict closest, long n, double total, double
     return lo < n ? lo : n - 1;
 }
 
-/* k-means++ from the draws of the fit's Generator: centre 0 is row `first`
- * and centre j the pick for uniform u[j - 1]. Returns 0 or 3. */
-INLINE int pp_init(const double *restrict x, long n, long d, long k, long first,
-                   const double *restrict u, double *restrict centroids,
-                   double *restrict closest, double *restrict cdf, double *restrict diff)
+/* k-means++ drawing from default_rng(seed) as _plus_plus_init does.
+ * Returns 0 or 3. */
+INLINE int pp_init(const double *restrict x, long n, long d, long k, uint64_t seed,
+                   double *restrict centroids, double *restrict closest,
+                   double *restrict cdf, double *restrict diff)
 {
+    if (n > (long)UINT32_MAX)
+        return 3;
+    struct pcg64 g;
+    pcg_seed(&g, seed);
     for (long j = 0; j < k; j++) {
-        long pick = first;
-        if (j) {
-            double total = pairwise_sum(closest, n);
-            if (!(total > 0.0 && total < INFINITY))
-                return 3;
-            pick = pp_pick(closest, n, total, u[j - 1], cdf);
-        }
+        long pick;
+        double total = j ? pairwise_sum(closest, n) : 0.0;
+        if (!(total < INFINITY))
+            return 3;
+        if (total > 0.0)
+            pick = pp_pick(closest, n, total, gen_random(&g), cdf);
+        else
+            pick = gen_integers(&g, n);
         memcpy(centroids + j * d, x + pick * d, (size_t)d * sizeof(double));
         pp_add(x, n, d, centroids + j * d, closest, diff, j == 0);
     }
@@ -190,25 +345,28 @@ static void buf_free(struct lloyd_buf *b)
     free(b->taken);
 }
 
+/* What a fit reports next to its centroids. */
+struct fit_result {
+    long n_iter, reseeds;  /* reseeds: empty clusters given a far point, summed */
+    double inertia;
+};
+
 INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter, double tol,
-                 double *restrict centroids, long *n_iter, double *inertia, struct lloyd_buf b)
+                 double *restrict centroids, struct fit_result *out, struct lloyd_buf b)
 {
     for (long i = 0; i < n; i++)
         b.norms[i] = einsum_dot(x + i * d, x + i * d, d);
     double prev_inertia = INFINITY;
-    *n_iter = 0;
-    *inertia = 0.0;
+    *out = (struct fit_result){0, 0, 0.0};
     for (long it = 1; it <= max_iter; it++) {
-        *n_iter = it;
+        out->n_iter = it;
         for (long m = 0; m < k; m++)
             b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
-        for (long i = 0; i < n; i++)
-            b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d,
-                                  &b.point_d[i]);
-        *inertia = pairwise_sum(b.point_d, n);
-        if (!(*inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12))
+        assign_all(x, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
+        out->inertia = pairwise_sum(b.point_d, n);
+        if (!(out->inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12))
             return 1;
-        prev_inertia = *inertia;
+        prev_inertia = out->inertia;
 
         memset(b.sums, 0, (size_t)(k * d) * sizeof(double));
         memset(b.counts, 0, (size_t)k * sizeof(double));
@@ -232,6 +390,7 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
             b.taken[far] = 1;
             memcpy(b.sums + m * d, x + far * d, (size_t)d * sizeof(double));
             b.counts[m] = 1.0;
+            out->reseeds++;
         }
 
         double shift = 0.0;
@@ -253,64 +412,67 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
 }
 
 /* The init, then Lloyd iterations; b.norms then holds the row norms. */
-INLINE int fit(const double *restrict x, long n, long d, long k, long first,
-               const double *restrict u, long max_iter, double tol,
-               double *restrict centroids, long *n_iter, double *inertia, struct lloyd_buf b)
+INLINE int fit(const double *restrict x, long n, long d, long k, uint64_t seed, long max_iter,
+               double tol, double *restrict centroids, struct fit_result *out,
+               struct lloyd_buf b)
 {
-    int status = pp_init(x, n, d, k, first, u, centroids, b.point_d, b.norms, b.sq);
+    int status = pp_init(x, n, d, k, seed, centroids, b.point_d, b.norms, b.sq);
     if (status)
         return status;
-    return lloyd(x, n, d, k, max_iter, tol, centroids, n_iter, inertia, b);
+    return lloyd(x, n, d, k, max_iter, tol, centroids, out, b);
 }
 
-/* One fit of the n x d points x: k-means++ from the draws `first` and
- * u[0 .. k - 1), then Lloyd iterations from there. Writes the centroids,
- * the iteration count and the inertia. Returns a status code. */
-int tcm_fit(const double *x, long n, long d, long k, long first, const double *u,
-            long max_iter, double tol, double *centroids, long *n_iter, double *inertia)
+/* One fit of the n x d points x: k-means++ from default_rng(seed), then
+ * Lloyd iterations from there. Writes the centroids, the iteration count,
+ * the number of reseeded empty clusters and the inertia. Returns a status
+ * code. */
+int tcm_fit(const double *x, long n, long d, long k, uint64_t seed, long max_iter, double tol,
+            double *centroids, long *n_iter, long *reseeds, double *inertia)
 {
     struct lloyd_buf b;
+    struct fit_result out = {0, 0, 0.0};
     int status = buf_alloc(&b, n, d, k);
     if (!status) {
         if (d == 3)
-            status = fit(x, n, 3, k, first, u, max_iter, tol, centroids, n_iter, inertia, b);
+            status = fit(x, n, 3, k, seed, max_iter, tol, centroids, &out, b);
         else
-            status = fit(x, n, d, k, first, u, max_iter, tol, centroids, n_iter, inertia, b);
+            status = fit(x, n, d, k, seed, max_iter, tol, centroids, &out, b);
     }
     buf_free(&b);
+    *n_iter = out.n_iter;
+    *reseeds = out.reseeds;
+    *inertia = out.inertia;
     return status;
 }
 
 INLINE int layer_counts(const double *restrict x, long n, long d, long k,
-                        const uint8_t *restrict region, long first, const double *restrict u,
-                        long max_iter, double tol, double *restrict centroids,
-                        int64_t *restrict counts, long *n_iter, struct lloyd_buf b)
+                        const uint8_t *restrict region, uint64_t seed, long max_iter,
+                        double tol, double *restrict centroids, int64_t *restrict counts,
+                        struct fit_result *out, struct lloyd_buf b)
 {
-    double inertia;
-    int status = fit(x, n, d, k, first, u, max_iter, tol, centroids, n_iter, &inertia, b);
+    int status = fit(x, n, d, k, seed, max_iter, tol, centroids, out, b);
     if (status)
         return status;
     for (long m = 0; m < k; m++)
         b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
+    assign_all(x, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
     memset(counts, 0, (size_t)(2 * k) * sizeof(int64_t));
-    double dist;
-    for (long i = 0; i < n; i++) {
-        long m = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d, &dist);
+    for (long i = 0; i < n; i++)
         if (region[i] < 2)
-            counts[region[i] * k + m]++;
-    }
+            counts[region[i] * k + b.labels[i]]++;
     return 0;
 }
 
-/* Fits of L layers of n x d points (x is L x n x d), layer l from the draws
- * first[l] and u[l * (k - 1) ...], each followed by the assignment of its
- * points to the final centroids. counts[l] (2 x k) counts the labels of the
- * points whose region code is 0, then of those whose code is 1; other codes
- * count nowhere. status[l] is 0, or 3 where the layer's counts and n_iter
- * are left unset. Returns 0, or 1 or 2 from the first layer that failed. */
+/* Fits of L layers of n x d points (x is L x n x d), layer l from
+ * default_rng(seeds[l]), each followed by the assignment of its points to
+ * the final centroids. counts[l] (2 x k) counts the labels of the points
+ * whose region code is 0, then of those whose code is 1; other codes count
+ * nowhere. status[l] is 0, or 3 where the layer's counts, n_iter and
+ * reseeds are left unset. Returns 0, or 1 or 2 from the first layer that
+ * failed. */
 int tcm_region_counts(const double *x, long L, long n, long d, long k, const uint8_t *region,
-                      const int64_t *first, const double *u, long max_iter, double tol,
-                      int64_t *counts, int64_t *n_iter, int32_t *status)
+                      const uint64_t *seeds, long max_iter, double tol, int64_t *counts,
+                      int64_t *n_iter, int64_t *reseeds, int32_t *status)
 {
     struct lloyd_buf b;
     double *centroids = malloc((size_t)(k * d + 1) * sizeof(double));
@@ -319,16 +481,16 @@ int tcm_region_counts(const double *x, long L, long n, long d, long k, const uin
         failed = 2;
     for (long l = 0; l < L && !failed; l++) {
         const double *xl = x + l * n * d;
-        const double *ul = u + l * (k - 1);
         int64_t *cl = counts + l * 2 * k;
-        long it = 0;
+        struct fit_result out = {0, 0, 0.0};
         if (d == 3)
-            status[l] = layer_counts(xl, n, 3, k, region, first[l], ul, max_iter, tol,
-                                     centroids, cl, &it, b);
+            status[l] = layer_counts(xl, n, 3, k, region, seeds[l], max_iter, tol, centroids,
+                                     cl, &out, b);
         else
-            status[l] = layer_counts(xl, n, d, k, region, first[l], ul, max_iter, tol,
-                                     centroids, cl, &it, b);
-        n_iter[l] = it;
+            status[l] = layer_counts(xl, n, d, k, region, seeds[l], max_iter, tol, centroids,
+                                     cl, &out, b);
+        n_iter[l] = out.n_iter;
+        reseeds[l] = out.reseeds;
         if (status[l] == 1 || status[l] == 2)
             failed = status[l];
     }

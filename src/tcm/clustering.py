@@ -13,9 +13,12 @@ counts their labels per region in one kernel call; `assign_features` stays
 in numpy. Only a distance's cross term can differ in its last bits, where
 BLAS fuses multiply-adds; the tests demand the same centroids, iteration
 counts and region counts from both paths, on real chip layers and on edge
-cases. The random draws stay in numpy and are made
-up front (`_draws`); a fit whose init meets zero total weight, where numpy
-would draw in another order, is redone on the numpy path.
+cases. The kernel also runs each fit's `np.random.default_rng(seed)` bit for
+bit (SeedSequence, PCG64, `integers` and `random`), so it makes every draw
+of the init itself, those of a layer whose weights sum to 0 included. Only a
+seed outside [0, 2**64), which ctypes would wrap, an init whose total weight
+is not finite, where numpy's `choice` raises, and a layer of 2**32 points or
+more, where numpy bounds its integers another way, take the numpy path.
 
 On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
@@ -79,6 +82,7 @@ class ClusterModel:
     seed: int
     n_iter: int = 0
     inertia: float = float("nan")
+    reseeds: int = 0  # empty clusters given a far point, over all iterations
 
     def __post_init__(self):
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
@@ -88,22 +92,24 @@ class ClusterModel:
 
 
 def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarray:
-    """Row-major (h*w, dim) float matrix of per-pixel features."""
+    """Row-major (h*w, dim) float matrix of per-pixel features of an (h, w, c)
+    image; a (T, h, w, c) stack of images gives (T, h*w, dim)."""
     image = np.asarray(image)
-    if image.ndim != 3 or image.size == 0:
-        raise ValueError(f"image must be a nonempty (h, w, c) array, got {image.shape}")
-    h, w, c = image.shape
-    pixels = image.astype(np.float64, copy=False)
+    if image.ndim not in (3, 4) or image.size == 0:
+        raise ValueError(f"image must be a nonempty (h, w, c) or (T, h, w, c) array, "
+                         f"got {image.shape}")
+    *stack, h, w, c = image.shape
     if config.mode == "spectral":
-        return pixels.reshape(h * w, c).astype(np.float64)
+        return image.reshape(*stack, h * w, c).astype(np.float64)
     wh = config.window
-    padded = np.pad(pixels, ((wh, wh), (wh, wh), (0, 0)), mode="edge")
+    pad = [(0, 0)] * len(stack) + [(wh, wh), (wh, wh), (0, 0)]
+    padded = np.pad(image.astype(np.float64, copy=False), pad, mode="edge")
     blocks = [
-        padded[dy : dy + h, dx : dx + w, :]
+        padded[..., dy : dy + h, dx : dx + w, :]
         for dy in range(2 * wh + 1)
         for dx in range(2 * wh + 1)
     ]
-    return np.concatenate(blocks, axis=2).reshape(h * w, config.dim(c)).astype(np.float64)
+    return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
 
 
 def _sqdist_to_point(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -146,14 +152,18 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _check_k(n: int, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < k:
+        raise TooFewPixels(f"{n} feature rows < k={k}")
+
+
 def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x.shape[0] < k:
-        raise TooFewPixels(f"{x.shape[0]} feature rows < k={k}")
+    _check_k(x.shape[0], k)
     return x
 
 
@@ -167,7 +177,7 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
     inertia = 0.0
-    n_iter = 0
+    n_iter = reseeds = 0
     for n_iter in range(1, max_iter + 1):
         dist = _sqdist(x, centroids, norms)
         labels = np.argmin(dist, axis=1)  # ties -> lowest index
@@ -183,6 +193,7 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
             axis=1,
         )
         empty = np.nonzero(counts == 0)[0]
+        reseeds += empty.size
         if empty.size:
             order = np.argsort(-point_d, kind="stable")
             for slot, j in enumerate(empty):
@@ -196,14 +207,15 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
         if shift < tol:
             break
 
-    return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter, inertia=inertia)
+    return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter, inertia=inertia,
+                        reseeds=int(reseeds))
 
 
 def _assign_features_numpy(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.argmin(_sqdist(x, centroids), axis=1).astype(np.int32)
 
 
-_REDO = 3  # kernel status: redo this fit on the numpy path (see `_draws`)
+_REDO = 3  # kernel status: redo this fit on the numpy path (see `_lloyd.c`)
 
 
 def _check_kernel(status: int) -> None:
@@ -213,18 +225,10 @@ def _check_kernel(status: int) -> None:
         raise MemoryError("k-means kernel could not allocate its buffers")
 
 
-def _draws(seed: int, n: int, k: int) -> tuple[int, np.ndarray]:
-    """The draws of `_plus_plus_init` from Generator(seed), made up front: the
-    first centre's index, then one uniform per later pick.
-
-    The numpy init interleaves them with its distance updates. The stream is
-    the same, because random() never reads the 32-bit half that integers()
-    may leave buffered, until a pick meets a total weight <= 0 and draws an
-    integer instead; the kernel then returns status 3 and the fit is redone
-    on the numpy path.
-    """
-    rng = np.random.default_rng(seed)
-    return int(rng.integers(n)), rng.random(k - 1)
+def _kernel_seed(seed) -> bool:
+    """Whether the kernel's generator repeats default_rng(seed): an integer
+    in [0, 2**64). ctypes would wrap any other integer without a word."""
+    return isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64
 
 
 def fit_kmeans(
@@ -242,58 +246,56 @@ def fit_kmeans(
     inertia is a bug and raises AssertionError.
     """
     x = _checked_features(features, k)
-    if _lib is not None:
+    if _lib is not None and _kernel_seed(seed):
         n, d = x.shape
-        first, u = _draws(seed, n, k)
         centroids = np.empty((k, d), dtype=np.float64)
-        n_iter, inertia = ctypes.c_long(), ctypes.c_double()
-        status = _lib.tcm_fit(x.ctypes.data, n, d, k, first, u.ctypes.data, max_iter, tol,
+        n_iter, reseeds, inertia = ctypes.c_long(), ctypes.c_long(), ctypes.c_double()
+        status = _lib.tcm_fit(x.ctypes.data, n, d, k, int(seed), max_iter, tol,
                               centroids.ctypes.data, ctypes.byref(n_iter),
-                              ctypes.byref(inertia))
+                              ctypes.byref(reseeds), ctypes.byref(inertia))
         if status != _REDO:
             _check_kernel(status)
             return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
-                                inertia=inertia.value)
+                                inertia=inertia.value, reseeds=reseeds.value)
     return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
 
 
 def region_counts(features: np.ndarray, region: np.ndarray, k: int,
-                  seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+                  seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster every layer of an (L, n, d) feature stack and count its labels
     per region: one kernel call for all the layers.
 
     Layer l is fitted as `fit_kmeans(features[l], k, seeds[l])`
     and labelled as `assign_features` labels it. Returns the (L, 2, k) int64
     label counts, row 0 over the points whose `region` code is 0 and row 1
-    over code 1 (other codes count nowhere), and each layer's n_iter.
+    over code 1 (other codes count nowhere), and each layer's n_iter and
+    reseeds.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"features must be 3-D, got shape {x.shape}")
-    _checked_features(x[0], k)
     n_layers, n, d = x.shape
+    _check_k(n, k)
     region = np.ascontiguousarray(region, dtype=np.uint8)
     if region.shape != (n,) or len(seeds) != n_layers:
         raise ValueError(f"{region.shape} region codes and {len(seeds)} seeds for features "
                          f"of shape {x.shape}")
     counts = np.empty((n_layers, 2, k), dtype=np.int64)
     n_iter = np.empty(n_layers, dtype=np.int64)
+    reseeds = np.empty(n_layers, dtype=np.int64)
     status = np.full(n_layers, _REDO, dtype=np.int32)
-    if _lib is not None:
-        first = np.empty(n_layers, dtype=np.int64)
-        u = np.empty((n_layers, k - 1), dtype=np.float64)
-        for l, seed in enumerate(seeds):
-            first[l], u[l] = _draws(seed, n, k)
+    if _lib is not None and all(map(_kernel_seed, seeds)):
+        kernel_seeds = np.array(seeds, dtype=np.uint64)
         _check_kernel(_lib.tcm_region_counts(
-            x.ctypes.data, n_layers, n, d, k, region.ctypes.data, first.ctypes.data,
-            u.ctypes.data, MAX_ITER, TOL, counts.ctypes.data, n_iter.ctypes.data,
+            x.ctypes.data, n_layers, n, d, k, region.ctypes.data, kernel_seeds.ctypes.data,
+            MAX_ITER, TOL, counts.ctypes.data, n_iter.ctypes.data, reseeds.ctypes.data,
             status.ctypes.data))
     for l in np.flatnonzero(status == _REDO):
         model = _fit_kmeans_numpy(x[l], k, seeds[l], MAX_ITER, TOL)
         labels = _assign_features_numpy(model.centroids, x[l])
         counts[l] = [np.bincount(labels[region == code], minlength=k) for code in (0, 1)]
-        n_iter[l] = model.n_iter
-    return counts, n_iter
+        n_iter[l], reseeds[l] = model.n_iter, model.reseeds
+    return counts, n_iter, reseeds
 
 
 @dataclass
@@ -303,18 +305,21 @@ class FitStats:
     fits: int = 0
     lloyd_iters: int = 0
     cap_hits: int = 0  # fits whose n_iter reached MAX_ITER
+    reseeds: int = 0  # empty clusters reseeded, over all fits and iterations
 
-    def add(self, n_iter: np.ndarray) -> None:
-        """Count the fits whose iteration counts are n_iter."""
-        n_iter = np.asarray(n_iter)
-        self.fits += int(n_iter.size)
-        self.lloyd_iters += int(n_iter.sum())
-        self.cap_hits += int((n_iter == MAX_ITER).sum())
+    def add(self, n_iter: np.ndarray, reseeds: Sequence[int] = ()) -> None:
+        """Count the fits whose iteration and reseed counts are given."""
+        n_iter = np.asarray(n_iter).tolist()  # a chip's few layers: Python sums are cheaper
+        self.fits += len(n_iter)
+        self.lloyd_iters += sum(n_iter)
+        self.cap_hits += n_iter.count(MAX_ITER)
+        self.reseeds += sum(np.asarray(reseeds).tolist())
 
     def __iadd__(self, other: "FitStats") -> "FitStats":
         self.fits += other.fits
         self.lloyd_iters += other.lloyd_iters
         self.cap_hits += other.cap_hits
+        self.reseeds += other.reseeds
         return self
 
 
@@ -335,8 +340,8 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Werror")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
-    "tcm_fit": ([_P, _L, _L, _L, _L, _P, _L, _D, _P, _P, _P], _I),
-    "tcm_region_counts": ([_P, _L, _L, _L, _L, _P, _P, _P, _L, _D, _P, _P, _P], _I),
+    "tcm_fit": ([_P, _L, _L, _L, ctypes.c_uint64, _L, _D, _P, _P, _P, _P], _I),
+    "tcm_region_counts": ([_P, _L, _L, _L, _L, _P, _P, _L, _D, _P, _P, _P, _P], _I),
 }
 
 

@@ -9,10 +9,11 @@ color shifts between years. `DivergenceCache` is the one store through which
 calibration, detection and evaluation read these divergences.
 
 `layer_divergence` states one layer's computation and is its reference.
-The store computes a chip's layers at one k together: one `region_counts`
-call fits them and counts their clusters per region, and the KL of every
-layer follows in one vectorized step with the arithmetic of
-`cluster_distribution` and `kl_divergence`, so the values are the same bits.
+The store computes a chip's layers together: their features and seeds are
+made once, one `region_counts` call per k fits them and counts their
+clusters per region, and the KL of every layer follows in one vectorized
+step with the arithmetic of `cluster_distribution` and `kl_divergence`, so
+the values are the same bits.
 The store also counts the fits it made (`fit_stats`), merged in chip order,
 so the counts do not depend on the worker count.
 """
@@ -117,25 +118,6 @@ def _kl_rows(counts: np.ndarray, eps: float) -> np.ndarray:
     return (p * (logs[:, 0] - logs[:, 1])).sum(axis=1)
 
 
-def _divergences(chips: ChipStack, layers: Sequence[int], k: int,
-                 feature_config: PixelFeatureConfig, seed: int,
-                 eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The divergences of the given chip layers and their fits' n_iter.
-
-    Each value equals `layer_divergence` of that layer; the layers' fits and
-    region counts take one `region_counts` call.
-    """
-    footprint, neighborhood = chips.mask == 1, chips.mask == 0
-    for region, inside in (("footprint", footprint), ("neighborhood", neighborhood)):
-        if not inside.any():
-            raise EmptyRegion(f"{region} region is empty")
-    codes = np.where(footprint, 0, np.where(neighborhood, 1, 2)).ravel()
-    feats = np.stack([extract_features(chips.imagery[l], feature_config) for l in layers])
-    seeds = [stable_seed(seed, chips.footprint_id, l) for l in layers]
-    counts, n_iter = region_counts(feats, codes, k, seeds)
-    return _kl_rows(counts, eps), n_iter
-
-
 def divergence_series(
     chips: ChipStack,
     k: int,
@@ -149,10 +131,11 @@ def divergence_series(
 
     The layers' fits are counted into `stats` when it is given.
     """
-    values, n_iter = _divergences(chips, range(chips.n_layers), k, feature_config, seed, eps)
+    rows, fits = _chip_divergences((chips, {k: range(chips.n_layers)}), feature_config, seed,
+                                   eps)
     if stats is not None:
-        stats.add(n_iter)
-    return values
+        stats += fits
+    return rows[k]
 
 
 def first_crossing(values: Sequence[float], theta: float) -> int:
@@ -192,16 +175,30 @@ def detect(
 def _chip_divergences(task, feature_config, seed,
                       eps) -> tuple[dict[int, np.ndarray], FitStats]:
     """One chip's divergences at each requested k, over that k's layers, and
-    the counters of its fits."""
+    the counters of its fits.
+
+    Each value equals `layer_divergence` of that layer. The mask checks,
+    region codes, features and seeds of the wanted layers are made once for
+    all k; each k's layers then take one `region_counts` call.
+    """
     chips, wanted = task
+    footprint, neighborhood = chips.mask == 1, chips.mask == 0
+    for region, inside in (("footprint", footprint), ("neighborhood", neighborhood)):
+        if not inside.any():
+            raise EmptyRegion(f"{region} region is empty")
+    codes = np.where(footprint, 0, np.where(neighborhood, 1, 2)).ravel()
+    layers = list(dict.fromkeys(l for ls in wanted.values() for l in ls))
+    feats = extract_features(chips.imagery[layers], feature_config)
+    seeds = [stable_seed(seed, chips.footprint_id, l) for l in layers]
+    at = {l: i for i, l in enumerate(layers)}
     stats = FitStats()
     rows = {}
-    for k, layers in wanted.items():
-        if len(layers) == chips.n_layers:
-            rows[k] = divergence_series(chips, k, feature_config, seed, eps, stats=stats)
-        else:
-            rows[k], n_iter = _divergences(chips, layers, k, feature_config, seed, eps)
-            stats.add(n_iter)
+    for k, ls in wanted.items():
+        pick = [at[l] for l in ls]
+        x = feats if pick == list(range(len(layers))) else feats[pick]
+        counts, n_iter, reseeds = region_counts(x, codes, k, [seeds[i] for i in pick])
+        rows[k] = _kl_rows(counts, eps)
+        stats.add(n_iter, reseeds)
     return rows, stats
 
 

@@ -43,11 +43,17 @@ def _normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
     return tuple(pts)
 
 
+def _closed(ring: Ring) -> np.ndarray:
+    """(n + 1, 2) vertices of the ring, the first repeated at the end: edge i
+    runs from row i to row i + 1."""
+    return np.asarray(ring + ring[:1], dtype=np.float64)
+
+
 def _ring_area(ring: Ring) -> float:
     """Signed shoelace area."""
-    v = np.asarray(ring, dtype=np.float64)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    v = _closed(ring)
+    x, y = v[:-1, 0], v[:-1, 1]
+    return 0.5 * float(np.sum(x * v[1:, 1] - v[1:, 0] * y))
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,8 @@ class Polygon:
     @property
     def centroid(self) -> Point:
         """Area centroid of the exterior ring."""
-        v = np.asarray(self.exterior, dtype=np.float64)
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        v = _closed(self.exterior)
+        x, y, xn, yn = v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1]
         cross = x * yn - xn * y
         a = cross.sum() / 2.0
         cx = float(((x + xn) * cross).sum() / (6.0 * a))
@@ -205,19 +210,21 @@ def buffered_extent(poly: Polygon, r: float) -> tuple[float, float, float, float
 
 
 def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Even-odd inclusion test for arrays of points; holes flip parity."""
+    """Even-odd inclusion test for arrays of points; holes flip parity.
+
+    A ring's edges are broadcast against the points as (edges, points)
+    arrays. A horizontal edge divides by zero, but it crosses no point's
+    horizontal, so its quotients are masked out.
+    """
     inside = np.zeros(px.shape, dtype=bool)
     for ring in (poly.exterior, *poly.holes):
-        v = np.asarray(ring, dtype=np.float64)
-        x1, y1 = v[:, 0], v[:, 1]
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        for i in range(len(v)):
-            crosses = (y1[i] > py) != (y2[i] > py)
-            if not crosses.any():
-                continue
-            t = (py - y1[i]) / (y2[i] - y1[i])
-            xint = x1[i] + t * (x2[i] - x1[i])
-            inside ^= crosses & (px < xint)
+        v = _closed(ring)
+        x1, y1 = v[:-1, 0, None], v[:-1, 1, None]
+        x2, y2 = v[1:, 0, None], v[1:, 1, None]
+        crosses = (y1 > py) != (y2 > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+        inside ^= np.logical_xor.reduce(crosses & (px < xint), axis=0)
     return inside
 
 
@@ -239,8 +246,9 @@ def _window_for_extent(
 def _window_points(transform: AffineGeoTransform, row0: int, col0: int, height: int,
                    width: int) -> tuple[np.ndarray, np.ndarray]:
     """World (x, y) of the window's pixel centers, in row-major order."""
-    rows, cols = np.mgrid[row0 : row0 + height, col0 : col0 + width]
-    return transform.pixel_to_world(cols.ravel(), rows.ravel())
+    xs, ys = transform.pixel_to_world(np.arange(col0, col0 + width),
+                                      np.arange(row0, row0 + height)[:, None])
+    return xs.ravel(), ys.ravel()
 
 
 def _mask_for_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray, height: int,

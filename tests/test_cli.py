@@ -417,13 +417,15 @@ def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, co
 def count_fits(monkeypatch):
     """The (footprint, r, k, layer) key of every layer fit, in call order."""
     keys = []
-    divergences = tcm.core._divergences
+    divergences = tcm.core._chip_divergences
 
-    def counted(chips, layers, k, *args):
-        keys.extend((chips.footprint_id, chips.buffer_radius, k, layer) for layer in layers)
-        return divergences(chips, layers, k, *args)
+    def counted(task, *args, **kwargs):
+        chips, wanted = task
+        keys.extend((chips.footprint_id, chips.buffer_radius, k, layer)
+                    for k, layers in wanted.items() for layer in layers)
+        return divergences(task, *args, **kwargs)
 
-    monkeypatch.setattr(tcm.core, "_divergences", counted)
+    monkeypatch.setattr(tcm.core, "_chip_divergences", counted)
     return keys
 
 

@@ -37,6 +37,15 @@ class TestExtractFeatures:
         cfg = PixelFeatureConfig("spectral_window", window=2)
         assert cfg.dim(4) == 4 * 25
 
+    @pytest.mark.parametrize("config", [PixelFeatureConfig(),
+                                        PixelFeatureConfig("spectral_window", window=2)])
+    def test_stack_is_features_of_each_layer(self, config):
+        stack = np.random.default_rng(0).integers(0, 256, size=(4, 5, 7, 3)).astype(np.uint8)
+        feats = extract_features(stack, config)
+        assert feats.shape == (4, 35, config.dim(3)) and feats.dtype == np.float64
+        for layer, image in zip(feats, stack):
+            assert layer.tobytes() == extract_features(image, config).tobytes()
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PixelFeatureConfig("texture")

@@ -16,6 +16,7 @@ from tcm.geometry import (
     Polygon,
     Scene,
     _mask_for_window,
+    _points_in_polygon,
     _window_for_extent,
     buffered_extent,
     extract_chip_stack,
@@ -219,3 +220,33 @@ def test_rect_mask_matches_oracle(x0, y0, w, h):
     mask = _mask_for_window(poly, IDENTITY, -6, -6, 32, 32)
     expect = oracle_mask(poly, IDENTITY, -6, -6, 32, 32)
     assert np.array_equal(mask, expect)
+
+
+def edge_loop_inside(poly, px, py):
+    """Even-odd inclusion one edge at a time: the arithmetic of
+    `_points_in_polygon`, without its broadcasting."""
+    inside = np.zeros(px.shape, dtype=bool)
+    for ring in (poly.exterior, *poly.holes):
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
+            crosses = (y1 > py) != (y2 > py)
+            if crosses.any():
+                xint = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+                inside ^= crosses & (px < xint)
+    return inside
+
+
+def test_inclusion_matches_edge_loop_on_vertices_and_edges():
+    # Points on the vertices' own coordinates and on horizontal edges are
+    # where a change in the arithmetic would show.
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        ring = [tuple(v) for v in rng.integers(-8, 9, size=(int(rng.integers(3, 9)), 2)) / 2]
+        hole = [(0.25, 0.25), (1.25, 0.25), (0.75, 1.25)] if trial % 3 == 0 else None
+        try:
+            poly = Polygon(f"p{trial}", ring, holes=(hole,) if hole else ())
+        except DegeneratePolygon:
+            continue
+        grid = np.arange(-10, 11) / 2
+        px, py = (a.ravel() for a in np.meshgrid(np.r_[grid, rng.uniform(-5, 5, 20)],
+                                                 np.r_[grid, rng.uniform(-5, 5, 20)]))
+        assert np.array_equal(_points_in_polygon(poly, px, py), edge_loop_inside(poly, px, py))

@@ -2,12 +2,13 @@
 
 Every fit here runs twice, through the kernel and through the numpy path
 that `tcm.clustering` falls back to, and must give the same centroid bits
-and iteration count. Inertia is only compared to 1e-12, relative to itself
-and to the data's sum of squares: BLAS may fuse the multiply-adds of the
-cross term, and no output contains the inertia. The chip path, one kernel
-call for a chip's layers that also assigns and counts their labels, must
-give the divergence bits and n_iter of `layer_divergence` and `fit_kmeans`
-on the numpy path.
+and iteration and reseed counts. Inertia is only compared to 1e-12,
+relative to itself and to the data's sum of squares: BLAS may fuse the
+multiply-adds of the cross term, and no output contains the inertia. The
+chip path, one kernel call per k for a chip's layers that also assigns and
+counts their labels, must give the divergence bits and fit counters of
+`layer_divergence` and `fit_kmeans` on the numpy path. The kernel's own
+generator must pick the init centres that numpy's `default_rng` picks.
 """
 
 import shutil
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tcm import clustering
-from tcm.clustering import PixelFeatureConfig, extract_features, fit_kmeans
-from tcm.core import DEFAULT_EPS, DivergenceCache, _divergences, layer_divergence
+from tcm.clustering import FitStats, PixelFeatureConfig, extract_features, fit_kmeans
+from tcm.core import DEFAULT_EPS, DivergenceCache, _chip_divergences, layer_divergence
 from tcm.data import FootprintDataset
 from tcm.geometry import ChipStack, extract_chip_stack
 from tcm.synthgen import SynthConfig, generate
@@ -34,13 +35,17 @@ def test_kernel_loads_where_a_compiler_exists():
     assert clustering._lib is not None, clustering.KERNEL
 
 
-def assert_same_fit(x, k, seed, max_iter=50):
-    kernel = fit_kmeans(x, k, seed, max_iter=max_iter)
+def numpy_fit(*args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_lib", None)
-        oracle = fit_kmeans(x, k, seed, max_iter=max_iter)
+        return fit_kmeans(*args, **kwargs)
+
+
+def assert_same_fit(x, k, seed, max_iter=50):
+    kernel = fit_kmeans(x, k, seed, max_iter=max_iter)
+    oracle = numpy_fit(x, k, seed, max_iter=max_iter)
     assert kernel.centroids.tobytes() == oracle.centroids.tobytes()
-    assert kernel.n_iter == oracle.n_iter
+    assert (kernel.n_iter, kernel.reseeds) == (oracle.n_iter, oracle.reseeds)
     assert kernel.inertia == pytest.approx(oracle.inertia, rel=1e-12, abs=1e-12 * (x * x).sum())
 
 
@@ -64,20 +69,28 @@ def test_real_chip_fits_match_numpy(chip_layers, mode):
 
 
 def numpy_divergences(chips, layers, k, config, seed, eps):
-    """Divergences and n_iter of the layers on the numpy per-layer path."""
+    """Divergences of the layers on the numpy per-layer path, and the
+    counters of their fits."""
+    stats = FitStats()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_lib", None)
         values = np.array([layer_divergence(chips, l, k, config, seed, eps) for l in layers])
-        n_iter = [fit_kmeans(extract_features(chips.imagery[l], config), k,
-                             stable_seed(seed, chips.footprint_id, l)).n_iter for l in layers]
-    return values, n_iter
+        for l in layers:
+            model = fit_kmeans(extract_features(chips.imagery[l], config), k,
+                               stable_seed(seed, chips.footprint_id, l))
+            stats.add([model.n_iter], [model.reseeds])
+    return values, stats
 
 
-def assert_same_divergences(chips, layers, k, config, seed=1, eps=DEFAULT_EPS):
-    values, n_iter = _divergences(chips, layers, k, config, seed, eps)
-    oracle, oracle_iter = numpy_divergences(chips, layers, k, config, seed, eps)
-    assert values.tobytes() == oracle.tobytes()
-    assert n_iter.tolist() == oracle_iter
+def assert_same_divergences(chips, wanted, config, seed=1, eps=DEFAULT_EPS):
+    """The chip path at every k of `wanted` ({k: layers}) in one call."""
+    rows, stats = _chip_divergences((chips, wanted), config, seed, eps)
+    oracle_stats = FitStats()
+    for k, layers in wanted.items():
+        oracle, fits = numpy_divergences(chips, layers, k, config, seed, eps)
+        assert rows[k].tobytes() == oracle.tobytes()
+        oracle_stats += fits
+    assert stats == oracle_stats
 
 
 @pytest.fixture(scope="module")
@@ -92,30 +105,31 @@ def test_chip_path_matches_numpy(stock_dataset, mode):
     for p in stock_dataset.polygons[:12]:
         for r in (2.0, 8.0):
             chips = extract_chip_stack(stock_dataset.scenes, p, r)
-            for k in (1, 2, 4, 8):
-                # A full series, and the final layer alone, as calibration asks.
-                assert_same_divergences(chips, range(chips.n_layers), k, config)
-                assert_same_divergences(chips, [chips.n_layers - 1], k, config)
+            every, last = range(chips.n_layers), [chips.n_layers - 1]
+            # Full series and the final layer alone, as calibration asks, at
+            # several k of one call.
+            assert_same_divergences(chips, {1: every, 2: last, 4: every, 8: last}, config)
+            assert_same_divergences(chips, {1: last, 2: every, 4: last, 8: every}, config)
 
 
 @needs_kernel
-def test_constant_layer_is_redone_on_numpy_path(monkeypatch):
+def test_constant_layer_stays_in_kernel(monkeypatch):
     rng = np.random.default_rng(3)
     imagery = rng.integers(0, 256, size=(3, 12, 12, 3)).astype(np.uint8)
     imagery[1] = 77  # its k-means++ weights sum to 0 after the first pick
     mask = np.zeros((12, 12), dtype=np.uint8)
     mask[3:8, 4:9] = 1
     chips = ChipStack("const", imagery, mask, (2015, 2016, 2017), 2.0)
-    numpy_fit = clustering._fit_kmeans_numpy
+    numpy_body = clustering._fit_kmeans_numpy
     for k in (1, 2, 4, 8):
         redone = []
         with monkeypatch.context() as mp:
             mp.setattr(clustering, "_fit_kmeans_numpy",
-                       lambda x, *args: redone.append(x) or numpy_fit(x, *args))
-            _divergences(chips, range(3), k, PixelFeatureConfig(), 1, DEFAULT_EPS)
-        # The chip path redoes the constant layer, and only it, once k > 1.
-        assert len(redone) == (k > 1) and all((x == 77).all() for x in redone)
-        assert_same_divergences(chips, range(3), k, PixelFeatureConfig())
+                       lambda x, *args: redone.append(x) or numpy_body(x, *args))
+            _chip_divergences((chips, {k: range(3)}), PixelFeatureConfig(), 1, DEFAULT_EPS)
+        # The kernel draws the integers that zero total weight asks for itself.
+        assert redone == []
+        assert_same_divergences(chips, {k: range(3)}, PixelFeatureConfig())
 
 
 @needs_kernel
@@ -136,6 +150,81 @@ def test_store_without_smoothing_matches_numpy(stock_dataset, k):
     assert store.fit_stats.fits == len(dataset.polygons) * dataset.n_layers
     values = np.concatenate(list(series.values()))
     assert np.isinf(values).any() and np.isfinite(values).any()
+
+
+def init_picks(n, k, seed):
+    """The point indices that k-means++ picks among n points, on both paths:
+    points 0, 1, ..., n - 1 on a line, and no Lloyd iteration."""
+    x = np.arange(n, dtype=np.float64)[:, None]
+    return fit_kmeans(x, k, seed, max_iter=0).centroids[:, 0], \
+        numpy_fit(x, k, seed, max_iter=0).centroids[:, 0]
+
+
+@needs_kernel
+def test_init_picks_match_default_rng():
+    # One entropy word below 2**32, two from there on.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += np.random.default_rng(5).integers(0, 2**64 - 1, 2000, dtype=np.uint64).tolist()
+    for i, seed in enumerate(seeds):
+        for n in (1, 2, 3, 450):
+            picks, oracle = init_picks(n, min(n, 1 + i % 8), seed)
+            assert picks.tobytes() == oracle.tobytes(), (seed, n)
+
+
+@needs_kernel
+def test_rejected_bounded_draw_matches_default_rng():
+    # Found with bit_generator.random_raw(): the low half of seed 1147's first
+    # output falls in Lemire's rejection zone for n = 1,000,003, so the first
+    # pick comes from the buffered high half.
+    picks, oracle = init_picks(1_000_003, 1, 1147)
+    assert picks.tolist() == oracle.tolist() == [614714.0]
+
+
+@needs_kernel
+@pytest.mark.parametrize("k", [4, 8])
+def test_zero_total_picks_match_default_rng(k):
+    # Two values: once both are picked, every later pick meets zero total
+    # weight and draws integers(n) between random() draws.
+    x = np.repeat([[3.0, 1.0, 4.0], [1.0, 5.0, 9.0]], [40, 23], axis=0)
+    for seed in range(200):
+        assert_same_fit(np.random.default_rng(seed).permutation(x), k, seed, max_iter=0)
+        assert_same_fit(x, k, seed)
+
+
+@pytest.mark.parametrize("lib", ["kernel", None])
+def test_seeds_outside_64_bits_take_numpy_path(lib, monkeypatch):
+    if lib is None:
+        monkeypatch.setattr(clustering, "_lib", None)
+    x = np.arange(30, dtype=np.float64).reshape(10, 3)
+    # ctypes would pass -1 as 2**64 - 1, where default_rng raises.
+    with pytest.raises(ValueError, match="non-negative"):
+        fit_kmeans(x, 3, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        clustering.region_counts(x[None], np.zeros(10, np.uint8), 3, [-1])
+    # default_rng hashes three entropy words from 2**70; ctypes would pass 0.
+    fitted = fit_kmeans(x, 3, 2**70).centroids
+    assert fitted.tobytes() == numpy_fit(x, 3, 2**70).centroids.tobytes()
+    assert fitted.tobytes() != numpy_fit(x, 3, 0).centroids.tobytes()
+
+
+def test_reseeds_counted_alike_on_both_paths_and_workers(stock_dataset, monkeypatch):
+    # A two-valued final layer has fewer distinct points than k = 4 clusters,
+    # so Lloyd's first iteration empties some and reseeds them.
+    scenes = list(stock_dataset.scenes)
+    last = scenes[-1]
+    two_valued = np.where(np.arange(last.pixels.shape[1]) % 2, 10, 200).astype(np.uint8)
+    scenes[-1] = type(last)(np.broadcast_to(two_valued[None, :, None], last.pixels.shape).copy(),
+                            last.year, last.transform)
+    dataset = FootprintDataset(scenes, stock_dataset.polygons[:10], {})
+    counted = []
+    for lib in (clustering._lib, None):
+        monkeypatch.setattr(clustering, "_lib", lib)
+        for workers in (1, 2):
+            store = DivergenceCache(dataset, seed=3, workers=workers)
+            store.series(4, 3.0)
+            counted.append(store.fit_stats)
+    assert counted[0].reseeds > 0
+    assert counted == [counted[0]] * 4
 
 
 @st.composite
