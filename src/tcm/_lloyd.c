@@ -16,7 +16,9 @@
  *   - an init pick is Generator.choice(n, p=closest / total), or
  *     Generator.integers(n) where the total weight is <= 0;
  *   - centroid sums accumulate point by point, as np.bincount does;
- *   - distances are norm expansions clamped at 0, ties go to the lowest index.
+ *   - distances are norm expansions clamped at 0, ties go to the lowest index;
+ *     points are labelled two at a time, one per vector lane, each lane in
+ *     the scalar order.
  * The cross term x.c is a plain left-to-right sum, where BLAS may fuse
  * multiply-adds; only the last bits of a distance can differ, which is
  * exact on integer-valued pixels and can break a tie between points on
