@@ -21,7 +21,7 @@ from tcm import clustering
 from tcm.clustering import FitStats, PixelFeatureConfig, extract_features, fit_kmeans
 from tcm.core import DEFAULT_EPS, DivergenceCache, _chip_divergences, layer_divergence
 from tcm.data import FootprintDataset
-from tcm.geometry import ChipStack, extract_chip_stack
+from tcm.geometry import ChipStack, Scene, extract_chip_stack
 from tcm.synthgen import SynthConfig, generate
 from tcm.util import stable_seed
 
@@ -156,8 +156,8 @@ def init_picks(n, k, seed):
     """The point indices that k-means++ picks among n points, on both paths:
     points 0, 1, ..., n - 1 on a line, and no Lloyd iteration."""
     x = np.arange(n, dtype=np.float64)[:, None]
-    return fit_kmeans(x, k, seed, max_iter=0).centroids[:, 0], \
-        numpy_fit(x, k, seed, max_iter=0).centroids[:, 0]
+    return (fit_kmeans(x, k, seed, max_iter=0).centroids[:, 0],
+            numpy_fit(x, k, seed, max_iter=0).centroids[:, 0])
 
 
 @needs_kernel
@@ -213,8 +213,8 @@ def test_reseeds_counted_alike_on_both_paths_and_workers(stock_dataset, monkeypa
     scenes = list(stock_dataset.scenes)
     last = scenes[-1]
     two_valued = np.where(np.arange(last.pixels.shape[1]) % 2, 10, 200).astype(np.uint8)
-    scenes[-1] = type(last)(np.broadcast_to(two_valued[None, :, None], last.pixels.shape).copy(),
-                            last.year, last.transform)
+    scenes[-1] = Scene(np.broadcast_to(two_valued[None, :, None], last.pixels.shape).copy(),
+                       last.year, last.transform)
     dataset = FootprintDataset(scenes, stock_dataset.polygons[:10], {})
     counted = []
     for lib in (clustering._lib, None):
