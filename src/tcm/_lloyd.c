@@ -17,13 +17,9 @@
  *     Generator.integers(n) where the total weight is <= 0;
  *   - centroid sums accumulate point by point, as np.bincount does;
  *   - distances are norm expansions clamped at 0, ties go to the lowest index;
- *     points are labelled two at a time, one per vector lane, each lane in
- *     the scalar order.
- * The cross term x.c is a plain left-to-right sum, where BLAS may fuse
- * multiply-adds; only the last bits of a distance can differ, which is
- * exact on integer-valued pixels and can break a tie between points on
- * float-valued ones. Build with -ffp-contract=off so that the compiler
- * fuses nothing either.
+ *     the cross term x.c sums left to right, as numpy's _sqdist sums it
+ *     column by column.
+ * Build with -ffp-contract=off so that the compiler fuses no multiply-add.
  *
  * The exported functions call always-inlined bodies with d = 3, the
  * spectral feature dimension, as a constant where it applies; the compiler
@@ -212,48 +208,6 @@ INLINE long nearest(const double *restrict x, double norm, const double *restric
     return best;
 }
 
-typedef double v2d __attribute__((vector_size(16)));
-typedef int64_t v2i __attribute__((vector_size(16)));
-
-/* nearest() of the points x and x + d, one in each vector lane: each lane
- * makes nearest()'s operations in nearest()'s order, with the branches as
- * bit masks. */
-INLINE void nearest2(const double *restrict x, const double *restrict norm,
-                     const double *restrict centroids, const double *restrict cnorms, long k,
-                     long d, long *restrict label, double *restrict dist_out)
-{
-    const v2d zero = {0.0, 0.0}, nrm = {norm[0], norm[1]};
-    v2d best_d = zero;
-    v2i best = {0, 0};
-    for (long m = 0; m < k; m++) {
-        const double *c = centroids + m * d;
-        v2d cross = zero;
-        for (long j = 0; j < d; j++)
-            cross += (v2d){x[j], x[d + j]} * c[j];
-        v2d dist = nrm + cnorms[m] - 2.0 * cross;
-        dist = (v2d)((v2i)dist & ~(v2i)(dist < zero));
-        v2i take = m == 0 ? (v2i){-1, -1} : (v2i)(dist < best_d);
-        best_d = (v2d)(((v2i)dist & take) | ((v2i)best_d & ~take));
-        best = ((v2i){m, m} & take) | (best & ~take);
-    }
-    label[0] = best[0];
-    label[1] = best[1];
-    dist_out[0] = best_d[0];
-    dist_out[1] = best_d[1];
-}
-
-/* labels[i] and point_d[i]: nearest() of every point, two at a time. */
-INLINE void assign_all(const double *restrict x, const double *restrict norms, long n, long d,
-                       const double *restrict centroids, const double *restrict cnorms, long k,
-                       long *restrict labels, double *restrict point_d)
-{
-    long i = 0;
-    for (; i + 1 < n; i += 2)
-        nearest2(x + i * d, norms + i, centroids, cnorms, k, d, labels + i, point_d + i);
-    if (i < n)
-        labels[i] = nearest(x + i * d, norms[i], centroids, cnorms, k, d, point_d + i);
-}
-
 /* closest[i] = squared distance from point i to `centroid` when `first`,
  * else the lower of that and closest[i]. */
 INLINE void pp_add(const double *restrict x, long n, long d, const double *restrict centroid,
@@ -364,7 +318,9 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
         out->n_iter = it;
         for (long m = 0; m < k; m++)
             b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
-        assign_all(x, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
+        for (long i = 0; i < n; i++)
+            b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d,
+                                  &b.point_d[i]);
         out->inertia = pairwise_sum(b.point_d, n);
         if (!(out->inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12))
             return 1;
@@ -457,7 +413,8 @@ INLINE int layer_counts(const double *restrict x, long n, long d, long k,
         return status;
     for (long m = 0; m < k; m++)
         b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
-    assign_all(x, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
+    for (long i = 0; i < n; i++)
+        b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d, &b.point_d[i]);
     memset(counts, 0, (size_t)(2 * k) * sizeof(int64_t));
     for (long i = 0; i < n; i++)
         if (region[i] < 2)

@@ -10,15 +10,16 @@ Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
 below operation by operation: the k-means++ init, the Lloyd loop and the
 final assignment. `region_counts` fits all of a chip's wanted layers and
 counts their labels per region in one kernel call; `assign_features` stays
-in numpy. Only a distance's cross term can differ in its last bits, where
-BLAS fuses multiply-adds; the tests demand the same centroids, iteration
-counts and region counts from both paths, on real chip layers and on edge
-cases. The kernel also runs each fit's `np.random.default_rng(seed)` bit for
-bit (SeedSequence, PCG64, `integers` and `random`), so it makes every draw
-of the init itself, those of a layer whose weights sum to 0 included. Only a
-seed outside [0, 2**64), which ctypes would wrap, an init whose total weight
-is not finite, where numpy's `choice` raises, and a layer of 2**32 points or
-more, where numpy bounds its integers another way, take the numpy path.
+in numpy. Both paths sum a distance's cross term left to right, where BLAS
+could round it another way, so the tests demand the same centroids,
+iteration and reseed counts and region counts from both, on real chip
+layers and on edge cases, float-valued ones included. The kernel also runs
+each fit's `np.random.default_rng(seed)` bit for bit (SeedSequence, PCG64,
+`integers` and `random`), so it makes every draw of the init itself, those
+of a layer whose weights sum to 0 included. Only a seed outside
+[0, 2**64), which ctypes would wrap, an init whose total weight is not
+finite, where numpy's `choice` raises, and a layer of 2**32 points or more,
+where numpy bounds its integers another way, take the numpy path.
 
 On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
@@ -125,12 +126,15 @@ def _sqdist(points: np.ndarray, centroids: np.ndarray,
             point_norms: Optional[np.ndarray] = None) -> np.ndarray:
     """(n, k) squared Euclidean distances via the norm expansion.
 
-    Fixed input shapes give bit-identical results on a machine regardless of
-    caller threading. Rounding can push tiny values negative; they are clamped.
+    The cross term sums one dimension at a time, left to right, as the
+    kernel sums it: no BLAS, whose rounding could differ by shape or machine.
+    Rounding can push tiny values negative; they are clamped.
     """
     if point_norms is None:
         point_norms = _row_norms(points)
-    cross = points @ centroids.T
+    cross = np.zeros((points.shape[0], centroids.shape[0]))
+    for j in range(points.shape[1]):
+        cross += points[:, j, None] * centroids[:, j]
     dist = point_norms[:, None] + _row_norms(centroids)[None, :] - 2.0 * cross
     return np.maximum(dist, 0.0, out=dist)
 
@@ -307,7 +311,7 @@ class FitStats:
     cap_hits: int = 0  # fits whose n_iter reached MAX_ITER
     reseeds: int = 0  # empty clusters reseeded, over all fits and iterations
 
-    def add(self, n_iter: np.ndarray, reseeds: Sequence[int] = ()) -> None:
+    def add(self, n_iter: np.ndarray, reseeds: Sequence[int]) -> None:
         """Count the fits whose iteration and reseed counts are given."""
         n_iter = np.asarray(n_iter).tolist()  # a chip's few layers: Python sums are cheaper
         self.fits += len(n_iter)

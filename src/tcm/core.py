@@ -124,18 +124,10 @@ def divergence_series(
     feature_config: PixelFeatureConfig = PixelFeatureConfig(),
     seed: int = 0,
     eps: float = DEFAULT_EPS,
-    *,
-    stats: Optional[FitStats] = None,
 ) -> np.ndarray:
-    """(T,) divergence of every chip layer, clustered independently per layer.
-
-    The layers' fits are counted into `stats` when it is given.
-    """
-    rows, fits = _chip_divergences((chips, {k: range(chips.n_layers)}), feature_config, seed,
-                                   eps)
-    if stats is not None:
-        stats += fits
-    return rows[k]
+    """(T,) divergence of every chip layer, clustered independently per layer."""
+    return _chip_divergences((chips, {k: range(chips.n_layers)}), feature_config, seed,
+                             eps)[0][k]
 
 
 def first_crossing(values: Sequence[float], theta: float) -> int:

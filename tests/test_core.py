@@ -188,7 +188,7 @@ def test_fit_counters_do_not_depend_on_workers():
 
 def test_fit_stats_count_cap_hits():
     stats = FitStats()
-    stats.add(np.array([50, 3, 50]))
+    stats.add(np.array([50, 3, 50]), [0, 0, 0])
     stats += FitStats(fits=1, lloyd_iters=7, cap_hits=0)
     assert stats == FitStats(fits=4, lloyd_iters=110, cap_hits=2)
 

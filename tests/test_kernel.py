@@ -1,12 +1,10 @@
 """The compiled k-means kernel against its numpy oracle.
 
 Every fit here runs twice, through the kernel and through the numpy path
-that `tcm.clustering` falls back to, and must give the same centroid bits
-and iteration and reseed counts. Inertia is only compared to 1e-12,
-relative to itself and to the data's sum of squares: BLAS may fuse the
-multiply-adds of the cross term, and no output contains the inertia. The
-chip path, one kernel call per k for a chip's layers that also assigns and
-counts their labels, must give the divergence bits and fit counters of
+that `tcm.clustering` falls back to, and must give the same centroid and
+inertia bits and iteration and reseed counts. The chip path, one kernel
+call per k for a chip's layers that also assigns and counts their labels,
+must give the divergence bits and each layer's fit counters of
 `layer_divergence` and `fit_kmeans` on the numpy path. The kernel's own
 generator must pick the init centres that numpy's `default_rng` picks.
 """
@@ -17,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm import clustering
+from tcm import clustering, core
 from tcm.clustering import FitStats, PixelFeatureConfig, extract_features, fit_kmeans
 from tcm.core import DEFAULT_EPS, DivergenceCache, _chip_divergences, layer_divergence
 from tcm.data import FootprintDataset
@@ -45,8 +43,8 @@ def assert_same_fit(x, k, seed, max_iter=50):
     kernel = fit_kmeans(x, k, seed, max_iter=max_iter)
     oracle = numpy_fit(x, k, seed, max_iter=max_iter)
     assert kernel.centroids.tobytes() == oracle.centroids.tobytes()
-    assert (kernel.n_iter, kernel.reseeds) == (oracle.n_iter, oracle.reseeds)
-    assert kernel.inertia == pytest.approx(oracle.inertia, rel=1e-12, abs=1e-12 * (x * x).sum())
+    assert (kernel.n_iter, kernel.reseeds, kernel.inertia) == (
+        oracle.n_iter, oracle.reseeds, oracle.inertia)
 
 
 @pytest.fixture(scope="module")
@@ -69,27 +67,34 @@ def test_real_chip_fits_match_numpy(chip_layers, mode):
 
 
 def numpy_divergences(chips, layers, k, config, seed, eps):
-    """Divergences of the layers on the numpy per-layer path, and the
-    counters of their fits."""
-    stats = FitStats()
+    """Divergences of the layers on the numpy per-layer path, and each
+    layer's (n_iter, reseeds)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_lib", None)
         values = np.array([layer_divergence(chips, l, k, config, seed, eps) for l in layers])
-        for l in layers:
-            model = fit_kmeans(extract_features(chips.imagery[l], config), k,
-                               stable_seed(seed, chips.footprint_id, l))
-            stats.add([model.n_iter], [model.reseeds])
-    return values, stats
+        models = [fit_kmeans(extract_features(chips.imagery[l], config), k,
+                             stable_seed(seed, chips.footprint_id, l)) for l in layers]
+    return values, [(m.n_iter, m.reseeds) for m in models]
 
 
 def assert_same_divergences(chips, wanted, config, seed=1, eps=DEFAULT_EPS):
     """The chip path at every k of `wanted` ({k: layers}) in one call."""
-    rows, stats = _chip_divergences((chips, wanted), config, seed, eps)
+    fits = {}
+
+    def recorded(x, region, k, seeds):
+        counts, n_iter, reseeds = clustering.region_counts(x, region, k, seeds)
+        fits[k] = list(zip(n_iter.tolist(), reseeds.tolist()))
+        return counts, n_iter, reseeds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "region_counts", recorded)
+        rows, stats = _chip_divergences((chips, wanted), config, seed, eps)
     oracle_stats = FitStats()
     for k, layers in wanted.items():
-        oracle, fits = numpy_divergences(chips, layers, k, config, seed, eps)
+        oracle, oracle_fits = numpy_divergences(chips, layers, k, config, seed, eps)
         assert rows[k].tobytes() == oracle.tobytes()
-        oracle_stats += fits
+        assert fits[k] == oracle_fits
+        oracle_stats.add(*zip(*oracle_fits))
     assert stats == oracle_stats
 
 
@@ -253,6 +258,33 @@ def fit_cases(draw):
 @example((np.full((4, 3), 7.0), 4, 2, 1))
 def test_edge_case_fits_match_numpy(case):
     assert_same_fit(*case)
+
+
+def fit_outcome(x, k, seed, lib):
+    """A fit's centroid bits and counters, or the AssertionError it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_lib", lib)
+        try:
+            model = fit_kmeans(x, k, seed)
+        except AssertionError as exc:
+            return str(exc)
+    return model.centroids.tobytes(), model.n_iter, model.reseeds, model.inertia
+
+
+@needs_kernel
+def test_float_repeated_points_match_numpy():
+    # A point on its centroid gets a distance that rounds to about 1e-13 of
+    # the norms. A cross term rounded another way (BLAS's) flips such ties,
+    # and with them the farthest-point reseeds, in about one fit in ten.
+    # Some of these fits raise "inertia increased"; both paths must then
+    # raise alike.
+    rng = np.random.default_rng(0)
+    for _ in range(600):
+        d, k = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), d)) * 50.0
+        x = distinct[rng.integers(0, len(distinct), size=int(rng.integers(max(3, k), 40)))]
+        seed = int(rng.integers(0, 2**63))
+        assert fit_outcome(x, k, seed, clustering._lib) == fit_outcome(x, k, seed, None)
 
 
 def test_build_falls_back_without_compiler(tmp_path, monkeypatch):
