@@ -1,5 +1,5 @@
 /* Compiled k-means of tcm.clustering: whole fits (fit_kmeans), and the fits
- * and region counts of a chip's layers (region_counts).
+ * and region counts of every layer of a batch of chips (region_counts).
  *
  * Each function repeats the numpy code it stands in for operation by
  * operation, so that a fit gives the same centroids, iteration count and
@@ -305,6 +305,7 @@ static void buf_free(struct lloyd_buf *b)
 struct fit_result {
     long n_iter, reseeds;  /* reseeds: empty clusters given a far point, summed */
     double inertia;
+    int converged;  /* the centroid shift fell below tol within max_iter iterations */
 };
 
 INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter, double tol,
@@ -313,7 +314,7 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
     for (long i = 0; i < n; i++)
         b.norms[i] = einsum_dot(x + i * d, x + i * d, d);
     double prev_inertia = INFINITY;
-    *out = (struct fit_result){0, 0, 0.0};
+    *out = (struct fit_result){0, 0, 0.0, 0};
     for (long it = 1; it <= max_iter; it++) {
         out->n_iter = it;
         for (long m = 0; m < k; m++)
@@ -363,8 +364,10 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
             if (m == 0 || row_shift > shift)
                 shift = row_shift;
         }
-        if (shift < tol)
+        if (shift < tol) {
+            out->converged = 1;
             break;
+        }
     }
     return 0;
 }
@@ -382,13 +385,13 @@ INLINE int fit(const double *restrict x, long n, long d, long k, uint64_t seed, 
 
 /* One fit of the n x d points x: k-means++ from default_rng(seed), then
  * Lloyd iterations from there. Writes the centroids, the iteration count,
- * the number of reseeded empty clusters and the inertia. Returns a status
- * code. */
+ * the number of reseeded empty clusters, the inertia and whether the fit
+ * converged. Returns a status code. */
 int tcm_fit(const double *x, long n, long d, long k, uint64_t seed, long max_iter, double tol,
-            double *centroids, long *n_iter, long *reseeds, double *inertia)
+            double *centroids, long *n_iter, long *reseeds, double *inertia, int *converged)
 {
     struct lloyd_buf b;
-    struct fit_result out = {0, 0, 0.0};
+    struct fit_result out = {0, 0, 0.0, 0};
     int status = buf_alloc(&b, n, d, k);
     if (!status) {
         if (d == 3)
@@ -400,6 +403,7 @@ int tcm_fit(const double *x, long n, long d, long k, uint64_t seed, long max_ite
     *n_iter = out.n_iter;
     *reseeds = out.reseeds;
     *inertia = out.inertia;
+    *converged = out.converged;
     return status;
 }
 
@@ -422,36 +426,45 @@ INLINE int layer_counts(const double *restrict x, long n, long d, long k,
     return 0;
 }
 
-/* Fits of L layers of n x d points (x is L x n x d), layer l from
- * default_rng(seeds[l]), each followed by the assignment of its points to
- * the final centroids. counts[l] (2 x k) counts the labels of the points
- * whose region code is 0, then of those whose code is 1; other codes count
- * nowhere. status[l] is 0, or 3 where the layer's counts, n_iter and
- * reseeds are left unset. Returns 0, or 1 or 2 from the first layer that
- * failed. */
-int tcm_region_counts(const double *x, long L, long n, long d, long k, const uint8_t *region,
-                      const uint64_t *seeds, long max_iter, double tol, int64_t *counts,
-                      int64_t *n_iter, int64_t *reseeds, int32_t *status)
+/* Fits of every layer of a batch of chips, each followed by the assignment
+ * of its points to the final centroids. Chip c has sizes[c] points and L
+ * layers; x holds, chip after chip, its L layers of sizes[c] x d points, and
+ * region its sizes[c] region codes, which its layers share. Fit f = c * L + l
+ * draws from default_rng(seeds[f]); counts[f] (2 x k) counts the labels of
+ * the points whose region code is 0, then of those whose code is 1; other
+ * codes count nowhere. status[f] is 0, or 3 where the fit's counts, n_iter,
+ * reseeds and converged flag are left unset. Returns 0, or 1 or 2 from the
+ * first fit that failed. */
+int tcm_region_counts(const double *x, long n_chips, const int64_t *sizes, long L, long d,
+                      long k, const uint8_t *region, const uint64_t *seeds, long max_iter,
+                      double tol, int64_t *counts, int64_t *n_iter, int64_t *reseeds,
+                      uint8_t *converged, int32_t *status)
 {
+    long n_max = 0;
+    for (long c = 0; c < n_chips; c++)
+        if (sizes[c] > n_max)
+            n_max = sizes[c];
     struct lloyd_buf b;
     double *centroids = malloc((size_t)(k * d + 1) * sizeof(double));
-    int failed = buf_alloc(&b, n, d, k);
+    int failed = buf_alloc(&b, n_max, d, k);
     if (centroids == NULL)
         failed = 2;
-    for (long l = 0; l < L && !failed; l++) {
-        const double *xl = x + l * n * d;
-        int64_t *cl = counts + l * 2 * k;
-        struct fit_result out = {0, 0, 0.0};
-        if (d == 3)
-            status[l] = layer_counts(xl, n, 3, k, region, seeds[l], max_iter, tol, centroids,
-                                     cl, &out, b);
-        else
-            status[l] = layer_counts(xl, n, d, k, region, seeds[l], max_iter, tol, centroids,
-                                     cl, &out, b);
-        n_iter[l] = out.n_iter;
-        reseeds[l] = out.reseeds;
-        if (status[l] == 1 || status[l] == 2)
-            failed = status[l];
+    for (long c = 0, f = 0; c < n_chips && !failed; region += sizes[c], c++) {
+        long n = sizes[c];
+        for (long l = 0; l < L && !failed; l++, f++, x += n * d) {
+            struct fit_result out = {0, 0, 0.0, 0};
+            if (d == 3)
+                status[f] = layer_counts(x, n, 3, k, region, seeds[f], max_iter, tol,
+                                         centroids, counts + f * 2 * k, &out, b);
+            else
+                status[f] = layer_counts(x, n, d, k, region, seeds[f], max_iter, tol,
+                                         centroids, counts + f * 2 * k, &out, b);
+            n_iter[f] = out.n_iter;
+            reseeds[f] = out.reseeds;
+            converged[f] = (uint8_t)out.converged;
+            if (status[f] == 1 || status[f] == 2)
+                failed = status[f];
+        }
     }
     buf_free(&b);
     free(centroids);

@@ -157,7 +157,7 @@ def _calibrate(cfg: RunConfig, cache: DivergenceCache):
 
 def _log_fit_stats(cache: DivergenceCache) -> None:
     stats = cache.fit_stats
-    log.debug("k-means: %d fits, %d Lloyd iterations, %d stopped at max_iter, "
+    log.debug("k-means: %d fits, %d Lloyd iterations, %d stopped unconverged at max_iter, "
               "%d empty clusters reseeded", stats.fits, stats.lloyd_iters, stats.cap_hits,
               stats.reseeds)
 

@@ -8,18 +8,21 @@ given input shape.
 
 Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
 below operation by operation: the k-means++ init, the Lloyd loop and the
-final assignment. `region_counts` fits all of a chip's wanted layers and
-counts their labels per region in one kernel call; `assign_features` stays
-in numpy. Both paths sum a distance's cross term left to right, where BLAS
-could round it another way, so the tests demand the same centroids,
-iteration and reseed counts and region counts from both, on real chip
-layers and on edge cases, float-valued ones included. The kernel also runs
+final assignment. `region_counts` fits every wanted layer of a batch of
+chips, a ragged stack of point sets, and counts their labels per region in
+one kernel call; `assign_features` stays in numpy. Both paths sum a
+distance's cross term left to right, where BLAS could round it another way,
+so the tests demand the same centroids, iteration and reseed counts and
+region counts from both, on real chip layers and on edge cases,
+float-valued ones included. The kernel also runs
 each fit's `np.random.default_rng(seed)` bit for bit (SeedSequence, PCG64,
 `integers` and `random`), so it makes every draw of the init itself, those
-of a layer whose weights sum to 0 included. Only a seed outside
-[0, 2**64), which ctypes would wrap, an init whose total weight is not
-finite, where numpy's `choice` raises, and a layer of 2**32 points or more,
-where numpy bounds its integers another way, take the numpy path.
+of a layer whose weights sum to 0 included. Only a `fit_kmeans` seed
+outside [0, 2**64), which ctypes would wrap, an init whose total weight is
+not finite, where numpy's `choice` raises, and a layer of 2**32 points or
+more, where numpy bounds its integers another way, take the numpy path;
+`region_counts` takes its seeds as one uint64 array. Every fit reports
+whether it converged or stopped at its iteration budget.
 
 On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
@@ -39,7 +42,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -84,6 +87,7 @@ class ClusterModel:
     n_iter: int = 0
     inertia: float = float("nan")
     reseeds: int = 0  # empty clusters given a far point, over all iterations
+    converged: bool = False  # the centroid shift fell below tol within max_iter
 
     def __post_init__(self):
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
@@ -92,16 +96,25 @@ class ClusterModel:
             raise ValueError("centroids must be finite")
 
 
-def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarray:
+def extract_features(image: np.ndarray, config: PixelFeatureConfig,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-major (h*w, dim) float matrix of per-pixel features of an (h, w, c)
-    image; a (T, h, w, c) stack of images gives (T, h*w, dim)."""
+    image; a (T, h, w, c) stack of images gives (T, h*w, dim). `out`, a
+    C-contiguous float64 array of that shape, receives them when given."""
     image = np.asarray(image)
     if image.ndim not in (3, 4) or image.size == 0:
         raise ValueError(f"image must be a nonempty (h, w, c) or (T, h, w, c) array, "
                          f"got {image.shape}")
     *stack, h, w, c = image.shape
+    shape = (*stack, h * w, config.dim(c))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    grid = out.reshape(*stack, h, w, shape[-1])  # a view of out
     if config.mode == "spectral":
-        return image.reshape(*stack, h * w, c).astype(np.float64)
+        grid[...] = image
+        return out
     wh = config.window
     pad = [(0, 0)] * len(stack) + [(wh, wh), (wh, wh), (0, 0)]
     padded = np.pad(image.astype(np.float64, copy=False), pad, mode="edge")
@@ -110,7 +123,8 @@ def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarra
         for dy in range(2 * wh + 1)
         for dx in range(2 * wh + 1)
     ]
-    return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
+    np.concatenate(blocks, axis=-1, out=grid)
+    return out
 
 
 def _sqdist_to_point(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -182,6 +196,7 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
     labels = np.zeros(n, dtype=np.int64)
     inertia = 0.0
     n_iter = reseeds = 0
+    converged = False
     for n_iter in range(1, max_iter + 1):
         dist = _sqdist(x, centroids, norms)
         labels = np.argmin(dist, axis=1)  # ties -> lowest index
@@ -209,10 +224,11 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
+            converged = True
             break
 
     return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter, inertia=inertia,
-                        reseeds=int(reseeds))
+                        reseeds=int(reseeds), converged=converged)
 
 
 def _assign_features_numpy(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -244,8 +260,8 @@ def fit_kmeans(
 ) -> ClusterModel:
     """Lloyd's algorithm with seeded greedy (D^2-weighted) initialization.
 
-    Iterates until the largest centroid movement drops below tol or max_iter
-    passes. Clusters that empty out are reseeded to the points currently
+    Iterates until the largest centroid movement drops below tol
+    (`converged`) or max_iter passes. Clusters that empty out are reseeded to the points currently
     farthest from their assigned centroid. An iteration that raises the
     inertia is a bug and raises AssertionError.
     """
@@ -254,52 +270,70 @@ def fit_kmeans(
         n, d = x.shape
         centroids = np.empty((k, d), dtype=np.float64)
         n_iter, reseeds, inertia = ctypes.c_long(), ctypes.c_long(), ctypes.c_double()
+        converged = ctypes.c_int()
         status = _lib.tcm_fit(x.ctypes.data, n, d, k, int(seed), max_iter, tol,
                               centroids.ctypes.data, ctypes.byref(n_iter),
-                              ctypes.byref(reseeds), ctypes.byref(inertia))
+                              ctypes.byref(reseeds), ctypes.byref(inertia),
+                              ctypes.byref(converged))
         if status != _REDO:
             _check_kernel(status)
             return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
-                                inertia=inertia.value, reseeds=reseeds.value)
+                                inertia=inertia.value, reseeds=reseeds.value,
+                                converged=bool(converged.value))
     return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
 
 
-def region_counts(features: np.ndarray, region: np.ndarray, k: int,
-                  seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster every layer of an (L, n, d) feature stack and count its labels
-    per region: one kernel call for all the layers.
+def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k: int,
+                  seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster every layer of a ragged batch of chips and count its labels
+    per region: one kernel call for the whole batch.
 
-    Layer l is fitted as `fit_kmeans(features[l], k, seeds[l])`
-    and labelled as `assign_features` labels it. Returns the (L, 2, k) int64
-    label counts, row 0 over the points whose `region` code is 0 and row 1
-    over code 1 (other codes count nowhere), and each layer's n_iter and
-    reseeds.
+    Chip c has `sizes[c]` points and the batch's L = len(seeds) / len(sizes)
+    layers. `features` stacks, chip after chip, its L layers of sizes[c]
+    rows; `region` stacks the chips' region codes, which a chip's layers
+    share. Fit f = c * L + l is `fit_kmeans(layer, k, seeds[f])` of chip c's
+    layer l, labelled as `assign_features` labels it. Returns, per fit, the
+    (2, k) int64 label counts, row 0 over the points whose region code is 0
+    and row 1 over code 1 (other codes count nowhere), n_iter, reseeds and
+    whether it converged.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"features must be 3-D, got shape {x.shape}")
-    n_layers, n, d = x.shape
-    _check_k(n, k)
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
     region = np.ascontiguousarray(region, dtype=np.uint8)
-    if region.shape != (n,) or len(seeds) != n_layers:
-        raise ValueError(f"{region.shape} region codes and {len(seeds)} seeds for features "
-                         f"of shape {x.shape}")
-    counts = np.empty((n_layers, 2, k), dtype=np.int64)
-    n_iter = np.empty(n_layers, dtype=np.int64)
-    reseeds = np.empty(n_layers, dtype=np.int64)
-    status = np.full(n_layers, _REDO, dtype=np.int32)
-    if _lib is not None and all(map(_kernel_seed, seeds)):
-        kernel_seeds = np.array(seeds, dtype=np.uint64)
+    seeds = np.asarray(seeds)
+    if seeds.dtype != np.uint64:  # a negative or wider seed must not wrap on its way in
+        raise ValueError(f"seeds must be non-negative 64-bit integers in a uint64 array, "
+                         f"got {seeds.dtype}")
+    n_fits = seeds.size
+    n_layers = n_fits // max(sizes.size, 1)
+    if (x.ndim != 2 or sizes.ndim != 1 or seeds.shape != (n_layers * sizes.size,)
+            or x.shape[0] != n_layers * sizes.sum() or region.shape != (sizes.sum(),)):
+        raise ValueError(f"{sizes.size} chips, {region.shape} region codes and {seeds.shape} "
+                         f"seeds for features of shape {x.shape}")
+    _check_k(int(sizes.min(initial=k)), k)
+    counts = np.empty((n_fits, 2, k), dtype=np.int64)
+    n_iter = np.empty(n_fits, dtype=np.int64)
+    reseeds = np.empty(n_fits, dtype=np.int64)
+    converged = np.empty(n_fits, dtype=np.uint8)
+    status = np.full(n_fits, _REDO, dtype=np.int32)
+    if _lib is not None:
         _check_kernel(_lib.tcm_region_counts(
-            x.ctypes.data, n_layers, n, d, k, region.ctypes.data, kernel_seeds.ctypes.data,
-            MAX_ITER, TOL, counts.ctypes.data, n_iter.ctypes.data, reseeds.ctypes.data,
+            x.ctypes.data, sizes.size, sizes.ctypes.data, n_layers, x.shape[1], k,
+            region.ctypes.data, seeds.ctypes.data, MAX_ITER, TOL, counts.ctypes.data,
+            n_iter.ctypes.data, reseeds.ctypes.data, converged.ctypes.data,
             status.ctypes.data))
-    for l in np.flatnonzero(status == _REDO):
-        model = _fit_kmeans_numpy(x[l], k, seeds[l], MAX_ITER, TOL)
-        labels = _assign_features_numpy(model.centroids, x[l])
-        counts[l] = [np.bincount(labels[region == code], minlength=k) for code in (0, 1)]
-        n_iter[l], reseeds[l] = model.n_iter, model.reseeds
-    return counts, n_iter, reseeds
+    redo = np.flatnonzero(status == _REDO)
+    if redo.size:
+        chip = redo // n_layers
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        for f, c in zip(redo.tolist(), chip.tolist()):
+            n, codes = int(sizes[c]), region[starts[c]:starts[c + 1]]
+            layer = x[n_layers * starts[c] + (f - c * n_layers) * n:][:n]
+            model = _fit_kmeans_numpy(layer, k, int(seeds[f]), MAX_ITER, TOL)
+            labels = _assign_features_numpy(model.centroids, layer)
+            counts[f] = [np.bincount(labels[codes == code], minlength=k) for code in (0, 1)]
+            n_iter[f], reseeds[f], converged[f] = model.n_iter, model.reseeds, model.converged
+    return counts, n_iter, reseeds, converged.view(bool)
 
 
 @dataclass
@@ -308,16 +342,16 @@ class FitStats:
 
     fits: int = 0
     lloyd_iters: int = 0
-    cap_hits: int = 0  # fits whose n_iter reached MAX_ITER
+    cap_hits: int = 0  # fits stopped by MAX_ITER before they converged
     reseeds: int = 0  # empty clusters reseeded, over all fits and iterations
 
-    def add(self, n_iter: np.ndarray, reseeds: Sequence[int]) -> None:
-        """Count the fits whose iteration and reseed counts are given."""
-        n_iter = np.asarray(n_iter).tolist()  # a chip's few layers: Python sums are cheaper
+    def add(self, n_iter: np.ndarray, reseeds: np.ndarray, converged: np.ndarray) -> None:
+        """Count the fits whose iteration and reseed counts and converged
+        flags are given."""
         self.fits += len(n_iter)
-        self.lloyd_iters += sum(n_iter)
-        self.cap_hits += n_iter.count(MAX_ITER)
-        self.reseeds += sum(np.asarray(reseeds).tolist())
+        self.lloyd_iters += int(np.sum(n_iter))
+        self.cap_hits += int(np.count_nonzero(np.logical_not(converged)))
+        self.reseeds += int(np.sum(reseeds))
 
     def __iadd__(self, other: "FitStats") -> "FitStats":
         self.fits += other.fits
@@ -344,8 +378,8 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Werror")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
-    "tcm_fit": ([_P, _L, _L, _L, ctypes.c_uint64, _L, _D, _P, _P, _P, _P], _I),
-    "tcm_region_counts": ([_P, _L, _L, _L, _L, _P, _P, _L, _D, _P, _P, _P, _P], _I),
+    "tcm_fit": ([_P, _L, _L, _L, ctypes.c_uint64, _L, _D, _P, _P, _P, _P, _P], _I),
+    "tcm_region_counts": ([_P, _L, _P, _L, _L, _L, _P, _P, _L, _D, _P, _P, _P, _P, _P], _I),
 }
 
 

@@ -9,13 +9,17 @@ color shifts between years. `DivergenceCache` is the one store through which
 calibration, detection and evaluation read these divergences.
 
 `layer_divergence` states one layer's computation and is its reference.
-The store computes a chip's layers together: their features and seeds are
-made once, one `region_counts` call per k fits them and counts their
-clusters per region, and the KL of every layer follows in one vectorized
-step with the arithmetic of `cluster_distribution` and `kl_divergence`, so
-the values are the same bits.
-The store also counts the fits it made (`fit_stats`), merged in chip order,
-so the counts do not depend on the worker count.
+The store computes a request as batches of `BATCH` polygons: a batch's
+chips are cut from the scenes, stacked once, in array passes
+(`extract_chips`), their features and seeds are made once for all k, one
+`region_counts` call per k fits every wanted layer of the batch and counts
+its clusters per region, and the KL of every layer follows in one
+vectorized step with the arithmetic of `cluster_distribution` and
+`kl_divergence`, so the values are the same bits. With workers > 1, each
+pool worker receives the stacked scenes once and cuts its batches' chips
+itself. The store also counts the fits it made (`fit_stats`), merged in
+batch order; the batch size is a constant, so neither the values nor the
+counts depend on the worker count.
 """
 
 from __future__ import annotations
@@ -30,11 +34,15 @@ from .clustering import (FitStats, PixelFeatureConfig, assign_features, extract_
                          fit_kmeans, region_counts)
 from .data import FootprintDataset
 from .errors import EmptyRegion, SupportMismatch
-from .geometry import ChipStack, Polygon, extract_chip_stack
+from .geometry import ChipStack, Polygon, SceneStack, extract_chips, stack_scenes
 from .supervised import avg_color_series, color_over_time_features
 from .util import run_tasks, stable_seed
 
 DEFAULT_EPS = 1.0  # add-one smoothing keeps every KL finite
+# Polygons per store task. Fixed, so that results and counters never depend
+# on the worker count; small, so that a batch's float64 features stay a few
+# MB at the stock radii (nine times that with spectral_window's 27 features).
+BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,8 @@ def divergence_series(
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """(T,) divergence of every chip layer, clustered independently per layer."""
-    return _chip_divergences((chips, {k: range(chips.n_layers)}), feature_config, seed,
-                             eps)[0][k]
+    return _batch_divergences([chips], {k: range(chips.n_layers)}, feature_config, seed,
+                              eps)[0][k][0]
 
 
 def first_crossing(values: Sequence[float], theta: float) -> int:
@@ -164,34 +172,50 @@ def detect(
     return decide(chips.footprint_id, values, chips.years, theta)
 
 
-def _chip_divergences(task, feature_config, seed,
-                      eps) -> tuple[dict[int, np.ndarray], FitStats]:
-    """One chip's divergences at each requested k, over that k's layers, and
-    the counters of its fits.
+def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config, seed,
+                       eps) -> tuple[dict[int, np.ndarray], FitStats]:
+    """Per k of `wanted` ({k: layers}), the (chip, layer) divergences of a
+    batch of chips over that k's layers, and the counters of their fits.
 
-    Each value equals `layer_divergence` of that layer. The mask checks,
-    region codes, features and seeds of the wanted layers are made once for
-    all k; each k's layers then take one `region_counts` call.
+    Each value equals `layer_divergence` of that chip layer. The region
+    codes, features and seeds of the wanted layers are made once for all k;
+    each k's layers then take one `region_counts` call for the whole batch.
     """
-    chips, wanted = task
-    footprint, neighborhood = chips.mask == 1, chips.mask == 0
-    for region, inside in (("footprint", footprint), ("neighborhood", neighborhood)):
-        if not inside.any():
+    masks = np.concatenate([ch.mask.ravel() for ch in chips])
+    codes = np.where(masks == 1, 0, np.where(masks == 0, 1, 2)).astype(np.uint8)
+    sizes = np.array([ch.mask.size for ch in chips])
+    starts = np.cumsum(sizes) - sizes
+    for region, code in (("footprint", 0), ("neighborhood", 1)):
+        if not np.logical_or.reduceat(codes == code, starts).all():
             raise EmptyRegion(f"{region} region is empty")
-    codes = np.where(footprint, 0, np.where(neighborhood, 1, 2)).ravel()
     layers = list(dict.fromkeys(l for ls in wanted.values() for l in ls))
-    feats = extract_features(chips.imagery[layers], feature_config)
-    seeds = [stable_seed(seed, chips.footprint_id, l) for l in layers]
+    n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
+    feats = np.empty((n_layers * int(sizes.sum()), dim))
+    blocks = []  # each chip's (layer, point, dim) features
+    for ch, start, n in zip(chips, (n_layers * starts).tolist(), sizes.tolist()):
+        blocks.append(feats[start : start + n_layers * n].reshape(n_layers, n, dim))
+        extract_features(ch.imagery[layers], feature_config, out=blocks[-1])
+    seeds = np.array([[stable_seed(seed, ch.footprint_id, l) for l in layers] for ch in chips],
+                     dtype=np.uint64)
     at = {l: i for i, l in enumerate(layers)}
     stats = FitStats()
     rows = {}
     for k, ls in wanted.items():
         pick = [at[l] for l in ls]
-        x = feats if pick == list(range(len(layers))) else feats[pick]
-        counts, n_iter, reseeds = region_counts(x, codes, k, [seeds[i] for i in pick])
-        rows[k] = _kl_rows(counts, eps)
-        stats.add(n_iter, reseeds)
+        x = (feats if pick == list(range(n_layers))
+             else np.concatenate([b[pick].reshape(-1, dim) for b in blocks]))
+        counts, n_iter, reseeds, converged = region_counts(x, sizes, codes, k,
+                                                           seeds[:, pick].ravel())
+        rows[k] = _kl_rows(counts, eps).reshape(len(chips), len(pick))
+        stats.add(n_iter, reseeds, converged)
     return rows, stats
+
+
+def _batch_task(scenes: SceneStack, polygons: Sequence[Polygon], r: float, wanted: dict,
+                feature_config, seed, eps) -> tuple[dict[int, np.ndarray], FitStats]:
+    """`_batch_divergences` of the polygons' chips, cut from the stacked scenes."""
+    return _batch_divergences(extract_chips(scenes, polygons, r), wanted, feature_config,
+                              seed, eps)
 
 
 class DivergenceCache:
@@ -201,8 +225,10 @@ class DivergenceCache:
     store's seed, eps and feature config, so calibration, detection, splits
     and methods share it. Requests cover every footprint, so values are kept
     as one column over the footprints per (r, k, layer); a request computes
-    only its missing columns. Chips and color features are kept per r.
-    `workers` processes only speed up the first computation of a value.
+    only its missing columns, in batches of `BATCH` polygons. The scenes are
+    stacked once per store. Chips are cut for each request and kept only for
+    the color features, per r. `workers` processes only speed up the first
+    computation of a value.
     """
 
     def __init__(self, dataset: FootprintDataset,
@@ -213,6 +239,8 @@ class DivergenceCache:
         self.eps = eps
         self.seed = seed
         self.workers = workers
+        self._ids = [p.id for p in dataset.polygons]
+        self._scenes: Optional[SceneStack] = None
         self._chips: dict[float, dict[str, ChipStack]] = {}
         self._columns: dict[tuple[float, int, int], np.ndarray] = {}
         self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
@@ -220,11 +248,18 @@ class DivergenceCache:
         self._cot: dict[float, dict[str, np.ndarray]] = {}
         self.fit_stats = FitStats()  # every fit this store made, at any worker count
 
+    def _scene_stack(self) -> SceneStack:
+        """The dataset's scenes, stacked on first use."""
+        if self._scenes is None:
+            self._scenes = stack_scenes(self.dataset.scenes)
+        return self._scenes
+
     def chips(self, r: float) -> dict[str, ChipStack]:
         r = float(r)
         if r not in self._chips:
-            self._chips[r] = {p.id: extract_chip_stack(self.dataset.scenes, p, r)
-                              for p in self.dataset.polygons}
+            polygons, scenes = self.dataset.polygons, self._scene_stack()
+            self._chips[r] = {ch.footprint_id: ch for i in range(0, len(polygons), BATCH)
+                              for ch in extract_chips(scenes, polygons[i : i + BATCH], r)}
         return self._chips[r]
 
     def series(self, k: int, r: float) -> dict[str, np.ndarray]:
@@ -232,7 +267,7 @@ class DivergenceCache:
         k, r = int(k), float(r)
         if (k, r) not in self._series:
             table = self.layer_values([k], r, range(self.dataset.n_layers))[k]
-            self._series[(k, r)] = dict(zip(self.chips(r), table))
+            self._series[(k, r)] = dict(zip(self._ids, table))
         return self._series[(k, r)]
 
     def layer_values(self, k_grid: Sequence[int], r: float,
@@ -243,7 +278,7 @@ class DivergenceCache:
         missing = {k: [l for l in layers if (r, k, l) not in self._columns] for k in k_grid}
         missing = {k: ls for k, ls in missing.items() if ls}
         if missing:
-            computed = self._compute(list(self.chips(r).values()), missing)
+            computed = self._compute(self.dataset.polygons, r, missing)
             for k, ls in missing.items():
                 self._columns.update(((r, k, l), computed[k][:, j]) for j, l in enumerate(ls))
         return {k: np.stack([self._columns[(r, k, l)] for l in layers], axis=1)
@@ -254,17 +289,20 @@ class DivergenceCache:
         """Per k, the full series (rows) of polygons outside the dataset, such
         as calibration's random ones. Their chips and values are not kept, so
         they never mix with a footprint's, whatever its id."""
-        chips = [extract_chip_stack(self.dataset.scenes, p, float(r)) for p in polygons]
-        return self._compute(chips, {k: range(self.dataset.n_layers) for k in k_grid})
+        return self._compute(polygons, float(r),
+                             {k: range(self.dataset.n_layers) for k in k_grid})
 
-    def _compute(self, chips: list[ChipStack], wanted: dict) -> dict[int, np.ndarray]:
-        """Per k, a (chip, layer) table of the layers wanted: one task per chip."""
-        results = run_tasks(partial(_chip_divergences, feature_config=self.feature_config,
-                                    seed=self.seed, eps=self.eps),
-                            [(ch, wanted) for ch in chips], self.workers)
+    def _compute(self, polygons: Sequence[Polygon], r: float,
+                 wanted: dict) -> dict[int, np.ndarray]:
+        """Per k, a (polygon, layer) table of the layers wanted: one task per
+        batch of `BATCH` polygons."""
+        task = partial(_batch_task, r=r, wanted=wanted, feature_config=self.feature_config,
+                       seed=self.seed, eps=self.eps)
+        batches = [polygons[i : i + BATCH] for i in range(0, len(polygons), BATCH)]
+        results = run_tasks(task, batches, self.workers, shared=self._scene_stack())
         for _, stats in results:
             self.fit_stats += stats
-        return {k: np.array([rows[k] for rows, _ in results]) for k in wanted}
+        return {k: np.concatenate([rows[k] for rows, _ in results]) for k in wanted}
 
     def avg_color(self, r: float) -> dict[str, np.ndarray]:
         return self._per_chip(self._avg, avg_color_series, r)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -122,11 +123,21 @@ def write_polygons_geojson(path, polygons: Sequence[Polygon]) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _is_coordinate(v) -> bool:
+    """A finite JSON number. json.loads reads the literals NaN and Infinity
+    as floats, and an integer past the float range cannot become one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _is_ring(ring) -> bool:
-    """A list of [x, y] pairs of JSON numbers."""
+    """A list of [x, y] pairs of finite JSON numbers."""
     return isinstance(ring, list) and all(
-        isinstance(pt, list) and len(pt) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)
+        isinstance(pt, list) and len(pt) == 2 and all(map(_is_coordinate, pt))
         for pt in ring)
 
 
@@ -158,7 +169,8 @@ def read_polygons_geojson(path) -> list[Polygon]:
         rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and all(map(_is_ring, rings))):
             raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'coordinates' "
-                                    f"as a list of rings of [x, y] numbers, got {rings!r:.80}")
+                                    f"as a list of rings of finite [x, y] numbers, "
+                                    f"got {rings!r:.80}")
         label_year = props.get("label_year")
         if not (label_year is None or type(label_year) is int):  # JSON true/false are not years
             raise MalformedPolygons(f"{path}: feature {props['id']!r} needs an integer "

@@ -36,6 +36,8 @@ _EPS = 1e-9
 
 def _normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
     pts = [(float(x), float(y)) for x, y in ring]
+    if not np.isfinite(pts).all():
+        raise DegeneratePolygon("ring has a NaN or infinite vertex")
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(set(pts)) < 3:
@@ -78,9 +80,8 @@ class Polygon:
     @property
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the exterior ring."""
-        v = np.asarray(self.exterior, dtype=np.float64)
-        return (float(v[:, 0].min()), float(v[:, 1].min()),
-                float(v[:, 0].max()), float(v[:, 1].max()))
+        xs, ys = zip(*self.exterior)
+        return (min(xs), min(ys), max(xs), max(ys))
 
     @property
     def area(self) -> float:
@@ -209,38 +210,70 @@ def buffered_extent(poly: Polygon, r: float) -> tuple[float, float, float, float
     return (xmin - r, ymin - r, xmax + r, ymax + r)
 
 
-def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Even-odd inclusion test for arrays of points; holes flip parity.
+def _edge_table(polygons: Sequence[Polygon]) -> np.ndarray:
+    """(4, P, E) x1, y1, x2, y2 of the ring edges of each polygon, its rings
+    in order, padded to one edge count with NaN edges."""
+    rings = [ring for p in polygons for ring in (p.exterior, *p.holes)]
+    owner = np.repeat(np.arange(len(polygons)), [1 + len(p.holes) for p in polygons])
+    sizes = np.array([len(ring) for ring in rings])
+    closed = np.array([pt for ring in rings for pt in ring + ring[:1]], dtype=np.float64)
+    # An edge runs from each row of `closed` to the next, except from a
+    # ring's closing vertex to the next ring.
+    opens_edge = np.ones(len(closed) - 1, dtype=bool)
+    opens_edge[np.cumsum(sizes + 1)[:-1] - 1] = False
+    x1, y1 = closed[:-1][opens_edge].T
+    x2, y2 = closed[1:][opens_edge].T
+    edge_owner = np.repeat(owner, sizes)
+    per_polygon = np.bincount(edge_owner, minlength=len(polygons))
+    slot = np.arange(edge_owner.size) - np.repeat(np.cumsum(per_polygon) - per_polygon,
+                                                  per_polygon)
+    edges = np.full((4, len(polygons), int(per_polygon.max())), np.nan)
+    edges[:, edge_owner, slot] = (x1, y1, x2, y2)
+    return edges
 
-    A ring's edges are broadcast against the points as (edges, points)
-    arrays. A horizontal edge divides by zero, but it crosses no point's
-    horizontal, so its quotients are masked out.
+
+def _points_in_polygons(edges: np.ndarray, sizes: np.ndarray, px: np.ndarray,
+                        py: np.ndarray) -> np.ndarray:
+    """Even-odd inclusion of points (px, py) in the polygons of an
+    `_edge_table`: the first sizes[0] points in polygon 0, the next sizes[1]
+    in polygon 1, and so on. Holes flip parity.
+
+    Each edge slot is tested against all points at once. A horizontal edge
+    divides by zero, but it crosses no point's horizontal, so its quotients
+    are masked out; so are the NaN edges that pad a polygon's slots.
     """
     inside = np.zeros(px.shape, dtype=bool)
-    for ring in (poly.exterior, *poly.holes):
-        v = _closed(ring)
-        x1, y1 = v[:-1, 0, None], v[:-1, 1, None]
-        x2, y2 = v[1:, 0, None], v[1:, 1, None]
-        crosses = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for slot in range(edges.shape[2]):
+            x1, y1, x2, y2 = np.repeat(edges[:, :, slot], sizes, axis=1)
+            crosses = (y1 > py) != (y2 > py)
             xint = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
-        inside ^= np.logical_xor.reduce(crosses & (px < xint), axis=0)
+            inside ^= crosses & (px < xint)
     return inside
+
+
+def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Even-odd inclusion test for arrays of points; holes flip parity."""
+    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
+    return _points_in_polygons(_edge_table([poly]), [px.size], px.ravel(),
+                               py.ravel()).reshape(px.shape)
+
+
+def _pixel_windows(extents: np.ndarray, transform: AffineGeoTransform) -> np.ndarray:
+    """(P, 4) row0, row1, col0, col1 of the inclusive pixel windows whose
+    centers cover each (xmin, ymin, xmax, ymax) extent, as whole floats."""
+    cols, rows = transform.world_to_pixel(extents[:, [0, 2, 0, 2]], extents[:, [1, 1, 3, 3]])
+    return np.stack([np.ceil(rows.min(axis=1) - _EPS), np.floor(rows.max(axis=1) + _EPS),
+                     np.ceil(cols.min(axis=1) - _EPS), np.floor(cols.max(axis=1) + _EPS)],
+                    axis=1)
 
 
 def _window_for_extent(
     extent: tuple[float, float, float, float], transform: AffineGeoTransform
 ) -> tuple[int, int, int, int]:
     """Inclusive pixel window (row0, row1, col0, col1) whose centers cover extent."""
-    xmin, ymin, xmax, ymax = extent
-    xs = np.array([xmin, xmax, xmin, xmax])
-    ys = np.array([ymin, ymin, ymax, ymax])
-    cols, rows = transform.world_to_pixel(xs, ys)
-    col0 = int(np.ceil(cols.min() - _EPS))
-    col1 = int(np.floor(cols.max() + _EPS))
-    row0 = int(np.ceil(rows.min() - _EPS))
-    row1 = int(np.floor(rows.max() + _EPS))
-    return row0, row1, col0, col1
+    window = _pixel_windows(np.array([extent], dtype=np.float64), transform)[0]
+    return tuple(int(v) for v in window)
 
 
 def _window_points(transform: AffineGeoTransform, row0: int, col0: int, height: int,
@@ -249,11 +282,6 @@ def _window_points(transform: AffineGeoTransform, row0: int, col0: int, height: 
     xs, ys = transform.pixel_to_world(np.arange(col0, col0 + width),
                                       np.arange(row0, row0 + height)[:, None])
     return xs.ravel(), ys.ravel()
-
-
-def _mask_for_points(poly: Polygon, xs: np.ndarray, ys: np.ndarray, height: int,
-                     width: int) -> np.ndarray:
-    return _points_in_polygon(poly, xs, ys).reshape(height, width).astype(np.uint8)
 
 
 def _mask_for_window(
@@ -265,7 +293,144 @@ def _mask_for_window(
     width: int,
 ) -> np.ndarray:
     xs, ys = _window_points(transform, row0, col0, height, width)
-    return _mask_for_points(poly, xs, ys, height, width)
+    return _points_in_polygon(poly, xs, ys).reshape(height, width).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class SceneStack:
+    """Every scene on the grid of the last one, stacked once, so that a chip
+    is one slice of `pixels`.
+
+    Scenes on that grid are cropped to the pixels all of them hold; the
+    others are sampled onto it by nearest neighbor, and `valid` marks the
+    grid pixels that every one of those covers (None when there are none).
+    """
+
+    pixels: np.ndarray  # (T, h, w, c), read-only
+    valid: Optional[np.ndarray]  # (h, w) bool
+    transform: AffineGeoTransform
+    years: tuple[int, ...]
+
+
+def stack_scenes(scenes: Sequence[Scene]) -> SceneStack:
+    """The scenes on the grid of the last one, in their order."""
+    if len(scenes) == 0:
+        raise SceneMismatch("need at least one scene")
+    channels = scenes[0].pixels.shape[2]
+    for sc in scenes[1:]:
+        if sc.pixels.shape[2] != channels:
+            raise SceneMismatch("scenes disagree on channel count")
+    ref = scenes[-1]
+    on_grid = [sc.transform == ref.transform for sc in scenes]
+    grid_h = min(sc.pixels.shape[0] for sc, same in zip(scenes, on_grid) if same)
+    grid_w = min(sc.pixels.shape[1] for sc, same in zip(scenes, on_grid) if same)
+    layers, valid = [], None
+    for sc, same in zip(scenes, on_grid):
+        if same:
+            layers.append(sc.pixels[:grid_h, :grid_w])
+            continue
+        xs, ys = _window_points(ref.transform, 0, 0, grid_h, grid_w)
+        pc, pr = sc.transform.world_to_pixel(xs, ys)
+        src_c = np.floor(pc + 0.5).astype(np.int64).reshape(grid_h, grid_w)
+        src_r = np.floor(pr + 0.5).astype(np.int64).reshape(grid_h, grid_w)
+        h, w, _ = sc.pixels.shape
+        covered = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+        valid = covered if valid is None else valid & covered
+        layers.append(sc.pixels[np.clip(src_r, 0, h - 1), np.clip(src_c, 0, w - 1)])
+    pixels = np.stack(layers)
+    pixels.flags.writeable = False
+    return SceneStack(pixels, valid, ref.transform, tuple(sc.year for sc in scenes))
+
+
+def _shrink_to_valid(valid: np.ndarray, window: tuple[int, int, int, int],
+                     poly_id: str) -> tuple[int, int, int, int]:
+    """The window shrunk to the rectangle that every resampled scene fills."""
+    while True:
+        row0, row1, col0, col1 = window
+        inside = valid[row0 : row1 + 1, col0 : col1 + 1]
+        if inside.all():
+            return window
+        ok_rows = np.nonzero(inside.any(axis=1))[0]
+        ok_cols = np.nonzero(inside.any(axis=0))[0]
+        if ok_rows.size == 0 or ok_cols.size == 0:
+            raise FootprintOutsideImagery(f"footprint {poly_id!r} lies outside the imagery")
+        new = (row0 + int(ok_rows[0]), row0 + int(ok_rows[-1]),
+               col0 + int(ok_cols[0]), col0 + int(ok_cols[-1]))
+        if new == window:
+            raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly_id!r}")
+        window = new
+
+
+def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> list[ChipStack]:
+    """Each polygon's chip: the stacked scenes cropped to the polygon's
+    buffered extent, and its rasterized mask.
+
+    Windows falling partly outside the scenes are clipped to the common
+    valid rectangle. The windows and masks of all the polygons are computed
+    in array passes; a chip's imagery is a read-only view of the stack.
+    Raises the error of the first polygon, in order, whose chip cannot be
+    cut.
+    """
+    if not polygons:
+        return []
+    _, grid_h, grid_w, _ = stack.pixels.shape
+    extents = np.array([buffered_extent(p, r) for p in polygons], dtype=np.float64)
+    window = _pixel_windows(extents, stack.transform)
+    clipped = ((window[:, 0] < 0) | (window[:, 2] < 0) | (window[:, 1] >= grid_h)
+               | (window[:, 3] >= grid_w))
+    # Clipped to the grid, or past its far side when the window misses it.
+    window[:, 0] = np.clip(window[:, 0], 0, grid_h)
+    window[:, 1] = np.clip(window[:, 1], -1, grid_h - 1)
+    window[:, 2] = np.clip(window[:, 2], 0, grid_w)
+    window[:, 3] = np.clip(window[:, 3], -1, grid_w - 1)
+    outside = (window[:, 1] < window[:, 0]) | (window[:, 3] < window[:, 2])
+    window[outside] = 0  # one pixel, so that the array passes below stay uniform
+    window = window.astype(np.int64)
+    failed = {i: FootprintOutsideImagery(f"footprint {polygons[i].id!r} lies outside the "
+                                         f"imagery") for i in np.flatnonzero(outside).tolist()}
+    if stack.valid is not None:
+        for i, poly in enumerate(polygons):
+            if i in failed:
+                continue
+            try:
+                shrunk = _shrink_to_valid(stack.valid, tuple(window[i].tolist()), poly.id)
+            except (FootprintOutsideImagery, SceneMismatch) as exc:
+                failed[i] = exc
+                window[i] = 0
+                continue
+            clipped[i] |= shrunk != tuple(window[i].tolist())
+            window[i] = shrunk
+
+    row0, row1, col0, col1 = window.T
+    heights, widths = row1 - row0 + 1, col1 - col0 + 1
+    sizes = heights * widths
+    owner = np.repeat(np.arange(len(polygons)), sizes)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    xs, ys = stack.transform.pixel_to_world(col0[owner] + local % widths[owner],
+                                            row0[owner] + local // widths[owner])
+    masks = _points_in_polygons(_edge_table(polygons), sizes, xs, ys).astype(np.uint8)
+    starts = np.cumsum(sizes) - sizes
+    covers = np.logical_or.reduceat(masks, starts).tolist()
+
+    chips = []
+    for i, (poly, (r0, r1, c0, c1), start, n) in enumerate(
+            zip(polygons, window.tolist(), starts.tolist(), sizes.tolist())):
+        if i in failed:
+            raise failed[i]
+        if not covers[i]:
+            if clipped[i]:
+                raise FootprintOutsideImagery(
+                    f"clipping emptied the mask of footprint {poly.id!r}")
+            raise EmptyFootprintMask(
+                f"polygon {poly.id!r} covers no pixel center in the extent")
+        chips.append(ChipStack(
+            footprint_id=poly.id,
+            imagery=stack.pixels[:, r0 : r1 + 1, c0 : c1 + 1],
+            mask=masks[start : start + n].reshape(r1 - r0 + 1, c1 - c0 + 1),
+            years=stack.years,
+            buffer_radius=float(r),
+        ))
+    return chips
 
 
 def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> ChipStack:
@@ -273,75 +438,9 @@ def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> Chip
 
     Scenes are sampled onto the grid of the *last* scene (nearest neighbor when
     geotransforms differ). Windows falling partly outside any scene are clipped
-    to the common valid rectangle.
+    to the common valid rectangle. This is `extract_chips` of one polygon, its
+    imagery copied out of the stack.
     """
-    if len(scenes) == 0:
-        raise SceneMismatch("need at least one scene")
-    channels = scenes[0].pixels.shape[2]
-    for sc in scenes[1:]:
-        if sc.pixels.shape[2] != channels:
-            raise SceneMismatch("scenes disagree on channel count")
-
-    ref = scenes[-1]
-    extent = buffered_extent(poly, r)
-    row0, row1, col0, col1 = _window_for_extent(extent, ref.transform)
-
-    # Scenes on the reference grid are cropped with slices, so the window
-    # first shrinks to the pixels that all of them hold.
-    on_grid = [sc.transform == ref.transform for sc in scenes]
-    grid_h = min(sc.pixels.shape[0] for sc, same in zip(scenes, on_grid) if same)
-    grid_w = min(sc.pixels.shape[1] for sc, same in zip(scenes, on_grid) if same)
-    clipped = row0 < 0 or col0 < 0 or row1 >= grid_h or col1 >= grid_w
-    row0, row1 = max(row0, 0), min(row1, grid_h - 1)
-    col0, col1 = max(col0, 0), min(col1, grid_w - 1)
-    if row1 < row0 or col1 < col0:
-        raise FootprintOutsideImagery(f"footprint {poly.id!r} lies outside the imagery")
-
-    # Nearest-neighbor source indices per resampled scene, shrinking the
-    # window to the rectangle every scene can fill.
-    while True:
-        height, width = row1 - row0 + 1, col1 - col0 + 1
-        xs, ys = _window_points(ref.transform, row0, col0, height, width)
-        samplers = []
-        valid = np.ones((height, width), dtype=bool)
-        for sc, same in zip(scenes, on_grid):
-            if same:
-                continue
-            pc, pr = sc.transform.world_to_pixel(xs, ys)
-            src_c = np.floor(pc + 0.5).astype(np.int64).reshape(height, width)
-            src_r = np.floor(pr + 0.5).astype(np.int64).reshape(height, width)
-            h, w, _ = sc.pixels.shape
-            valid &= (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-            samplers.append((src_r, src_c))
-        if valid.all():
-            break
-        clipped = True
-        ok_rows = np.nonzero(valid.any(axis=1))[0]
-        ok_cols = np.nonzero(valid.any(axis=0))[0]
-        if ok_rows.size == 0 or ok_cols.size == 0:
-            raise FootprintOutsideImagery(f"footprint {poly.id!r} lies outside the imagery")
-        new = (row0 + int(ok_rows[0]), row0 + int(ok_rows[-1]),
-               col0 + int(ok_cols[0]), col0 + int(ok_cols[-1]))
-        if new == (row0, row1, col0, col1):
-            raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly.id!r}")
-        row0, row1, col0, col1 = new
-
-    resampled = iter(samplers)
-    chips = np.stack([
-        sc.pixels[row0 : row1 + 1, col0 : col1 + 1] if same else sc.pixels[next(resampled)]
-        for sc, same in zip(scenes, on_grid)
-    ])
-
-    mask = _mask_for_points(poly, xs, ys, height, width)
-    if not mask.any():
-        if clipped:
-            raise FootprintOutsideImagery(f"clipping emptied the mask of footprint {poly.id!r}")
-        raise EmptyFootprintMask(f"polygon {poly.id!r} covers no pixel center in the extent")
-
-    return ChipStack(
-        footprint_id=poly.id,
-        imagery=chips,
-        mask=mask,
-        years=tuple(sc.year for sc in scenes),
-        buffer_radius=float(r),
-    )
+    chip = extract_chips(stack_scenes(scenes), [poly], r)[0]
+    return ChipStack(chip.footprint_id, chip.imagery.copy(), chip.mask, chip.years,
+                     chip.buffer_radius)

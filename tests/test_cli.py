@@ -151,11 +151,11 @@ class TestDetect:
     def test_auto_theta_fits_each_layer_once(self, tmp_path, monkeypatch, capsys):
         cfg, _, _ = generated_config(tmp_path)
         keys = count_fits(monkeypatch)
-        fitted = []  # the number of layers of each region_counts call
+        fitted = []  # the number of layers of each region_counts call, over its batch
         counts = tcm.core.region_counts
         monkeypatch.setattr(tcm.core, "region_counts",
-                            lambda feats, codes, k, seeds: fitted.append(len(seeds))
-                            or counts(feats, codes, k, seeds))
+                            lambda feats, sizes, codes, k, seeds: fitted.append(len(seeds))
+                            or counts(feats, sizes, codes, k, seeds))
         monkeypatch.setenv("TCM_LOG", "debug")
         assert main(["detect", "--config", str(cfg), "--theta", "auto"]) == 0
         assert len(keys) == len(set(keys))
@@ -368,6 +368,13 @@ MALFORMED = [
     ("fractional_label_year",
      edit_first_feature(lambda f: f["properties"].update(label_year=2015.5)), {}, [], 3,
      "MalformedPolygons"),
+    # json.dumps writes these as the literals NaN and Infinity, which json.loads reads.
+    ("nan_coordinate", edit_first_feature(
+        lambda f: f["geometry"]["coordinates"][0][1].__setitem__(0, float("nan"))), {}, [], 3,
+     "MalformedPolygons"),
+    ("infinite_coordinate", edit_first_feature(
+        lambda f: f["geometry"]["coordinates"][0][1].__setitem__(1, float("inf"))), {}, [], 3,
+     "MalformedPolygons"),
     ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
     ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
     ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0], "k": None, "r": None},
@@ -414,18 +421,44 @@ def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, co
     assert f"error[{error}]" in capsys.readouterr().err
 
 
+# (case, ring of one more footprint, whose chip cannot be cut, error class)
+UNCUTTABLE = [
+    ("outside_imagery", [[900, 900], [905, 900], [905, 905], [900, 905]],
+     "FootprintOutsideImagery"),
+    ("no_pixel_center", [[20.2, 20.2], [20.8, 20.2], [20.8, 20.8], [20.2, 20.8]],
+     "EmptyFootprintMask"),
+    ("covers_the_scene", [[-50, -50], [500, -50], [500, 500], [-50, 500]], "EmptyRegion"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ring, error", [case[1:] for case in UNCUTTABLE],
+                         ids=[case[0] for case in UNCUTTABLE])
+def test_uncuttable_chip_in_a_batch_is_data_error(tmp_path, monkeypatch, capsys, ring, error,
+                                                  workers):
+    # 13 footprints in batches of 4: at workers=2 the chips are cut in the pool.
+    monkeypatch.setattr(tcm.core, "BATCH", 4)
+    cfg, data, _ = generated_config(tmp_path, k=2, r=3.0, theta=0.5, workers=workers)
+    path = data / "polygons.geojson"
+    doc = json.loads(path.read_text())
+    doc["features"].insert(6, {"type": "Feature", "properties": {"id": "uncuttable"},
+                               "geometry": {"type": "Polygon", "coordinates": [ring + ring[:1]]}})
+    path.write_text(json.dumps(doc))
+    assert main(["detect", "--config", str(cfg)]) == 3
+    assert f"error[{error}]" in capsys.readouterr().err
+
+
 def count_fits(monkeypatch):
     """The (footprint, r, k, layer) key of every layer fit, in call order."""
     keys = []
-    divergences = tcm.core._chip_divergences
+    divergences = tcm.core._batch_divergences
 
-    def counted(task, *args, **kwargs):
-        chips, wanted = task
-        keys.extend((chips.footprint_id, chips.buffer_radius, k, layer)
-                    for k, layers in wanted.items() for layer in layers)
-        return divergences(task, *args, **kwargs)
+    def counted(chips, wanted, *args, **kwargs):
+        keys.extend((ch.footprint_id, ch.buffer_radius, k, layer)
+                    for ch in chips for k, layers in wanted.items() for layer in layers)
+        return divergences(chips, wanted, *args, **kwargs)
 
-    monkeypatch.setattr(tcm.core, "_chip_divergences", counted)
+    monkeypatch.setattr(tcm.core, "_batch_divergences", counted)
     return keys
 
 

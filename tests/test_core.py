@@ -188,9 +188,10 @@ def test_fit_counters_do_not_depend_on_workers():
 
 def test_fit_stats_count_cap_hits():
     stats = FitStats()
-    stats.add(np.array([50, 3, 50]), [0, 0, 0])
+    # The second fit of 50 iterations converged on its last one: no cap hit.
+    stats.add(np.array([50, 3, 50]), np.array([0, 0, 0]), np.array([False, True, True]))
     stats += FitStats(fits=1, lloyd_iters=7, cap_hits=0)
-    assert stats == FitStats(fits=4, lloyd_iters=110, cap_hits=2)
+    assert stats == FitStats(fits=4, lloyd_iters=110, cap_hits=1)
 
 
 class TestDivergenceSeries:

@@ -2,10 +2,11 @@
 
 Every fit here runs twice, through the kernel and through the numpy path
 that `tcm.clustering` falls back to, and must give the same centroid and
-inertia bits and iteration and reseed counts. The chip path, one kernel
-call per k for a chip's layers that also assigns and counts their labels,
-must give the divergence bits and each layer's fit counters of
-`layer_divergence` and `fit_kmeans` on the numpy path. The kernel's own
+inertia bits, iteration and reseed counts and converged flag. The batch
+path, one kernel call per k for every wanted layer of a batch of chips
+that also assigns and counts their labels, must give the divergence bits
+and each layer's fit counters of `layer_divergence` and `fit_kmeans` on the
+numpy path, through the store too. The kernel's own
 generator must pick the init centres that numpy's `default_rng` picks.
 """
 
@@ -17,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tcm import clustering, core
 from tcm.clustering import FitStats, PixelFeatureConfig, extract_features, fit_kmeans
-from tcm.core import DEFAULT_EPS, DivergenceCache, _chip_divergences, layer_divergence
+from tcm.core import BATCH, DEFAULT_EPS, DivergenceCache, _batch_divergences, layer_divergence
 from tcm.data import FootprintDataset
-from tcm.geometry import ChipStack, Scene, extract_chip_stack
+from tcm.geometry import AffineGeoTransform, ChipStack, Polygon, Scene, extract_chip_stack
 from tcm.synthgen import SynthConfig, generate
 from tcm.util import stable_seed
 
@@ -43,8 +44,8 @@ def assert_same_fit(x, k, seed, max_iter=50):
     kernel = fit_kmeans(x, k, seed, max_iter=max_iter)
     oracle = numpy_fit(x, k, seed, max_iter=max_iter)
     assert kernel.centroids.tobytes() == oracle.centroids.tobytes()
-    assert (kernel.n_iter, kernel.reseeds, kernel.inertia) == (
-        oracle.n_iter, oracle.reseeds, oracle.inertia)
+    assert (kernel.n_iter, kernel.reseeds, kernel.inertia, kernel.converged) == (
+        oracle.n_iter, oracle.reseeds, oracle.inertia, oracle.converged)
 
 
 @pytest.fixture(scope="module")
@@ -68,32 +69,44 @@ def test_real_chip_fits_match_numpy(chip_layers, mode):
 
 def numpy_divergences(chips, layers, k, config, seed, eps):
     """Divergences of the layers on the numpy per-layer path, and each
-    layer's (n_iter, reseeds)."""
+    layer's (n_iter, reseeds, converged)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_lib", None)
         values = np.array([layer_divergence(chips, l, k, config, seed, eps) for l in layers])
         models = [fit_kmeans(extract_features(chips.imagery[l], config), k,
                              stable_seed(seed, chips.footprint_id, l)) for l in layers]
-    return values, [(m.n_iter, m.reseeds) for m in models]
+    return values, [(m.n_iter, m.reseeds, m.converged) for m in models]
 
 
-def assert_same_divergences(chips, wanted, config, seed=1, eps=DEFAULT_EPS):
-    """The chip path at every k of `wanted` ({k: layers}) in one call."""
-    fits = {}
+def recording_fits(mp):
+    """Patch the store's `region_counts` to log each call's per-fit
+    (n_iter, reseeds, converged), one list per call."""
+    calls = []
 
-    def recorded(x, region, k, seeds):
-        counts, n_iter, reseeds = clustering.region_counts(x, region, k, seeds)
-        fits[k] = list(zip(n_iter.tolist(), reseeds.tolist()))
-        return counts, n_iter, reseeds
+    def recorded(x, sizes, region, k, seeds):
+        counts, n_iter, reseeds, converged = clustering.region_counts(x, sizes, region, k, seeds)
+        calls.append(list(zip(n_iter.tolist(), reseeds.tolist(), converged.tolist())))
+        return counts, n_iter, reseeds, converged
 
+    mp.setattr(core, "region_counts", recorded)
+    return calls
+
+
+def assert_same_divergences(batch, wanted, config, seed=1, eps=DEFAULT_EPS):
+    """The batch path over the chips of `batch` at every k of `wanted`
+    ({k: layers}), one call per k."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "region_counts", recorded)
-        rows, stats = _chip_divergences((chips, wanted), config, seed, eps)
+        calls = recording_fits(mp)
+        rows, stats = _batch_divergences(batch, wanted, config, seed, eps)
+    assert len(calls) == len(wanted)
     oracle_stats = FitStats()
-    for k, layers in wanted.items():
-        oracle, oracle_fits = numpy_divergences(chips, layers, k, config, seed, eps)
-        assert rows[k].tobytes() == oracle.tobytes()
-        assert fits[k] == oracle_fits
+    for (k, layers), fits in zip(wanted.items(), calls):
+        oracle_fits = []
+        for chips, row in zip(batch, rows[k]):
+            oracle, chip_fits = numpy_divergences(chips, layers, k, config, seed, eps)
+            assert row.tobytes() == oracle.tobytes()
+            oracle_fits += chip_fits
+        assert fits == oracle_fits
         oracle_stats.add(*zip(*oracle_fits))
     assert stats == oracle_stats
 
@@ -107,14 +120,14 @@ def stock_dataset():
 @pytest.mark.parametrize("mode", ["spectral", "spectral_window"])
 def test_chip_path_matches_numpy(stock_dataset, mode):
     config = PixelFeatureConfig(mode)
-    for p in stock_dataset.polygons[:12]:
-        for r in (2.0, 8.0):
-            chips = extract_chip_stack(stock_dataset.scenes, p, r)
-            every, last = range(chips.n_layers), [chips.n_layers - 1]
-            # Full series and the final layer alone, as calibration asks, at
-            # several k of one call.
-            assert_same_divergences(chips, {1: every, 2: last, 4: every, 8: last}, config)
-            assert_same_divergences(chips, {1: last, 2: every, 4: last, 8: every}, config)
+    every, last = range(stock_dataset.n_layers), [stock_dataset.n_layers - 1]
+    for r in (2.0, 8.0):
+        batch = [extract_chip_stack(stock_dataset.scenes, p, r)
+                 for p in stock_dataset.polygons[:12]]
+        # Full series and the final layer alone, as calibration asks, at
+        # several k of one call.
+        assert_same_divergences(batch, {1: every, 2: last, 4: every, 8: last}, config)
+        assert_same_divergences(batch, {1: last, 2: every, 4: last, 8: every}, config)
 
 
 @needs_kernel
@@ -131,10 +144,10 @@ def test_constant_layer_stays_in_kernel(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(clustering, "_fit_kmeans_numpy",
                        lambda x, *args: redone.append(x) or numpy_body(x, *args))
-            _chip_divergences((chips, {k: range(3)}), PixelFeatureConfig(), 1, DEFAULT_EPS)
+            _batch_divergences([chips], {k: range(3)}, PixelFeatureConfig(), 1, DEFAULT_EPS)
         # The kernel draws the integers that zero total weight asks for itself.
         assert redone == []
-        assert_same_divergences(chips, {k: range(3)}, PixelFeatureConfig())
+        assert_same_divergences([chips], {k: range(3)}, PixelFeatureConfig())
 
 
 @needs_kernel
@@ -155,6 +168,87 @@ def test_store_without_smoothing_matches_numpy(stock_dataset, k):
     assert store.fit_stats.fits == len(dataset.polygons) * dataset.n_layers
     values = np.concatenate(list(series.values()))
     assert np.isinf(values).any() and np.isfinite(values).any()
+
+
+@pytest.fixture(scope="module")
+def ragged_dataset(stock_dataset):
+    """42 footprints, which BATCH does not divide, two of them across the
+    scene's corners so that their chips are clipped, and a first scene on a
+    grid shifted by -0.6 px: the store resamples it, and its far row and
+    column fall outside it, so the far corner's window shrinks again."""
+    assert (len(stock_dataset.polygons) + 2) % BATCH
+    scenes = list(stock_dataset.scenes)
+    first = scenes[0]
+    scenes[0] = Scene(first.pixels, first.year, AffineGeoTransform(1, 0, -0.6, 0, 1, -0.6))
+    h, w, _ = first.pixels.shape
+    corners = [Polygon("corner_near", [(-4.0, -4.0), (6.5, -4.0), (6.5, 5.5), (-4.0, 5.5)]),
+               Polygon("corner_far", [(w - 6.5, h - 5.5), (w + 3.0, h - 5.5), (w + 3.0, h + 3.0),
+                                      (w - 6.5, h + 3.0)])]
+    return FootprintDataset(scenes, list(stock_dataset.polygons) + corners, {})
+
+
+@pytest.mark.parametrize("mode, lib", [("spectral", "kernel"), ("spectral_window", "kernel"),
+                                       ("spectral", None)])
+def test_store_batches_match_layer_divergence(ragged_dataset, monkeypatch, mode, lib):
+    if lib is None:
+        monkeypatch.setattr(clustering, "_lib", None)
+    elif clustering._lib is None:
+        pytest.skip(clustering.KERNEL)
+    config, k, r, seed = PixelFeatureConfig(mode), 4, 3.0, 2
+    polygons = ragged_dataset.polygons
+    store = DivergenceCache(ragged_dataset, config, seed=seed)
+    calls = recording_fits(monkeypatch)
+    series = store.series(k, r)
+    assert len(calls) == -(-len(polygons) // BATCH)
+    oracle_fits = []
+    for p in polygons:
+        chips = extract_chip_stack(ragged_dataset.scenes, p, r)
+        if p.id.startswith("corner"):  # clipped: their full windows are 15 px or more
+            assert max(chips.mask.shape) <= 10
+        values, fits = numpy_divergences(chips, range(chips.n_layers), k, config, seed,
+                                         DEFAULT_EPS)
+        assert series[p.id].tobytes() == values.tobytes(), p.id
+        oracle_fits += fits
+    assert [fit for call in calls for fit in call] == oracle_fits
+    oracle_stats = FitStats()
+    oracle_stats.add(*zip(*oracle_fits))
+    assert store.fit_stats == oracle_stats
+
+
+@pytest.mark.parametrize("lib", ["kernel", None])
+def test_converged_only_when_the_shift_falls_below_tol(chip_layers, lib, monkeypatch):
+    if lib is None:
+        monkeypatch.setattr(clustering, "_lib", None)
+    elif clustering._lib is None:
+        pytest.skip(clustering.KERNEL)
+    x = next(x for x in (extract_features(image, PixelFeatureConfig())
+                         for _, _, image in chip_layers)
+             if fit_kmeans(x, 4, 7).n_iter >= 3)
+    model = fit_kmeans(x, 4, 7)
+    assert model.converged
+    # Converging on the last allowed iteration is no budget stop ...
+    assert fit_kmeans(x, 4, 7, max_iter=model.n_iter).converged
+    # ... and stopping one iteration short of it is.
+    capped = fit_kmeans(x, 4, 7, max_iter=model.n_iter - 1)
+    assert not capped.converged and capped.n_iter == model.n_iter - 1
+
+
+@pytest.mark.parametrize("lib", ["kernel", None])
+def test_region_counts_report_budget_stops(chip_layers, lib, monkeypatch):
+    if lib is None:
+        monkeypatch.setattr(clustering, "_lib", None)
+    elif clustering._lib is None:
+        pytest.skip(clustering.KERNEL)
+    monkeypatch.setattr(clustering, "MAX_ITER", 3)
+    layers = [extract_features(image, PixelFeatureConfig()) for _, _, image in chip_layers[:40]]
+    seeds = np.arange(len(layers), dtype=np.uint64)
+    sizes = [len(x) for x in layers]  # one layer per chip
+    _, n_iter, _, converged = clustering.region_counts(
+        np.concatenate(layers), sizes, np.zeros(sum(sizes), np.uint8), 4, seeds)
+    models = [fit_kmeans(x, 4, int(seed), max_iter=3) for x, seed in zip(layers, seeds)]
+    assert n_iter.tolist() == [m.n_iter for m in models]
+    assert converged.tolist() == [m.converged for m in models]
+    assert 0 < converged.sum() < len(layers)
 
 
 def init_picks(n, k, seed):
@@ -205,7 +299,7 @@ def test_seeds_outside_64_bits_take_numpy_path(lib, monkeypatch):
     with pytest.raises(ValueError, match="non-negative"):
         fit_kmeans(x, 3, -1)
     with pytest.raises(ValueError, match="non-negative"):
-        clustering.region_counts(x[None], np.zeros(10, np.uint8), 3, [-1])
+        clustering.region_counts(x, [10], np.zeros(10, np.uint8), 3, np.array([-1]))
     # default_rng hashes three entropy words from 2**70; ctypes would pass 0.
     fitted = fit_kmeans(x, 3, 2**70).centroids
     assert fitted.tobytes() == numpy_fit(x, 3, 2**70).centroids.tobytes()

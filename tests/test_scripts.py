@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,21 @@ def test_script_runs_and_prints_its_table(tmp_path, script, extra, out, expected
     for text in expected:
         assert text in done.stdout
     assert (tmp_path / out).stat().st_size > 0
+
+
+def test_bench_pairs_writes_medians_and_pair_wins(tmp_path):
+    out = tmp_path / "BENCH.json"
+    done = run_script("bench_pairs.py", [str(ROOT), str(ROOT), "--pairs", "1", "--workloads",
+                                         "detect_large", "--seeds", "13", "--seconds", "1",
+                                         "--size", "tiny", "--out", str(out)], ROOT)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["failed_runs"] == []
+    run = report["trace0"]["detect_large"]["13"]
+    assert run["pairs"] == 1
+    expected = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(run["metrics"]) == {m["name"] for m in expected}
+    wall = run["metrics"]["wall_s"]
+    assert wall["parent"]["n"] == wall["change"]["n"] == 1
+    assert wall["parent"]["q1"] == wall["parent"]["median"] == wall["parent"]["q3"] > 0
+    assert wall["ratio"] > 0 and wall["change_better_pairs"] in ("0/1", "1/1")
