@@ -14,6 +14,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +37,7 @@ _EPS = 1e-9
 
 def _normalize_ring(ring: Sequence[Sequence[float]]) -> Ring:
     pts = [(float(x), float(y)) for x, y in ring]
-    if not np.isfinite(pts).all():
+    if not all(map(math.isfinite, (v for pt in pts for v in pt))):
         raise DegeneratePolygon("ring has a NaN or infinite vertex")
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts = pts[:-1]
@@ -268,20 +269,29 @@ def _pixel_windows(extents: np.ndarray, transform: AffineGeoTransform) -> np.nda
                     axis=1)
 
 
-def _window_for_extent(
-    extent: tuple[float, float, float, float], transform: AffineGeoTransform
-) -> tuple[int, int, int, int]:
-    """Inclusive pixel window (row0, row1, col0, col1) whose centers cover extent."""
-    window = _pixel_windows(np.array([extent], dtype=np.float64), transform)[0]
-    return tuple(int(v) for v in window)
-
-
 def _window_points(transform: AffineGeoTransform, row0: int, col0: int, height: int,
                    width: int) -> tuple[np.ndarray, np.ndarray]:
     """World (x, y) of the window's pixel centers, in row-major order."""
     xs, ys = transform.pixel_to_world(np.arange(col0, col0 + width),
                                       np.arange(row0, row0 + height)[:, None])
     return xs.ravel(), ys.ravel()
+
+
+def _window_masks(polygons: Sequence[Polygon], transform: AffineGeoTransform,
+                  windows: np.ndarray) -> list[np.ndarray]:
+    """(h, w) uint8 mask of each polygon over its inclusive pixel window
+    (row0, row1, col0, col1): 1 where a pixel center lies inside. One array
+    pass over the pixels of all the windows."""
+    row0, row1, col0, col1 = np.asarray(windows, dtype=np.int64).T
+    heights, widths = row1 - row0 + 1, col1 - col0 + 1
+    sizes = heights * widths
+    owner = np.repeat(np.arange(len(polygons)), sizes)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    xs, ys = transform.pixel_to_world(col0[owner] + local % widths[owner],
+                                      row0[owner] + local // widths[owner])
+    flat = _points_in_polygons(_edge_table(polygons), sizes, xs, ys).astype(np.uint8)
+    return [flat[end - h * w : end].reshape(h, w)
+            for end, h, w in zip(np.cumsum(sizes).tolist(), heights.tolist(), widths.tolist())]
 
 
 def _mask_for_window(
@@ -292,8 +302,8 @@ def _mask_for_window(
     height: int,
     width: int,
 ) -> np.ndarray:
-    xs, ys = _window_points(transform, row0, col0, height, width)
-    return _points_in_polygon(poly, xs, ys).reshape(height, width).astype(np.uint8)
+    window = [[row0, row0 + height - 1, col0, col0 + width - 1]]
+    return _window_masks([poly], transform, window)[0]
 
 
 @dataclass(frozen=True)
@@ -401,23 +411,12 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
             clipped[i] |= shrunk != tuple(window[i].tolist())
             window[i] = shrunk
 
-    row0, row1, col0, col1 = window.T
-    heights, widths = row1 - row0 + 1, col1 - col0 + 1
-    sizes = heights * widths
-    owner = np.repeat(np.arange(len(polygons)), sizes)
-    local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    xs, ys = stack.transform.pixel_to_world(col0[owner] + local % widths[owner],
-                                            row0[owner] + local // widths[owner])
-    masks = _points_in_polygons(_edge_table(polygons), sizes, xs, ys).astype(np.uint8)
-    starts = np.cumsum(sizes) - sizes
-    covers = np.logical_or.reduceat(masks, starts).tolist()
-
+    masks = _window_masks(polygons, stack.transform, window)
     chips = []
-    for i, (poly, (r0, r1, c0, c1), start, n) in enumerate(
-            zip(polygons, window.tolist(), starts.tolist(), sizes.tolist())):
+    for i, (poly, (r0, r1, c0, c1), mask) in enumerate(zip(polygons, window.tolist(), masks)):
         if i in failed:
             raise failed[i]
-        if not covers[i]:
+        if not mask.any():
             if clipped[i]:
                 raise FootprintOutsideImagery(
                     f"clipping emptied the mask of footprint {poly.id!r}")
@@ -426,7 +425,7 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
         chips.append(ChipStack(
             footprint_id=poly.id,
             imagery=stack.pixels[:, r0 : r1 + 1, c0 : c1 + 1],
-            mask=masks[start : start + n].reshape(r1 - r0 + 1, c1 - c0 + 1),
+            mask=mask,
             years=stack.years,
             buffer_radius=float(r),
         ))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import FootprintDataset
 from .errors import SceneTooCrowded
-from .geometry import AffineGeoTransform, Polygon, Scene, _mask_for_window, _window_for_extent
+from .geometry import AffineGeoTransform, Polygon, Scene, _pixel_windows, _window_masks
 from .util import stable_seed
 
 IDENTITY_TRANSFORM = AffineGeoTransform(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -133,17 +133,18 @@ def _background_classes(config: SynthConfig) -> np.ndarray:
 
 def _footprint_masks(config: SynthConfig, polygons: Sequence[Polygon]) -> list[tuple]:
     """(row0, col0, mask) ready to paste onto the full scene grid."""
-    out = []
-    for poly in polygons:
-        x0, y0, x1, y1 = poly.bounds
-        row0, row1, col0, col1 = _window_for_extent((x0, y0, x1, y1), IDENTITY_TRANSFORM)
-        row0, col0 = max(row0, 0), max(col0, 0)
-        row1 = min(row1, config.height - 1)
-        col1 = min(col1, config.width - 1)
-        mask = _mask_for_window(poly, IDENTITY_TRANSFORM, row0, col0,
-                                row1 - row0 + 1, col1 - col0 + 1)
-        out.append((row0, col0, mask))
-    return out
+    if not polygons:
+        return []
+    bounds = np.array([p.bounds for p in polygons], dtype=np.float64)
+    windows = _pixel_windows(bounds, IDENTITY_TRANSFORM).astype(np.int64)
+    windows[:, [0, 2]] = np.maximum(windows[:, [0, 2]], 0)
+    windows[:, 1] = np.minimum(windows[:, 1], config.height - 1)
+    windows[:, 3] = np.minimum(windows[:, 3], config.width - 1)
+    # 256 footprints per array pass keep its temporaries to a few MB.
+    masks = [mask for i in range(0, len(polygons), 256)
+             for mask in _window_masks(polygons[i : i + 256], IDENTITY_TRANSFORM,
+                                       windows[i : i + 256])]
+    return [(row0, col0, mask) for (row0, _, col0, _), mask in zip(windows.tolist(), masks)]
 
 
 def _apply_layer_shift(img: np.ndarray, config: SynthConfig,

@@ -16,8 +16,8 @@ from tcm.geometry import (
     Polygon,
     Scene,
     _mask_for_window,
+    _pixel_windows,
     _points_in_polygon,
-    _window_for_extent,
     buffered_extent,
     extract_chip_stack,
 )
@@ -69,7 +69,8 @@ class TestBufferedExtent:
 
 class TestRasterize:
     def test_square_fills_grid(self):
-        assert _window_for_extent((0, 0, 10, 10), CORNER_ALIGNED) == (0, 9, 0, 9)
+        assert _pixel_windows(np.array([[0, 0, 10, 10]]), CORNER_ALIGNED).tolist() == [
+            [0, 9, 0, 9]]
         mask = _mask_for_window(SQUARE10, CORNER_ALIGNED, 0, 0, 10, 10)
         assert mask.shape == (10, 10)
         assert mask.sum() == 100
