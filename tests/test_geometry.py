@@ -190,6 +190,18 @@ class TestExtractChipStack:
         assert c1.imagery.tobytes() == c2.imagery.tobytes()
         assert c1.mask.tobytes() == c2.mask.tobytes()
 
+    def test_resampling_that_empties_the_mask_is_outside_imagery(self):
+        # The 12x12 scene, 0.2 px off the 20x20 reference grid, covers columns
+        # 0..11 only: the window (columns 10..15) shrinks to 10..11, which
+        # holds none of the footprint's pixel centers (columns 12 and 13).
+        scenes = [make_scene(2000, size=(12, 12), seed=0,
+                             transform=AffineGeoTransform(1, 0, 0.2, 0, 1, 0.2)),
+                  make_scene(2001, size=(20, 20), seed=1)]
+        poly = Polygon("past_the_edge", [(11.6, 4.6), (13.4, 4.6), (13.4, 6.4), (11.6, 6.4)])
+        assert extract_chip_stack(scenes[1:], poly, 2.0).mask.sum() == 4
+        with pytest.raises(FootprintOutsideImagery, match="clipping emptied"):
+            extract_chip_stack(scenes, poly, 2.0)
+
     def test_nearest_resampling_matches_shifted_grid(self):
         # Second scene's grid is offset by half a pixel; nearest sampling
         # should pick deterministic source pixels.
