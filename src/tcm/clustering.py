@@ -96,25 +96,16 @@ class ClusterModel:
             raise ValueError("centroids must be finite")
 
 
-def extract_features(image: np.ndarray, config: PixelFeatureConfig,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarray:
     """Row-major (h*w, dim) float matrix of per-pixel features of an (h, w, c)
-    image; a (T, h, w, c) stack of images gives (T, h*w, dim). `out`, a
-    C-contiguous float64 array of that shape, receives them when given."""
+    image; a (T, h, w, c) stack of images gives (T, h*w, dim)."""
     image = np.asarray(image)
     if image.ndim not in (3, 4) or image.size == 0:
         raise ValueError(f"image must be a nonempty (h, w, c) or (T, h, w, c) array, "
                          f"got {image.shape}")
     *stack, h, w, c = image.shape
-    shape = (*stack, h * w, config.dim(c))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    grid = out.reshape(*stack, h, w, shape[-1])  # a view of out
     if config.mode == "spectral":
-        grid[...] = image
-        return out
+        return image.reshape(*stack, h * w, c).astype(np.float64)
     wh = config.window
     pad = [(0, 0)] * len(stack) + [(wh, wh), (wh, wh), (0, 0)]
     padded = np.pad(image.astype(np.float64, copy=False), pad, mode="edge")
@@ -123,8 +114,7 @@ def extract_features(image: np.ndarray, config: PixelFeatureConfig,
         for dy in range(2 * wh + 1)
         for dx in range(2 * wh + 1)
     ]
-    np.concatenate(blocks, axis=-1, out=grid)
-    return out
+    return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
 
 
 def _sqdist_to_point(points: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -10,14 +10,12 @@ calibration, detection and evaluation read these divergences.
 
 `layer_divergence` states one layer's computation and is its reference.
 The store computes a request as batches of `BATCH` polygons: a batch's
-chips are cut from the scenes, stacked once, in array passes
-(`extract_chips`), their features and seeds are made once for all k, one
+chips are cut from the scenes in array passes (`extract_chips`), their features and seeds are made once for all k, one
 `region_counts` call per k fits every wanted layer of the batch and counts
 its clusters per region, and the KL of every layer follows in one
 vectorized step with the arithmetic of `cluster_distribution` and
 `kl_divergence`, so the values are the same bits. With workers > 1, each
-pool worker receives the stacked scenes once and cuts its batches' chips
-itself. The store also counts the fits it made (`fit_stats`), merged in
+pool worker receives the scenes once and cuts its batches' chips itself. The store also counts the fits it made (`fit_stats`), merged in
 batch order; the batch size is a constant, so neither the values nor the
 counts depend on the worker count.
 """
@@ -189,12 +187,11 @@ def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config,
         if not np.logical_or.reduceat(codes == code, starts).all():
             raise EmptyRegion(f"{region} region is empty")
     layers = list(dict.fromkeys(l for ls in wanted.values() for l in ls))
-    n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
-    feats = np.empty((n_layers * int(sizes.sum()), dim))
-    blocks = []  # each chip's (layer, point, dim) features
-    for ch, start, n in zip(chips, (n_layers * starts).tolist(), sizes.tolist()):
-        blocks.append(feats[start : start + n_layers * n].reshape(n_layers, n, dim))
-        extract_features(ch.imagery[layers], feature_config, out=blocks[-1])
+    n_layers = len(layers)
+    # Each chip's (layer, point, dim) features, and all of them as one block.
+    blocks = [extract_features(ch.imagery[layers], feature_config) for ch in chips]
+    dim = blocks[0].shape[-1]
+    feats = np.concatenate([b.reshape(-1, dim) for b in blocks])
     seeds = np.array([[stable_seed(seed, ch.footprint_id, l) for l in layers] for ch in chips],
                      dtype=np.uint64)
     at = {l: i for i, l in enumerate(layers)}
@@ -213,7 +210,7 @@ def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config,
 
 def _batch_task(scenes: SceneStack, polygons: Sequence[Polygon], r: float, wanted: dict,
                 feature_config, seed, eps) -> tuple[dict[int, np.ndarray], FitStats]:
-    """`_batch_divergences` of the polygons' chips, cut from the stacked scenes."""
+    """`_batch_divergences` of the polygons' chips, cut from the scenes."""
     return _batch_divergences(extract_chips(scenes, polygons, r), wanted, feature_config,
                               seed, eps)
 
@@ -225,9 +222,8 @@ class DivergenceCache:
     store's seed, eps and feature config, so calibration, detection, splits
     and methods share it. Requests cover every footprint, so values are kept
     as one column over the footprints per (r, k, layer); a request computes
-    only its missing columns, in batches of `BATCH` polygons. The scenes are
-    stacked once per store. Chips are cut for each request and kept only for
-    the color features, per r. `workers` processes only speed up the first
+    only its missing columns, in batches of `BATCH` polygons. Chips are cut
+    for each request and kept only for the color features, per r. `workers` processes only speed up the first
     computation of a value.
     """
 
@@ -240,7 +236,6 @@ class DivergenceCache:
         self.seed = seed
         self.workers = workers
         self._ids = [p.id for p in dataset.polygons]
-        self._scenes: Optional[SceneStack] = None
         self._chips: dict[float, dict[str, ChipStack]] = {}
         self._columns: dict[tuple[float, int, int], np.ndarray] = {}
         self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
@@ -248,16 +243,10 @@ class DivergenceCache:
         self._cot: dict[float, dict[str, np.ndarray]] = {}
         self.fit_stats = FitStats()  # every fit this store made, at any worker count
 
-    def _scene_stack(self) -> SceneStack:
-        """The dataset's scenes, stacked on first use."""
-        if self._scenes is None:
-            self._scenes = stack_scenes(self.dataset.scenes)
-        return self._scenes
-
     def chips(self, r: float) -> dict[str, ChipStack]:
         r = float(r)
         if r not in self._chips:
-            polygons, scenes = self.dataset.polygons, self._scene_stack()
+            polygons, scenes = self.dataset.polygons, stack_scenes(self.dataset.scenes)
             self._chips[r] = {ch.footprint_id: ch for i in range(0, len(polygons), BATCH)
                               for ch in extract_chips(scenes, polygons[i : i + BATCH], r)}
         return self._chips[r]
@@ -299,7 +288,7 @@ class DivergenceCache:
         task = partial(_batch_task, r=r, wanted=wanted, feature_config=self.feature_config,
                        seed=self.seed, eps=self.eps)
         batches = [polygons[i : i + BATCH] for i in range(0, len(polygons), BATCH)]
-        results = run_tasks(task, batches, self.workers, shared=self._scene_stack())
+        results = run_tasks(task, batches, self.workers, shared=stack_scenes(self.dataset.scenes))
         for _, stats in results:
             self.fit_stats += stats
         return {k: np.concatenate([rows[k] for rows, _ in results]) for k in wanted}

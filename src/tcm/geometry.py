@@ -233,31 +233,32 @@ def _edge_table(polygons: Sequence[Polygon]) -> np.ndarray:
     return edges
 
 
-def _points_in_polygons(edges: np.ndarray, sizes: np.ndarray, px: np.ndarray,
+def _points_in_polygons(edges: np.ndarray, sizes: Sequence[int], px: np.ndarray,
                         py: np.ndarray) -> np.ndarray:
     """Even-odd inclusion of points (px, py) in the polygons of an
     `_edge_table`: the first sizes[0] points in polygon 0, the next sizes[1]
     in polygon 1, and so on. Holes flip parity.
 
-    Each edge slot is tested against all points at once. A horizontal edge
-    divides by zero, but it crosses no point's horizontal, so its quotients
-    are masked out; so are the NaN edges that pad a polygon's slots.
+    Each edge slot is tested at once against the points of the polygons up
+    to the last one that has an edge there; a NaN edge that pads a shorter
+    polygon crosses no point's horizontal. With the polygons in descending
+    order of edge count, the cost is the sum over them of edges times
+    points. A horizontal edge divides by zero, but it crosses no point's
+    horizontal either, so its quotients are masked out.
     """
+    has_edge = ~np.isnan(edges[0])  # (P, E)
+    last = len(has_edge) - np.argmax(has_edge[::-1], axis=0)  # polygons tested per slot
+    ends = np.cumsum(sizes).tolist()
     inside = np.zeros(px.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for slot in range(edges.shape[2]):
-            x1, y1, x2, y2 = np.repeat(edges[:, :, slot], sizes, axis=1)
-            crosses = (y1 > py) != (y2 > py)
-            xint = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
-            inside ^= crosses & (px < xint)
+        for slot, n_poly in enumerate(last.tolist()):
+            n = ends[n_poly - 1]
+            x1, y1, x2, y2 = np.repeat(edges[:, :n_poly, slot], sizes[:n_poly], axis=1)
+            qx, qy = px[:n], py[:n]
+            crosses = (y1 > qy) != (y2 > qy)
+            xint = x1 + (qy - y1) / (y2 - y1) * (x2 - x1)
+            inside[:n] ^= crosses & (qx < xint)
     return inside
-
-
-def _points_in_polygon(poly: Polygon, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Even-odd inclusion test for arrays of points; holes flip parity."""
-    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
-    return _points_in_polygons(_edge_table([poly]), [px.size], px.ravel(),
-                               py.ravel()).reshape(px.shape)
 
 
 def _pixel_windows(extents: np.ndarray, transform: AffineGeoTransform) -> np.ndarray:
@@ -281,45 +282,45 @@ def _window_masks(polygons: Sequence[Polygon], transform: AffineGeoTransform,
                   windows: np.ndarray) -> list[np.ndarray]:
     """(h, w) uint8 mask of each polygon over its inclusive pixel window
     (row0, row1, col0, col1): 1 where a pixel center lies inside. One array
-    pass over the pixels of all the windows."""
-    row0, row1, col0, col1 = np.asarray(windows, dtype=np.int64).T
+    pass over the pixels of all the windows, the polygons taken in
+    descending order of edge count."""
+    n_edges = [len(p.exterior) + sum(map(len, p.holes)) for p in polygons]
+    order = np.argsort(np.negative(n_edges), kind="stable")
+    row0, row1, col0, col1 = np.asarray(windows, dtype=np.int64)[order].T
     heights, widths = row1 - row0 + 1, col1 - col0 + 1
     sizes = heights * widths
     owner = np.repeat(np.arange(len(polygons)), sizes)
     local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     xs, ys = transform.pixel_to_world(col0[owner] + local % widths[owner],
                                       row0[owner] + local // widths[owner])
-    flat = _points_in_polygons(_edge_table(polygons), sizes, xs, ys).astype(np.uint8)
-    return [flat[end - h * w : end].reshape(h, w)
-            for end, h, w in zip(np.cumsum(sizes).tolist(), heights.tolist(), widths.tolist())]
-
-
-def _mask_for_window(
-    poly: Polygon,
-    transform: AffineGeoTransform,
-    row0: int,
-    col0: int,
-    height: int,
-    width: int,
-) -> np.ndarray:
-    window = [[row0, row0 + height - 1, col0, col0 + width - 1]]
-    return _window_masks([poly], transform, window)[0]
+    edges = _edge_table([polygons[i] for i in order.tolist()])
+    flat = _points_in_polygons(edges, sizes, xs, ys).astype(np.uint8)
+    masks = [flat[end - h * w : end].reshape(h, w)
+             for end, h, w in zip(np.cumsum(sizes).tolist(), heights.tolist(), widths.tolist())]
+    return [masks[i] for i in np.argsort(order).tolist()]
 
 
 @dataclass(frozen=True)
 class SceneStack:
-    """Every scene on the grid of the last one, stacked once, so that a chip
-    is one slice of `pixels`.
+    """The scenes read on the grid of the last one, so that a chip has one
+    pixel window in every layer.
 
-    Scenes on that grid are cropped to the pixels all of them hold; the
-    others are sampled onto it by nearest neighbor, and `valid` marks the
-    grid pixels that every one of those covers (None when there are none).
+    No pixel is copied here. Scenes on that grid are sliced; the others are
+    sampled onto it by nearest neighbor over each chip's window when the chip
+    is cut, so a chip costs the pixels of its window, whatever the scene size.
     """
 
-    pixels: np.ndarray  # (T, h, w, c), read-only
-    valid: Optional[np.ndarray]  # (h, w) bool
-    transform: AffineGeoTransform
-    years: tuple[int, ...]
+    scenes: tuple[Scene, ...]
+    on_grid: tuple[bool, ...]
+    grid_shape: tuple[int, int]  # (h, w) that every scene on the grid holds
+
+    @property
+    def transform(self) -> AffineGeoTransform:
+        return self.scenes[-1].transform
+
+    @property
+    def years(self) -> tuple[int, ...]:
+        return tuple(sc.year for sc in self.scenes)
 
 
 def stack_scenes(scenes: Sequence[Scene]) -> SceneStack:
@@ -330,60 +331,57 @@ def stack_scenes(scenes: Sequence[Scene]) -> SceneStack:
     for sc in scenes[1:]:
         if sc.pixels.shape[2] != channels:
             raise SceneMismatch("scenes disagree on channel count")
-    ref = scenes[-1]
-    on_grid = [sc.transform == ref.transform for sc in scenes]
+    on_grid = tuple(sc.transform == scenes[-1].transform for sc in scenes)
     grid_h = min(sc.pixels.shape[0] for sc, same in zip(scenes, on_grid) if same)
     grid_w = min(sc.pixels.shape[1] for sc, same in zip(scenes, on_grid) if same)
-    layers, valid = [], None
-    for sc, same in zip(scenes, on_grid):
-        if same:
-            layers.append(sc.pixels[:grid_h, :grid_w])
-            continue
-        xs, ys = _window_points(ref.transform, 0, 0, grid_h, grid_w)
-        pc, pr = sc.transform.world_to_pixel(xs, ys)
-        src_c = np.floor(pc + 0.5).astype(np.int64).reshape(grid_h, grid_w)
-        src_r = np.floor(pr + 0.5).astype(np.int64).reshape(grid_h, grid_w)
-        h, w, _ = sc.pixels.shape
-        covered = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-        valid = covered if valid is None else valid & covered
-        layers.append(sc.pixels[np.clip(src_r, 0, h - 1), np.clip(src_c, 0, w - 1)])
-    pixels = np.stack(layers)
-    pixels.flags.writeable = False
-    return SceneStack(pixels, valid, ref.transform, tuple(sc.year for sc in scenes))
+    return SceneStack(tuple(scenes), on_grid, (grid_h, grid_w))
 
 
-def _shrink_to_valid(valid: np.ndarray, window: tuple[int, int, int, int],
-                     poly_id: str) -> tuple[int, int, int, int]:
-    """The window shrunk to the rectangle that every resampled scene fills."""
+def _resample_window(stack: SceneStack, window: tuple[int, int, int, int], poly_id: str
+                     ) -> tuple[tuple[int, int, int, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """The window shrunk to the rectangle that every off-grid scene fills,
+    and each such scene's nearest-neighbor (rows, cols) source pixels over it."""
+    row0, row1, col0, col1 = window
     while True:
-        row0, row1, col0, col1 = window
-        inside = valid[row0 : row1 + 1, col0 : col1 + 1]
-        if inside.all():
-            return window
-        ok_rows = np.nonzero(inside.any(axis=1))[0]
-        ok_cols = np.nonzero(inside.any(axis=0))[0]
+        height, width = row1 - row0 + 1, col1 - col0 + 1
+        xs, ys = _window_points(stack.transform, row0, col0, height, width)
+        samplers = []
+        valid = np.ones((height, width), dtype=bool)
+        for sc, same in zip(stack.scenes, stack.on_grid):
+            if same:
+                continue
+            pc, pr = sc.transform.world_to_pixel(xs, ys)
+            src_c = np.floor(pc + 0.5).astype(np.int64).reshape(height, width)
+            src_r = np.floor(pr + 0.5).astype(np.int64).reshape(height, width)
+            h, w, _ = sc.pixels.shape
+            valid &= (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+            samplers.append((src_r, src_c))
+        if valid.all():
+            return (row0, row1, col0, col1), samplers
+        ok_rows = np.nonzero(valid.any(axis=1))[0]
+        ok_cols = np.nonzero(valid.any(axis=0))[0]
         if ok_rows.size == 0 or ok_cols.size == 0:
             raise FootprintOutsideImagery(f"footprint {poly_id!r} lies outside the imagery")
         new = (row0 + int(ok_rows[0]), row0 + int(ok_rows[-1]),
                col0 + int(ok_cols[0]), col0 + int(ok_cols[-1]))
-        if new == window:
+        if new == (row0, row1, col0, col1):
             raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly_id!r}")
-        window = new
+        row0, row1, col0, col1 = new
 
 
 def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> list[ChipStack]:
-    """Each polygon's chip: the stacked scenes cropped to the polygon's
-    buffered extent, and its rasterized mask.
+    """Each polygon's chip: the scenes cropped to the polygon's buffered
+    extent, and its rasterized mask.
 
     Windows falling partly outside the scenes are clipped to the common
     valid rectangle. The windows and masks of all the polygons are computed
-    in array passes; a chip's imagery is a read-only view of the stack.
+    in array passes; each chip's imagery is its own (T, h, w, c) array.
     Raises the error of the first polygon, in order, whose chip cannot be
     cut.
     """
     if not polygons:
         return []
-    _, grid_h, grid_w, _ = stack.pixels.shape
+    grid_h, grid_w = stack.grid_shape
     extents = np.array([buffered_extent(p, r) for p in polygons], dtype=np.float64)
     window = _pixel_windows(extents, stack.transform)
     clipped = ((window[:, 0] < 0) | (window[:, 2] < 0) | (window[:, 1] >= grid_h)
@@ -398,12 +396,13 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
     window = window.astype(np.int64)
     failed = {i: FootprintOutsideImagery(f"footprint {polygons[i].id!r} lies outside the "
                                          f"imagery") for i in np.flatnonzero(outside).tolist()}
-    if stack.valid is not None:
+    samplers = {}
+    if not all(stack.on_grid):
         for i, poly in enumerate(polygons):
             if i in failed:
                 continue
             try:
-                shrunk = _shrink_to_valid(stack.valid, tuple(window[i].tolist()), poly.id)
+                shrunk, samplers[i] = _resample_window(stack, tuple(window[i].tolist()), poly.id)
             except (FootprintOutsideImagery, SceneMismatch) as exc:
                 failed[i] = exc
                 window[i] = 0
@@ -412,6 +411,9 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
             window[i] = shrunk
 
     masks = _window_masks(polygons, stack.transform, window)
+    years = stack.years
+    layers = [sc.pixels for sc in stack.scenes]
+    dtype, channels = np.result_type(*layers), layers[0].shape[2]
     chips = []
     for i, (poly, (r0, r1, c0, c1), mask) in enumerate(zip(polygons, window.tolist(), masks)):
         if i in failed:
@@ -422,11 +424,15 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
                     f"clipping emptied the mask of footprint {poly.id!r}")
             raise EmptyFootprintMask(
                 f"polygon {poly.id!r} covers no pixel center in the extent")
+        imagery = np.empty((len(layers), r1 - r0 + 1, c1 - c0 + 1, channels), dtype)
+        resampled = iter(samplers.get(i, ()))
+        for out, pixels, same in zip(imagery, layers, stack.on_grid):
+            out[...] = pixels[r0 : r1 + 1, c0 : c1 + 1] if same else pixels[next(resampled)]
         chips.append(ChipStack(
             footprint_id=poly.id,
-            imagery=stack.pixels[:, r0 : r1 + 1, c0 : c1 + 1],
+            imagery=imagery,
             mask=mask,
-            years=stack.years,
+            years=years,
             buffer_radius=float(r),
         ))
     return chips
@@ -437,9 +443,7 @@ def extract_chip_stack(scenes: Sequence[Scene], poly: Polygon, r: float) -> Chip
 
     Scenes are sampled onto the grid of the *last* scene (nearest neighbor when
     geotransforms differ). Windows falling partly outside any scene are clipped
-    to the common valid rectangle. This is `extract_chips` of one polygon, its
-    imagery copied out of the stack.
+    to the common valid rectangle. This is `extract_chips` of one polygon; it
+    reads only the pixels of the polygon's window.
     """
-    chip = extract_chips(stack_scenes(scenes), [poly], r)[0]
-    return ChipStack(chip.footprint_id, chip.imagery.copy(), chip.mask, chip.years,
-                     chip.buffer_radius)
+    return extract_chips(stack_scenes(scenes), [poly], r)[0]

@@ -26,7 +26,7 @@ from tcm.evaluation import (
     repeated_splits,
     spearman,
 )
-from tcm.geometry import AffineGeoTransform, Polygon, _mask_for_window
+from tcm.geometry import AffineGeoTransform, Polygon, _window_masks
 from tcm.supervised import _loss_and_grad
 from tcm.synthgen import SynthConfig, generate
 
@@ -181,7 +181,8 @@ def test_criterion_5_math_property_suites():
         transform = AffineGeoTransform(res, 0, origin[0], 0, res, origin[1])
         size = int(poly_rng.integers(8, 65))
         row0, col0 = int(poly_rng.integers(-40, 0)), int(poly_rng.integers(-40, 0))
-        mask = _mask_for_window(poly, transform, row0, col0, size, size)
+        window = [[row0, row0 + size - 1, col0, col0 + size - 1]]
+        mask = _window_masks([poly], transform, window)[0]
         trials += 1
         if not np.array_equal(mask, oracle_mask(poly, transform, row0, col0, size, size)):
             mismatches += 1

@@ -15,9 +15,10 @@ from tcm.geometry import (
     AffineGeoTransform,
     Polygon,
     Scene,
-    _mask_for_window,
+    _edge_table,
     _pixel_windows,
-    _points_in_polygon,
+    _points_in_polygons,
+    _window_masks,
     buffered_extent,
     extract_chip_stack,
 )
@@ -27,6 +28,16 @@ IDENTITY = AffineGeoTransform(1, 0, 0, 0, 1, 0)
 CORNER_ALIGNED = AffineGeoTransform(1, 0, 0.5, 0, 1, 0.5)
 
 SQUARE10 = Polygon("sq", [(0, 0), (10, 0), (10, 10), (0, 10)])
+
+
+def window_mask(poly, transform, row0, col0, height, width):
+    """The polygon's mask over the window with top-left pixel (row0, col0)."""
+    window = [[row0, row0 + height - 1, col0, col0 + width - 1]]
+    return _window_masks([poly], transform, window)[0]
+
+
+def points_in_polygon(poly, px, py):
+    return _points_in_polygons(_edge_table([poly]), [px.size], px, py)
 
 
 class TestPolygon:
@@ -71,18 +82,18 @@ class TestRasterize:
     def test_square_fills_grid(self):
         assert _pixel_windows(np.array([[0, 0, 10, 10]]), CORNER_ALIGNED).tolist() == [
             [0, 9, 0, 9]]
-        mask = _mask_for_window(SQUARE10, CORNER_ALIGNED, 0, 0, 10, 10)
+        mask = window_mask(SQUARE10, CORNER_ALIGNED, 0, 0, 10, 10)
         assert mask.shape == (10, 10)
         assert mask.sum() == 100
 
     def test_square_with_hole(self):
         poly = Polygon("p", [(0, 0), (10, 0), (10, 10), (0, 10)],
                        holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
-        assert _mask_for_window(poly, CORNER_ALIGNED, 0, 0, 10, 10).sum() == 96
+        assert window_mask(poly, CORNER_ALIGNED, 0, 0, 10, 10).sum() == 96
 
     def test_polygon_outside_extent(self):
         far = Polygon("far", [(100, 100), (105, 100), (105, 105), (100, 105)])
-        assert not _mask_for_window(far, CORNER_ALIGNED, 0, 0, 10, 10).any()
+        assert not window_mask(far, CORNER_ALIGNED, 0, 0, 10, 10).any()
         # Inside the imagery but between pixel centers: a chip with no footprint.
         between = Polygon("between", [(5.1, 5.1), (5.4, 5.1), (5.4, 5.4), (5.1, 5.4)])
         with pytest.raises(EmptyFootprintMask):
@@ -113,14 +124,14 @@ class TestRasterize:
             transform = AffineGeoTransform(res, 0, origin[0], 0, res, origin[1])
             size = int(rng.integers(8, 65))
             row0, col0 = int(rng.integers(-40, 0)), int(rng.integers(-40, 0))
-            mask = _mask_for_window(poly, transform, row0, col0, size, size)
+            mask = window_mask(poly, transform, row0, col0, size, size)
             expect = oracle_mask(poly, transform, row0, col0, size, size)
             assert np.array_equal(mask, expect), f"trial {trial} disagrees with oracle"
 
     def test_matches_oracle_on_rotated_grid(self):
         transform = AffineGeoTransform(0.8, -0.6, 2.0, 0.6, 0.8, -1.0)
         poly = Polygon("rot", [(1.3, 0.2), (7.9, 1.1), (6.2, 8.3), (0.4, 6.7)])
-        mask = _mask_for_window(poly, transform, -10, -10, 24, 24)
+        mask = window_mask(poly, transform, -10, -10, 24, 24)
         expect = oracle_mask(poly, transform, -10, -10, 24, 24)
         assert np.array_equal(mask, expect)
 
@@ -230,14 +241,14 @@ def test_rect_mask_matches_oracle(x0, y0, w, h):
     for coord in (x0, y0, x0 + w, y0 + h):
         assume(abs(coord - round(coord)) > 1e-3)
     poly = Polygon("r", [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
-    mask = _mask_for_window(poly, IDENTITY, -6, -6, 32, 32)
+    mask = window_mask(poly, IDENTITY, -6, -6, 32, 32)
     expect = oracle_mask(poly, IDENTITY, -6, -6, 32, 32)
     assert np.array_equal(mask, expect)
 
 
 def edge_loop_inside(poly, px, py):
     """Even-odd inclusion one edge at a time: the arithmetic of
-    `_points_in_polygon`, without its broadcasting."""
+    `_points_in_polygons`, without its broadcasting."""
     inside = np.zeros(px.shape, dtype=bool)
     for ring in (poly.exterior, *poly.holes):
         for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
@@ -262,4 +273,51 @@ def test_inclusion_matches_edge_loop_on_vertices_and_edges():
         grid = np.arange(-10, 11) / 2
         px, py = (a.ravel() for a in np.meshgrid(np.r_[grid, rng.uniform(-5, 5, 20)],
                                                  np.r_[grid, rng.uniform(-5, 5, 20)]))
-        assert np.array_equal(_points_in_polygon(poly, px, py), edge_loop_inside(poly, px, py))
+        assert np.array_equal(points_in_polygon(poly, px, py), edge_loop_inside(poly, px, py))
+
+
+def test_one_pass_over_polygons_of_mixed_edge_counts():
+    # Rings of 3 to 40 vertices, some with holes, given in ascending edge
+    # count, so that the pass must reorder them and put the masks back.
+    rng = np.random.default_rng(11)
+    polygons, windows = [], []
+    for n_vert in range(3, 41):
+        angles = np.sort(rng.uniform(0, 2 * math.pi, n_vert))
+        radii = rng.uniform(3, 9, n_vert)
+        cx, cy = rng.uniform(10, 30, 2)
+        ring = list(zip(cx + radii * np.cos(angles), cy + radii * np.sin(angles)))
+        holes = [[(cx - 1, cy - 1), (cx + 1.5, cy - 1), (cx, cy + 1.5)]] if n_vert % 4 == 0 else []
+        try:
+            polygons.append(Polygon(f"p{n_vert}", ring, holes=holes))
+        except DegeneratePolygon:
+            continue
+        row0, col0 = (int(v) for v in rng.integers(-2, 15, 2))
+        windows.append([row0, row0 + int(rng.integers(5, 25)), col0,
+                        col0 + int(rng.integers(5, 25))])
+    transform = AffineGeoTransform(1, 0, 0.3, 0, 1, -0.2)
+    masks = _window_masks(polygons, transform, windows)
+    assert len(masks) == len(polygons) > 30
+    for poly, (row0, row1, col0, col1), mask in zip(polygons, windows, masks):
+        xs, ys = transform.pixel_to_world(np.arange(col0, col1 + 1),
+                                          np.arange(row0, row1 + 1)[:, None])
+        xs, ys = np.broadcast_arrays(xs, ys)
+        expect = edge_loop_inside(poly, xs.ravel(), ys.ravel()).reshape(xs.shape)
+        assert np.array_equal(mask, expect.astype(np.uint8)), poly.id
+
+
+def test_chip_reads_only_its_window_of_an_off_grid_scene():
+    import tracemalloc
+
+    # Two 1024x1024 scenes, the first 0.3 px off the grid of the second.
+    size = (1024, 1024)
+    scenes = [make_scene(2000, size=size, seed=0,
+                         transform=AffineGeoTransform(1, 0, 0.3, 0, 1, 0.3)),
+              make_scene(2001, size=size, seed=1)]
+    tracemalloc.start()
+    try:
+        chips = extract_chip_stack(scenes, PIXEL_SQUARE, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chips.imagery.shape == (2, 8, 8, 3)
+    assert peak < 64 * 1024  # one scene alone is 3 MiB
