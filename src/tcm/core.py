@@ -187,11 +187,12 @@ def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config,
         if not np.logical_or.reduceat(codes == code, starts).all():
             raise EmptyRegion(f"{region} region is empty")
     layers = list(dict.fromkeys(l for ls in wanted.values() for l in ls))
-    n_layers = len(layers)
-    # Each chip's (layer, point, dim) features, and all of them as one block.
-    blocks = [extract_features(ch.imagery[layers], feature_config) for ch in chips]
-    dim = blocks[0].shape[-1]
-    feats = np.concatenate([b.reshape(-1, dim) for b in blocks])
+    n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
+    feats = np.empty((n_layers * int(sizes.sum()), dim))
+    blocks = []  # each chip's (layer, point, dim) features, a view of feats
+    for ch, start, n in zip(chips, (n_layers * starts).tolist(), sizes.tolist()):
+        blocks.append(feats[start : start + n_layers * n].reshape(n_layers, n, dim))
+        blocks[-1][...] = extract_features(ch.imagery[layers], feature_config)
     seeds = np.array([[stable_seed(seed, ch.footprint_id, l) for l in layers] for ch in chips],
                      dtype=np.uint64)
     at = {l: i for i, l in enumerate(layers)}
