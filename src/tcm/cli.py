@@ -10,22 +10,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
-import inspect
 import json
 import logging
-import math
 import os
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence, Union
 
 from . import clustering, evaluation, formats, synthgen
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE, calibrate
-from .clustering import PixelFeatureConfig
+from .clustering import FEATURE_MODES, PixelFeatureConfig
 from .core import DEFAULT_EPS, DivergenceCache, decide
 from .data import FootprintDataset
 from .errors import ConfigError, TCMError
@@ -39,9 +36,9 @@ class RunConfig:
     polygons: Optional[str] = None
     labels: Optional[str] = None
     out_dir: str = "out"
-    k: Optional[int] = None
-    r: Optional[float] = None
-    theta: Optional[object] = None  # float or "auto"
+    k: Optional[Union[int, Literal["auto"]]] = None
+    r: Optional[Union[float, Literal["auto"]]] = None
+    theta: Optional[Union[float, Literal["auto"]]] = None
     feature_mode: str = "spectral"
     window: int = 1
     eps: float = DEFAULT_EPS
@@ -57,84 +54,65 @@ class RunConfig:
     workers: int = 1
     synth: Optional[dict] = None
 
-    def feature_config(self) -> PixelFeatureConfig:
-        return PixelFeatureConfig(mode=self.feature_mode, window=self.window)
+
+# What a given value (each entry, for a list) must meet beyond its field's type:
+# a range, a choice or a path kind.
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_LIMITS = {
+    "scenes_dir": (os.path.isdir, "a directory"),
+    "polygons": (os.path.isfile, "a file"),
+    "labels": (os.path.isfile, "a file"),
+    "k": (lambda v: v == "auto" or v >= 1, ">= 1"),
+    "r": (lambda v: v == "auto" or v > 0, "> 0"),
+    "theta": (lambda v: v == "auto" or v >= 0, ">= 0"),
+    "k_grid": _AT_LEAST_1, "n_random": _AT_LEAST_1, "n_bins": _AT_LEAST_1,
+    "n_repeats": _AT_LEAST_1, "workers": _AT_LEAST_1, "window": _AT_LEAST_1,
+    "r_grid": (lambda v: v > 0, "> 0"),
+    "eps": (lambda v: v > 0, "> 0"),
+    "percentile": (lambda v: 0 < v < 100, "in (0, 100)"),
+    "train_frac": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "feature_mode": (FEATURE_MODES.__contains__, f"one of {FEATURE_MODES}"),
+    "method": (evaluation.METHODS.__contains__, f"one of {evaluation.METHODS}"),
+}
+_PATHS = ("scenes_dir", "polygons", "labels")
+_HINTS = typing.get_type_hints(RunConfig)
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+def _checked(doc: dict, hints: dict, what: str, limits: dict) -> dict:
+    """doc, a JSON object whose keys are fields of a dataclass with the type
+    hints `hints`, with each value checked against its hint and its limit."""
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    checked = {}
+    for key, value in doc.items():
+        try:
+            checked[key] = formats._as_type(value, hints[key])
+        except ValueError as exc:
+            raise ConfigError(f"{what} {key!r}: {exc}") from None
+        meets, wanted = limits.get(key, (None, ""))
+        entries = value if isinstance(value, list) else [value]
+        if meets and not all(meets(v) for v in entries if v is not None):
+            raise ConfigError(f"{what} {key!r} must be {wanted}, got {value!r:.80}")
+    return checked
 
 
-def load_config(path: Optional[str], overrides: dict) -> RunConfig:
-    values: dict = {}
+def load_config(path: Optional[str], overrides: dict, reads_data: bool = True) -> RunConfig:
+    """The JSON object at path, if given, updated with overrides, as a RunConfig whose
+    values meet their fields' types and _LIMITS; the paths only when reads_data."""
+    doc = {}
     if path is not None:
         cfg_path = Path(path)
-        if not cfg_path.exists():
+        if not cfg_path.is_file():
             raise ConfigError(f"config file not found: {cfg_path}")
         try:
-            loaded = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(cfg_path.read_text())
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.theta is not None and cfg.theta != "auto":
-        try:
-            cfg.theta = float(cfg.theta)
-        except (TypeError, ValueError):
-            raise ConfigError(f"theta must be a number or 'auto', got {cfg.theta!r}")
-    counts = [("k", cfg.k)] if cfg.k not in (None, "auto") else []
-    counts += [("k_grid entry", v) for v in cfg.k_grid or ()]
-    counts += [(n, getattr(cfg, n))
-               for n in ("n_random", "n_bins", "n_repeats", "workers", "window")]
-    for name, value in counts:
-        if not (type(value) is int and value >= 1):  # JSON true/false are not counts
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if type(cfg.seed) is not int:
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if not (isinstance(cfg.eps, (int, float)) and 0 < cfg.eps < math.inf):
-        raise ConfigError(f"eps must be a finite number > 0, got {cfg.eps!r}")
-    try:
-        cfg.feature_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    given = [name for name in ("scenes_dir", "polygons", "labels")
-             if getattr(cfg, name) is not None]
-    for name in given + ["out_dir"]:
-        if not isinstance(getattr(cfg, name), str):
-            raise ConfigError(f"{name} must be a string, got {getattr(cfg, name)!r}")
-    if not isinstance(cfg.synth, (dict, type(None))):
-        raise ConfigError(f"synth must be an object, got {cfg.synth!r:.80}")
-    if not (isinstance(cfg.percentile, (int, float)) and 0 < cfg.percentile < 100):
-        raise ConfigError(f"percentile must be a number in (0, 100), got {cfg.percentile!r}")
-    if not (isinstance(cfg.train_frac, (int, float)) and 0 < cfg.train_frac < 1):
-        raise ConfigError(f"train_frac must be a number in (0, 1), got {cfg.train_frac!r}")
-    radii = [("r", cfg.r)] if cfg.r not in (None, "auto") else []
-    for name, value in radii + [("r_grid entry", v) for v in cfg.r_grid or ()]:
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"{name} must be a number > 0, got {value!r}")
-    if isinstance(cfg.theta, float) and not cfg.theta >= 0:
-        raise ConfigError(f"theta must be >= 0, got {cfg.theta!r}")
-    return cfg
-
-
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) in (None, ""):
-            raise ConfigError(f"config key {name!r} is required for this command")
-
-
-def _require_paths(cfg: RunConfig) -> None:
-    _require(cfg, "scenes_dir", "polygons")
-    for name in ("scenes_dir", "polygons", "labels"):
-        value = getattr(cfg, name)
-        if value is not None and not Path(value).exists():
-            raise ConfigError(f"{name} path does not exist: {value}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {doc!r:.80}")
+    limits = {key: limit for key, limit in _LIMITS.items() if reads_data or key not in _PATHS}
+    return RunConfig(**_checked({**doc, **overrides}, _HINTS, "config", limits))
 
 
 def _require_grids(cfg: RunConfig) -> None:
@@ -145,9 +123,11 @@ def _require_grids(cfg: RunConfig) -> None:
 def _load_store(cfg: RunConfig) -> DivergenceCache:
     """The command's dataset in its one divergence store, which holds the
     features, eps and workers every divergence is computed with."""
-    _require_paths(cfg)
+    if cfg.scenes_dir is None or cfg.polygons is None:
+        raise ConfigError("config keys 'scenes_dir' and 'polygons' are required for this command")
     dataset = FootprintDataset.load(cfg.scenes_dir, cfg.polygons, cfg.labels)
-    return DivergenceCache(dataset, cfg.feature_config(), cfg.eps, cfg.seed, cfg.workers)
+    features = PixelFeatureConfig(mode=cfg.feature_mode, window=cfg.window)
+    return DivergenceCache(dataset, features, cfg.eps, cfg.seed, cfg.workers)
 
 
 def _calibrate(cfg: RunConfig, cache: DivergenceCache):
@@ -168,33 +148,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _as_type(value, hint):
-    """A JSON value as the field type `hint`, lists becoming tuples; ValueError
-    when it is of another type. A float field takes an integer too."""
-    if type(value) is int and hint in (int, float) or type(value) is float and hint is float:
-        return value
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple and isinstance(value, list):
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        if len(args) == len(value):
-            return tuple(_as_type(v, a) for v, a in zip(value, args))
-    raise ValueError
-
-
 def cmd_generate(cfg: RunConfig) -> int:
     hints = typing.get_type_hints(synthgen.SynthConfig)
-    overrides = dict(cfg.synth or {})
-    unknown = set(overrides) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        try:
-            overrides[key] = _as_type(value, hints[key])
-        except ValueError:
-            raise ConfigError(f"synth {key} must be {inspect.formatannotation(hints[key])}, "
-                              f"got {value!r:.80}") from None
-    overrides.setdefault("seed", cfg.seed)
+    overrides = {"seed": cfg.seed, **_checked(cfg.synth or {}, hints, "synth", {})}
     try:
         synth_cfg = synthgen.SynthConfig(**overrides)
     except ValueError as exc:
@@ -305,8 +261,6 @@ def cmd_detect(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    if cfg.method not in evaluation.METHODS:
-        raise ConfigError(f"method must be one of {evaluation.METHODS}, got {cfg.method!r}")
     cache = _load_store(cfg)
     dataset = cache.dataset
     if not dataset.labels:
@@ -401,7 +355,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, key, None) is not None
     }
     try:
-        cfg = load_config(args.config, overrides)
+        if overrides.get("theta", "auto") != "auto":
+            try:
+                overrides["theta"] = float(overrides["theta"])
+            except ValueError:
+                raise ConfigError(f"--theta is not a number or 'auto': {args.theta!r}") from None
+        cfg = load_config(args.config, overrides, reads_data=args.command != "generate")
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error[Config]: {exc}", file=sys.stderr)

@@ -300,7 +300,7 @@ def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k
             or x.shape[0] != n_layers * sizes.sum() or region.shape != (sizes.sum(),)):
         raise ValueError(f"{sizes.size} chips, {region.shape} region codes and {seeds.shape} "
                          f"seeds for features of shape {x.shape}")
-    _check_k(int(sizes.min(initial=k)), k)
+    _check_k(min(sizes.tolist(), default=k), k)  # k may lie past int64
     counts = np.empty((n_fits, 2, k), dtype=np.int64)
     n_iter = np.empty(n_fits, dtype=np.int64)
     reseeds = np.empty(n_fits, dtype=np.int64)

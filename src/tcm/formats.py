@@ -9,12 +9,15 @@ Scene files carry T=1; a sidecar <name>.json next to each scene holds
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import inspect
 import json
-import math
 import struct
+import sys
+import typing
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -79,8 +82,9 @@ def read_scene(path) -> Scene:
         raise ConfigError(f"missing sidecar {sidecar_path}")
     try:
         meta = json.loads(sidecar_path.read_text())
-        year = int(meta["year"])
-        transform = AffineGeoTransform(*[float(v) for v in meta["geotransform"]])
+        year = _as_type(meta["year"], int)
+        coefficients = _as_type(meta["geotransform"], tuple[(float,) * 6])
+        transform = AffineGeoTransform(*map(float, coefficients))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptScene(f"{sidecar_path}: needs an integer 'year' and six 'geotransform' "
                            f"numbers ({type(exc).__name__}: {exc})") from exc
@@ -123,21 +127,41 @@ def write_polygons_geojson(path, polygons: Sequence[Polygon]) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _is_coordinate(v) -> bool:
-    """A finite JSON number. json.loads reads the literals NaN and Infinity
-    as floats, and an integer past the float range cannot become one."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+def _is_finite_number(v) -> bool:
+    """A JSON number a float holds finitely: not a bool, the literal NaN or Infinity
+    (json.loads reads both as floats), nor an integer past the float range."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _as_type(value, hint):
+    """value, as json.loads returned it, checked against the type hint: int (not a
+    bool), float (finite; an integer stays as written), str, dict, a Literal of
+    strings, Union, Optional, list[...] and tuple[...], which turns the JSON list
+    into a tuple. ValueError when the value has another type."""
+    if (hint is int and type(value) is int or hint is float and _is_finite_number(value)
+            or hint in (str, dict, type(None)) and isinstance(value, hint)):
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        for arg in args:
+            with contextlib.suppress(ValueError):
+                return _as_type(value, arg)
+    elif origin is typing.Literal and isinstance(value, str) and value in args:
+        return value
+    elif origin in (list, tuple) and isinstance(value, list):
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            items = [_as_type(v, a) for v, a in zip(value, args)]
+            return items if origin is list else tuple(items)
+    raise ValueError(f"{value!r:.80} is not {inspect.formatannotation(hint)}")
 
 
 def _is_ring(ring) -> bool:
-    """A list of [x, y] pairs of finite JSON numbers."""
+    """A list of [x, y] pairs of finite JSON numbers. Polygons files are the
+    largest JSON input, so their vertices skip _as_type's generic dispatch."""
     return isinstance(ring, list) and all(
-        isinstance(pt, list) and len(pt) == 2 and all(map(_is_coordinate, pt))
+        isinstance(pt, list) and len(pt) == 2 and all(map(_is_finite_number, pt))
         for pt in ring)
 
 
@@ -160,23 +184,27 @@ def read_polygons_geojson(path) -> list[Polygon]:
                                     f"got {props!r:.80}")
         if "id" not in props:
             raise ConfigError(f"{path}: every feature needs an 'id' property")
+        if type(props["id"]) not in (str, int):  # nor a bool; cheaper than _as_type
+            raise MalformedPolygons(f"{path}: a feature's 'id' must be a string or an integer, "
+                                    f"got {props['id']!r:.80}")
+        fid = str(props["id"])
         geom = feat.get("geometry")
         if not isinstance(geom, (dict, type(None))):
-            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'geometry' as an "
+            raise MalformedPolygons(f"{path}: feature {fid!r} needs 'geometry' as an "
                                     f"object, got {geom!r:.80}")
         if geom is None or geom.get("type") != "Polygon":
-            raise ConfigError(f"{path}: feature {props['id']!r} is not a Polygon")
+            raise ConfigError(f"{path}: feature {fid!r} is not a Polygon")
         rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and all(map(_is_ring, rings))):
-            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs 'coordinates' "
+            raise MalformedPolygons(f"{path}: feature {fid!r} needs 'coordinates' "
                                     f"as a list of rings of finite [x, y] numbers, "
                                     f"got {rings!r:.80}")
         label_year = props.get("label_year")
         if not (label_year is None or type(label_year) is int):  # JSON true/false are not years
-            raise MalformedPolygons(f"{path}: feature {props['id']!r} needs an integer "
+            raise MalformedPolygons(f"{path}: feature {fid!r} needs an integer "
                                     f"'label_year', got {label_year!r:.80}")
         polygons.append(Polygon(
-            id=str(props["id"]),
+            id=fid,
             exterior=tuple((float(x), float(y)) for x, y in rings[0]),
             holes=tuple(tuple((float(x), float(y)) for x, y in ring) for ring in rings[1:]),
             label_year=label_year,
@@ -194,15 +222,27 @@ def write_labels_csv(path, labels: dict[str, tuple[int, int]]) -> None:
             writer.writerow([fid, int(idx), int(year)])
 
 
+def _decimal(text) -> int:
+    """An integer written in ASCII digits alone: no sign, space or underscore."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not written in decimal digits")
+    return int(text)
+
+
 def read_labels_csv(path) -> dict[str, tuple[int, int]]:
-    labels = {}
+    labels, lines = {}, {}
     with open(path, newline="") as fh:
         for line, row in enumerate(csv.DictReader(fh), start=2):
             try:
-                labels[row["footprint_id"]] = (int(row["first_index"]), int(row["first_year"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                fid = row["footprint_id"]
+                label = (_decimal(row["first_index"]), _decimal(row["first_year"]))
+            except (KeyError, ValueError) as exc:
                 raise MalformedLabels(f"{path}:{line}: needs integer 'first_index' and "
                                       f"'first_year' ({type(exc).__name__}: {exc})") from exc
+            if fid in labels:
+                raise MalformedLabels(f"{path}:{line}: footprint_id {fid!r} is labelled "
+                                      f"again, after line {lines[fid]}")
+            labels[fid], lines[fid] = label, line
     return labels
 
 

@@ -1,16 +1,22 @@
 import csv
+import dataclasses
 import json
+import os
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tcm.core
 from tcm import (DivergenceCache, PixelFeatureConfig, calibrate, detect,
                  evaluate_semi_supervised, extract_chip_stack, first_crossing,
                  repeated_splits)
-from tcm.cli import load_config, main
+from tcm.cli import RunConfig, load_config, main
 from tcm.data import FootprintDataset
+from tcm.errors import ConfigError
 from tcm.formats import calibration_report_to_dict, read_tcs, write_tcs
 
 SYNTH = {
@@ -271,6 +277,73 @@ class TestConfigHandling:
                      "--theta", "weird"]) == 2
 
 
+def _integer(v):
+    return type(v) is int
+
+
+def _number(v):  # finite, and representable as a float
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _auto_or(check):
+    return lambda v: v is None or v == "auto" or check(v)
+
+
+# Every RunConfig key with the types and ranges the README documents, written out.
+DOCUMENTED = {
+    "scenes_dir": lambda v: v is None or type(v) is str and os.path.isdir(v),
+    "polygons": lambda v: v is None or type(v) is str and os.path.isfile(v),
+    "labels": lambda v: v is None or type(v) is str and os.path.isfile(v),
+    "out_dir": lambda v: type(v) is str,
+    "k": _auto_or(lambda v: _integer(v) and v >= 1),
+    "r": _auto_or(lambda v: _number(v) and v > 0),
+    "theta": _auto_or(lambda v: _number(v) and v >= 0),
+    "feature_mode": lambda v: v in ("spectral", "spectral_window"),
+    "window": lambda v: _integer(v) and v >= 1,
+    "eps": lambda v: _number(v) and v > 0,
+    "percentile": lambda v: _number(v) and 0 < v < 100,
+    "k_grid": lambda v: v is None or type(v) is list and all(_integer(x) and x >= 1 for x in v),
+    "r_grid": lambda v: v is None or type(v) is list and all(_number(x) and x > 0 for x in v),
+    "n_random": lambda v: _integer(v) and v >= 1,
+    "n_bins": lambda v: _integer(v) and v >= 1,
+    "method": lambda v: v in ("tcm_semi", "tcm_supervised", "tcm_lr", "avgcolor_threshold",
+                              "avgcolor_lr", "color_over_time", "mode"),
+    "n_repeats": lambda v: _integer(v) and v >= 1,
+    "train_frac": lambda v: _number(v) and 0 < v < 1,
+    "seed": _integer,
+    "workers": lambda v: _integer(v) and v >= 1,
+    "synth": lambda v: v is None or type(v) is dict,
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+            | st.sampled_from([0, 1, 2, 0.5, 99.5, 1e400, -1e400, 10**400, "auto", "spectral",
+                               "mode", str(ROOT), str(ROOT / "README.md")]))
+JSON_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(st.text(max_size=2),
+                                                                          _SCALARS, max_size=2)
+
+
+def test_documented_table_names_every_config_key():
+    assert set(DOCUMENTED) == {f.name for f in dataclasses.fields(RunConfig)}
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"^\| `(\w+)` \|", readme, re.M) == list(DOCUMENTED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(st.sampled_from(sorted(DOCUMENTED)), JSON_VALUES, max_size=4))
+def test_config_values_are_refused_or_have_their_documented_type(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "config.json"
+    path.write_text(json.dumps(doc))  # writes the literals NaN, Infinity and -Infinity
+    if not all(DOCUMENTED[key](value) for key, value in doc.items()):
+        with pytest.raises(ConfigError):
+            load_config(str(path), {})
+        return
+    cfg = load_config(str(path), {})
+    for field in dataclasses.fields(RunConfig):
+        assert DOCUMENTED[field.name](getattr(cfg, field.name)), field.name
+    assert json.dumps({key: getattr(cfg, key) for key in doc}) == json.dumps(doc)  # as written
+
+
 def corrupt_magic(data):
     path = data / "scenes" / "scene_2016.tcs"
     path.write_bytes(b"NOPE" + path.read_bytes()[4:])
@@ -318,9 +391,27 @@ def edit_first_label(change):
     return edit
 
 
+def duplicate_first_label(data):
+    path = data / "labels.csv"
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, first] + rest) + "\n")
+
+
 def write_polygons(text):
     def edit(data):
         (data / "polygons.geojson").write_text(text)
+    return edit
+
+
+def polygons_as_directory(data):
+    path = data / "polygons.geojson"
+    path.unlink()
+    path.mkdir()
+
+
+def write_run_config(text):
+    def edit(data):
+        (data.parent / "run.json").write_text(text)  # where generated_config put it
     return edit
 
 
@@ -408,6 +499,39 @@ MALFORMED = [
     ("scenes_dir_as_number", None, {"scenes_dir": 5}, [], 2, "Config"),
     ("polygons_as_number", None, {"polygons": 5}, [], 2, "Config"),
     ("labels_as_number", None, {"labels": 5}, [], 2, "Config"),
+    ("k_grid_as_number", None, {"k_grid": -1}, [], 2, "Config"),
+    ("r_grid_as_number", None, {"r_grid": 1.5}, [], 2, "Config"),
+    ("empty_labels_path", None, {"labels": ""}, [], 2, "Config"),
+    ("polygons_a_directory", polygons_as_directory, {}, [], 2, "Config"),
+    ("config_a_number", write_run_config("5"), {}, [], 2, "Config"),
+    ("config_null", write_run_config("null"), {}, [], 2, "Config"),
+    ("theta_as_bool", None, {"theta": True}, [], 2, "Config"),
+    ("r_as_bool", None, {"r": True}, [], 2, "Config"),
+    ("eps_as_bool", None, {"eps": True}, [], 2, "Config"),
+    ("percentile_as_bool", None, {"percentile": True}, [], 2, "Config"),
+    # json.dumps writes 1e400 (inf) as the literal Infinity, which json.loads reads back.
+    ("infinite_r", None, {"r": 1e400}, [], 2, "Config"),
+    ("k_past_int64", None, {"k": 10**30}, [], 3, "TooFewPixels"),
+    ("fractional_sidecar_year", edit_sidecar(year=2016.7), {}, [], 3, "CorruptScene"),
+    ("sidecar_year_as_string", edit_sidecar(year="2016"), {}, [], 3, "CorruptScene"),
+    ("geotransform_as_string", edit_sidecar(geotransform="123456"), {}, [], 3,
+     "CorruptScene"),
+    ("geotransform_of_bools", edit_sidecar(geotransform=[True, False, False, False, True,
+                                                         False]), {}, [], 3, "CorruptScene"),
+    ("nan_in_geotransform", edit_sidecar(geotransform=[float("nan"), 0, 0, 0, 1, 0]), {}, [],
+     3, "CorruptScene"),
+    ("null_id", edit_first_feature(lambda f: f["properties"].update(id=None)), {}, [], 3,
+     "MalformedPolygons"),
+    ("id_as_list", edit_first_feature(lambda f: f["properties"].update(id=[1])), {}, [], 3,
+     "MalformedPolygons"),
+    ("id_as_object", edit_first_feature(lambda f: f["properties"].update(id={})), {}, [], 3,
+     "MalformedPolygons"),
+    ("label_index_with_space", edit_first_label(lambda index, year: (f" {index}", year)), {},
+     [], 3, "MalformedLabels"),
+    ("label_year_with_underscore",
+     edit_first_label(lambda index, year: (index, f"{year // 100}_{year % 100}")), {}, [], 3,
+     "MalformedLabels"),
+    ("footprint_labelled_twice", duplicate_first_label, {}, [], 3, "MalformedLabels"),
 ]
 
 
