@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, help="worker processes over footprints")
+        p.add_argument("--workers", type=int, help="worker threads over footprints")
         p.add_argument("--k", type=int, help="cluster count")
         p.add_argument("--r", type=float, help="buffer radius (polygon units)")
         p.add_argument("--theta", help="decision threshold, or 'auto'")

@@ -10,12 +10,14 @@ calibration, detection and evaluation read these divergences.
 
 `layer_divergence` states one layer's computation and is its reference.
 The store computes a request as batches of `BATCH` polygons: a batch's
-chips are cut from the scenes in array passes (`extract_chips`), their features and seeds are made once for all k, one
-`region_counts` call per k fits every wanted layer of the batch and counts
-its clusters per region, and the KL of every layer follows in one
-vectorized step with the arithmetic of `cluster_distribution` and
-`kl_divergence`, so the values are the same bits. With workers > 1, each
-pool worker receives the scenes once and cuts its batches' chips itself. The store also counts the fits it made (`fit_stats`), merged in
+chips are cut from the scenes in array passes (`extract_chips`), their
+features and seeds are made once for all k, one `region_counts` call per k
+fits every wanted layer of the batch and counts its clusters per region,
+and the KL of every layer follows in one vectorized step with the
+arithmetic of `cluster_distribution` and `kl_divergence`, so the values are
+the same bits. With workers > 1, the batches run on a thread pool
+(`run_tasks`) and each cuts its chips from the request's one stack of the
+scenes. The store also counts the fits it made (`fit_stats`), merged in
 batch order; the batch size is a constant, so neither the values nor the
 counts depend on the worker count.
 """
@@ -23,7 +25,6 @@ counts depend on the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .clustering import (FitStats, PixelFeatureConfig, assign_features, extract_
                          fit_kmeans, region_counts)
 from .data import FootprintDataset
 from .errors import EmptyRegion, SupportMismatch
-from .geometry import ChipStack, Polygon, SceneStack, extract_chips, stack_scenes
+from .geometry import ChipStack, Polygon, extract_chips, stack_scenes
 from .supervised import avg_color_series, color_over_time_features
 from .util import run_tasks, stable_seed
 
@@ -209,13 +210,6 @@ def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config,
     return rows, stats
 
 
-def _batch_task(scenes: SceneStack, polygons: Sequence[Polygon], r: float, wanted: dict,
-                feature_config, seed, eps) -> tuple[dict[int, np.ndarray], FitStats]:
-    """`_batch_divergences` of the polygons' chips, cut from the scenes."""
-    return _batch_divergences(extract_chips(scenes, polygons, r), wanted, feature_config,
-                              seed, eps)
-
-
 class DivergenceCache:
     """The one divergence store: every layer divergence is computed here.
 
@@ -224,8 +218,8 @@ class DivergenceCache:
     and methods share it. Requests cover every footprint, so values are kept
     as one column over the footprints per (r, k, layer); a request computes
     only its missing columns, in batches of `BATCH` polygons. Chips are cut
-    for each request and kept only for the color features, per r. `workers` processes only speed up the first
-    computation of a value.
+    for each request and kept only for the color features, per r. `workers`
+    threads only speed up the first computation of a value.
     """
 
     def __init__(self, dataset: FootprintDataset,
@@ -286,10 +280,14 @@ class DivergenceCache:
                  wanted: dict) -> dict[int, np.ndarray]:
         """Per k, a (polygon, layer) table of the layers wanted: one task per
         batch of `BATCH` polygons."""
-        task = partial(_batch_task, r=r, wanted=wanted, feature_config=self.feature_config,
-                       seed=self.seed, eps=self.eps)
+        scenes = stack_scenes(self.dataset.scenes)
+
+        def task(batch: Sequence[Polygon]) -> tuple[dict[int, np.ndarray], FitStats]:
+            return _batch_divergences(extract_chips(scenes, batch, r), wanted,
+                                      self.feature_config, self.seed, self.eps)
+
         batches = [polygons[i : i + BATCH] for i in range(0, len(polygons), BATCH)]
-        results = run_tasks(task, batches, self.workers, shared=stack_scenes(self.dataset.scenes))
+        results = run_tasks(task, batches, self.workers)
         for _, stats in results:
             self.fit_stats += stats
         return {k: np.concatenate([rows[k] for rows, _ in results]) for k in wanted}

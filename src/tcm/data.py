@@ -33,6 +33,10 @@ class FootprintDataset:
         dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
         if dupes:
             raise DuplicateSceneYear(f"scene years occur more than once: {dupes}")
+        unknown = sorted(set(self.labels or ()) - {p.id for p in self.polygons})
+        if unknown:
+            raise MalformedLabels(f"{len(unknown)} labelled footprint ids name no footprint: "
+                                  f"{unknown[:5]}")
         for fid, (index, year) in sorted((self.labels or {}).items()):
             if year not in years or index != years.index(year) + 1:
                 raise MalformedLabels(f"label of {fid!r}: first_year {year} at first_index "
@@ -48,10 +52,7 @@ class FootprintDataset:
         return len(self.scenes)
 
     def labeled_ids(self) -> list[str]:
-        if not self.labels:
-            return []
-        known = {p.id for p in self.polygons}
-        return sorted(fid for fid in self.labels if fid in known)
+        return sorted(self.labels or {})
 
     def year_of_index(self, index: int) -> int:
         return self.scenes[index - 1].year

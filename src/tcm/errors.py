@@ -26,7 +26,12 @@ class DuplicateSceneYear(TCMError):
 
 
 class MalformedLabels(TCMError):
-    """Labels lack a required column, hold a non-integer index or year, or leave the scene axis."""
+    """Labels lack a required column, hold a non-integer index or year, leave the scene
+    axis, or name a footprint the dataset does not have."""
+
+
+class TooFewLabels(TCMError, ValueError):
+    """Too few labelled footprints to split into train and test sides."""
 
 
 class MalformedPolygons(TCMError, ValueError):

@@ -17,7 +17,7 @@ from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE
 from .calibration import CalibrationReport, calibrate
 from .core import DivergenceCache, divergence_store, first_crossing
 from .data import FootprintDataset
-from .errors import DegenerateRanks, MissingPrediction
+from .errors import DegenerateRanks, MissingPrediction, TooFewLabels
 from .supervised import fit_lr, fit_threshold, mode_predictor, predict_lr
 from .util import stable_seed
 
@@ -199,7 +199,7 @@ def repeated_splits(
         raise ValueError(f"method must be a supervised method, got {method!r}")
     ids = dataset.labeled_ids()
     if len(ids) < 5:
-        raise ValueError(f"need >= 5 labeled footprints, got {len(ids)}")
+        raise TooFewLabels(f"need >= 5 labeled footprints, got {len(ids)}")
     labels_idx = {i: dataset.labels[i][0] for i in ids}
     labels_year = {i: dataset.labels[i][1] for i in ids}
     cache = divergence_store(cache, dataset, seed)

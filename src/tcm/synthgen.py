@@ -147,8 +147,8 @@ def _footprint_masks(config: SynthConfig, polygons: Sequence[Polygon]) -> list[t
     return [(row0, col0, mask) for (row0, _, col0, _), mask in zip(windows.tolist(), masks)]
 
 
-def _apply_layer_shift(img: np.ndarray, config: SynthConfig,
-                       rng: np.random.Generator) -> np.ndarray:
+def _shift_layer(img: np.ndarray, config: SynthConfig,
+                 rng: np.random.Generator) -> np.ndarray:
     """Split the layer into 2-3 swaths and color-transform each independently.
 
     Each swath gets a per-channel gain in 1 +/- 0.25*s and offset in
@@ -214,7 +214,7 @@ def generate(config: SynthConfig) -> FootprintDataset:
                 0.0, config.noise_sigma, (n_px, config.channels))
             block = img[row0 : row0 + mask.shape[0], col0 : col0 + mask.shape[1]]
             block[sel] = patch
-        img = _apply_layer_shift(img, config, shift_rng)
+        img = _shift_layer(img, config, shift_rng)
         pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
         scenes.append(Scene(pixels=pixels, year=config.years[t - 1],
                             transform=IDENTITY_TRANSFORM))

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
-S = TypeVar("S")
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -23,35 +21,20 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest, "little")
 
 
-def run_tasks(fn: Callable[[S, T], R], items: Iterable[T], workers: int = 1,
-              shared: S = None) -> list[R]:
-    """Apply fn(shared, item) over items, in a process pool when workers > 1,
+def run_tasks(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
+    """Apply fn over items, in a pool of `workers` threads when workers > 1,
     preserving input order.
 
-    Each task must be a pure function of `shared` and its picklable item
-    (deriving any randomness via stable_seed), so the result list is
-    independent of the worker count. `shared` reaches each worker once,
-    through the pool's initializer, not once per task. ctypes releases the
-    GIL while the compiled k-means kernel runs, so threads would overlap the
-    kernel too; processes also run the Python around it (chip cutting,
-    features, KL) in parallel. The pool lives only inside this call.
+    Each task must be a pure function of its item (deriving any randomness
+    via stable_seed), so the result list is independent of the worker count.
+    Threads suffice: a task's time goes mostly to the compiled k-means
+    kernel, which runs without the GIL (ctypes releases it around the call),
+    and the rest is numpy array passes. Tasks read the caller's arrays in
+    place, so nothing is copied or pickled. The pool lives only inside this
+    call.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        return [fn(shared, item) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_receive,
-                             initargs=(shared,)) as pool:
-        return list(pool.map(partial(_apply, fn), items, chunksize=chunksize))
-
-
-_shared = None  # a pool worker's copy of run_tasks' `shared`, set once as it starts
-
-
-def _receive(shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _apply(fn, item):
-    return fn(_shared, item)
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -344,6 +344,40 @@ def test_config_values_are_refused_or_have_their_documented_type(tmp_path_factor
     assert json.dumps({key: getattr(cfg, key) for key in doc}) == json.dumps(doc)  # as written
 
 
+@pytest.fixture(scope="module")
+def labelled_run(tmp_path_factory):
+    """A generated dataset's run config, its labels.csv and its footprint ids."""
+    cfg, data, _ = generated_config(tmp_path_factory.mktemp("labels"), n_repeats=2)
+    with open(data / "labels.csv", newline="") as fh:
+        ids = [row["footprint_id"] for row in csv.DictReader(fh)]
+    return cfg, data / "labels.csv", ids
+
+
+# (first_index, first_year) cells of a label that SYNTH's scene years admit, and any cells.
+_VALID_LABEL = st.sampled_from([[str(i + 1), str(SYNTH["start_year"] + i)]
+                                for i in range(SYNTH["layers"])])
+_LABEL_CELLS = st.lists(st.integers(-1, 4).map(str) | st.sampled_from(["2015", "2099", ""])
+                        | st.text(max_size=4), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_labels_csv_is_scored_or_refused(labelled_run, data):
+    cfg, labels, ids = labelled_run
+    good = data.draw(st.lists(st.tuples(st.sampled_from(ids), _VALID_LABEL),
+                              unique_by=lambda row: row[0]))
+    odd = data.draw(st.lists(st.tuples(st.sampled_from(ids) | st.text(max_size=4),
+                                       _VALID_LABEL | _LABEL_CELLS), max_size=4))
+    with open(labels, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["footprint_id", "first_index", "first_year"])
+        writer.writerows([fid] + cells for fid, cells in good + odd)
+    code = main(["evaluate", "--config", str(cfg), "--method", "mode"])
+    assert code in (0, 2, 3)
+    if not odd:  # well-formed labels: scored when there are enough to split
+        assert code == (0 if len(good) >= 5 else 3 if good else 2)
+
+
 def corrupt_magic(data):
     path = data / "scenes" / "scene_2016.tcs"
     path.write_bytes(b"NOPE" + path.read_bytes()[4:])
@@ -397,6 +431,23 @@ def duplicate_first_label(data):
     path.write_text("\n".join([header, first, first] + rest) + "\n")
 
 
+def rename_labels(count=None):
+    """Give the first `count` labels (all when None) ids that name no footprint."""
+    def edit(data):
+        path = data / "labels.csv"
+        header, *rows = path.read_text().splitlines()
+        rows[:count] = [f"typo-{i}," + row.split(",", 1)[1] for i, row in enumerate(rows[:count])]
+        path.write_text("\n".join([header] + rows) + "\n")
+    return edit
+
+
+def keep_labels(count):
+    def edit(data):
+        path = data / "labels.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[: count + 1]) + "\n")
+    return edit
+
+
 def write_polygons(text):
     def edit(data):
         (data / "polygons.geojson").write_text(text)
@@ -432,7 +483,8 @@ def edit_first_feature(change):
 
 
 # (case, edit of the generated data, run-config overrides, extra flags, exit, error class);
-# the run config gives k=2, r=3.0 and theta=0.5 unless the overrides say otherwise.
+# the run config gives k=2, r=3.0 and theta=0.5 unless the overrides say otherwise. The
+# command is detect, unless the flags start with another one.
 MALFORMED = [
     ("bad_magic", corrupt_magic, {}, [], 3, "CorruptScene"),
     ("truncated_payload", truncate_payload, {}, [], 3, "CorruptScene"),
@@ -532,6 +584,13 @@ MALFORMED = [
      edit_first_label(lambda index, year: (index, f"{year // 100}_{year % 100}")), {}, [], 3,
      "MalformedLabels"),
     ("footprint_labelled_twice", duplicate_first_label, {}, [], 3, "MalformedLabels"),
+    ("label_id_typo", rename_labels(1), {}, ["evaluate", "--method", "tcm_semi"], 3,
+     "MalformedLabels"),
+    ("no_label_id_known_calibrate", rename_labels(), {}, ["calibrate"], 3, "MalformedLabels"),
+    ("no_label_id_known_evaluate", rename_labels(), {}, ["evaluate", "--method", "mode"], 3,
+     "MalformedLabels"),
+    ("four_labels_to_split", keep_labels(4), {}, ["evaluate", "--method", "mode"], 3,
+     "TooFewLabels"),
 ]
 
 
@@ -541,7 +600,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, co
     cfg, data, _ = generated_config(tmp_path, **{"k": 2, "r": 3.0, "theta": 0.5, **overrides})
     if edit is not None:
         edit(data)
-    assert main(["detect", "--config", str(cfg)] + flags) == code
+    command, *flags = flags if flags[:1] in (["calibrate"], ["evaluate"]) else ["detect"] + flags
+    assert main([command, "--config", str(cfg)] + flags) == code
     assert f"error[{error}]" in capsys.readouterr().err
 
 

@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcm.calibration import calibrate
-from tcm.core import divergence_store
+from tcm.clustering import FEATURE_MODES, PixelFeatureConfig
+from tcm.core import BATCH, divergence_store
 from tcm.data import FootprintDataset
 from tcm.errors import DegenerateRanks, MissingPrediction
 from tcm.evaluation import (
@@ -171,17 +176,37 @@ class TestDivergenceCache:
         for fid in first:
             assert np.array_equal(first[fid], fresh[fid])
 
-    def test_workers_do_not_change_series(self):
-        ds = small_dataset(footprints=8)
-        s1 = DivergenceCache(ds, seed=0, workers=1).series(3, 4.0)
-        s4 = DivergenceCache(ds, seed=0, workers=4).series(3, 4.0)
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_workers_do_not_change_series(self, mode):
+        ds = small_dataset(footprints=36)
+        assert len(ds.polygons) > BATCH  # more than one batch, so the pool runs
+        one, four = (DivergenceCache(ds, PixelFeatureConfig(mode=mode), seed=0, workers=w)
+                     for w in (1, 4))
+        s1 = one.series(3, 4.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching as often as it can
+        try:
+            s4 = four.series(3, 4.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(s1) == list(s4)
         for fid in s1:
             assert np.array_equal(s1[fid], s4[fid])
+        assert one.fit_stats == four.fit_stats
+
+    def test_workers_start_no_child_process(self, monkeypatch):
+        def fork():
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(os, "fork", fork)
+        ds = small_dataset(footprints=36)
+        assert len(DivergenceCache(ds, seed=0, workers=2).series(3, 4.0)) == len(ds.polygons)
+        assert multiprocessing.active_children() == []
 
     def test_random_polygon_ids_never_reach_footprint_values(self):
         ds = small_dataset(footprints=8)
         renamed = ds.polygons[0].translated(0.0, 0.0, new_id="rand-00000")
-        ds = FootprintDataset(ds.scenes, [renamed] + ds.polygons[1:], ds.labels)
+        ds = FootprintDataset(ds.scenes, [renamed] + ds.polygons[1:], None)
         cache = DivergenceCache(ds, seed=0)
         calibrate(ds, k_grid=[3], r_grid=[4.0], n_random=6, seed=0, cache=cache)
         after = cache.series(3, 4.0)
