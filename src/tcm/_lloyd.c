@@ -8,11 +8,10 @@
  *     for bit: SeedSequence hashing, PCG64 seeding and its XSL-RR output,
  *     integers(n) as Lemire's bounded draw on the generator's buffered
  *     32-bit halves, and random() from the top 53 bits of an output;
- *   - row norms and point-to-centre distances sum their squares in the order
- *     of numpy's einsum("ij,ij->i") inner loop: two lanes, eight elements per
- *     main step taken from the back, then the tail two at a time;
- *   - the init's total weight, the inertia and the centroid shift sum in
- *     numpy's pairwise order;
+ *   - every sum runs left to right, as numpy's _row_norms and _sum run it,
+ *     inside the loop that makes its terms: norms and distances over the
+ *     dimensions, the init's total weight in pp_add, the inertia as points
+ *     are labelled, a centroid's squared shift as it is updated;
  *   - an init pick is Generator.choice(n, p=closest / total), or
  *     Generator.integers(n) where the total weight is <= 0;
  *   - centroid sums accumulate point by point, as np.bincount does;
@@ -25,10 +24,11 @@
  * spectral feature dimension, as a constant where it applies; the compiler
  * then unrolls the per-dimension loops without changing their order.
  *
- * Status codes: 0 done; 1 an iteration raised the inertia (a bug); 2 memory
- * ran out; 3 the fit leaves what the kernel repeats: the init's total weight
- * is not finite, where numpy's choice raises, or n >= 2^32, where numpy draws
- * integers another way. The caller redoes such a fit on the numpy path.
+ * Status codes: 0 done; 1 an iteration raised the inertia by more than
+ * rounding can (a bug); 2 memory ran out; 3 the fit leaves what the kernel
+ * repeats: the init's total weight is not finite, where numpy's choice
+ * raises, or n >= 2^32, where numpy draws integers another way. The caller
+ * redoes such a fit on the numpy path.
  */
 #include <math.h>
 #include <stdint.h>
@@ -139,50 +139,13 @@ static double gen_random(struct pcg64 *g)
     return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* a.b summed as numpy's einsum sums a row: see the comment at the top. */
-INLINE double einsum_dot(const double *restrict a, const double *restrict b, long d)
+/* a.a, summed left to right */
+INLINE double sumsq(const double *restrict a, long d)
 {
-    double acc0 = 0.0, acc1 = 0.0;
-    long i = 0;
-    for (; d - i >= 8; i += 8) {
-        for (int u = 3; u >= 0; u--) {
-            acc0 = a[i + 2 * u] * b[i + 2 * u] + acc0;
-            acc1 = a[i + 2 * u + 1] * b[i + 2 * u + 1] + acc1;
-        }
-    }
-    for (; i < d; i += 2) {
-        acc0 = a[i] * b[i] + acc0;
-        if (i + 1 < d)
-            acc1 = a[i + 1] * b[i + 1] + acc1;
-    }
-    return acc0 + acc1;
-}
-
-/* numpy's pairwise summation of a[0..n), as in np.add.reduce. */
-static double pairwise_sum(const double *a, long n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (long i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        long i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    long n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    double s = 0.0;
+    for (long j = 0; j < d; j++)
+        s += a[j] * a[j];
+    return s;
 }
 
 /* Index of the nearest centroid to x (ties to the lowest) and its distance. */
@@ -209,18 +172,24 @@ INLINE long nearest(const double *restrict x, double norm, const double *restric
 }
 
 /* closest[i] = squared distance from point i to `centroid` when `first`,
- * else the lower of that and closest[i]. */
-INLINE void pp_add(const double *restrict x, long n, long d, const double *restrict centroid,
-                   double *restrict closest, double *restrict diff, int first)
+ * else the lower of that and closest[i]. Returns the sum of the new closest
+ * distances, the init's next total weight. */
+INLINE double pp_add(const double *restrict x, long n, long d, const double *restrict centroid,
+                     double *restrict closest, int first)
 {
+    double total = 0.0;
     for (long i = 0; i < n; i++) {
         const double *row = x + i * d;
-        for (long j = 0; j < d; j++)
-            diff[j] = row[j] - centroid[j];
-        double dist = einsum_dot(diff, diff, d);
+        double dist = 0.0;
+        for (long j = 0; j < d; j++) {
+            double diff = row[j] - centroid[j];
+            dist += diff * diff;
+        }
         if (first || dist < closest[i])
             closest[i] = dist;
+        total += closest[i];
     }
+    return total;
 }
 
 /* Generator.choice(n, p=closest / total) for its uniform draw u: the first
@@ -250,15 +219,15 @@ INLINE long pp_pick(const double *restrict closest, long n, double total, double
  * Returns 0 or 3. */
 INLINE int pp_init(const double *restrict x, long n, long d, long k, uint64_t seed,
                    double *restrict centroids, double *restrict closest,
-                   double *restrict cdf, double *restrict diff)
+                   double *restrict cdf)
 {
     if (n > (long)UINT32_MAX)
         return 3;
     struct pcg64 g;
     pcg_seed(&g, seed);
+    double total = 0.0;
     for (long j = 0; j < k; j++) {
         long pick;
-        double total = j ? pairwise_sum(closest, n) : 0.0;
         if (!(total < INFINITY))
             return 3;
         if (total > 0.0)
@@ -266,22 +235,22 @@ INLINE int pp_init(const double *restrict x, long n, long d, long k, uint64_t se
         else
             pick = gen_integers(&g, n);
         memcpy(centroids + j * d, x + pick * d, (size_t)d * sizeof(double));
-        pp_add(x, n, d, centroids + j * d, closest, diff, j == 0);
+        total = pp_add(x, n, d, centroids + j * d, closest, j == 0);
     }
     return 0;
 }
 
-/* Scratch of one fit. The init uses norms as its cdf, point_d as its
- * closest distances and sq as its difference vector. */
+/* Scratch of one fit. The init uses norms as its cdf and point_d as its
+ * closest distances. */
 struct lloyd_buf {
-    double *norms, *point_d, *sums, *counts, *cnorms, *sq;
+    double *norms, *point_d, *sums, *counts, *cnorms;
     long *labels;
     char *taken;
 };
 
 static int buf_alloc(struct lloyd_buf *b, long n, long d, long k)
 {
-    b->norms = malloc((size_t)(2 * n + k * d + 2 * k + d + 1) * sizeof(double));
+    b->norms = malloc((size_t)(2 * n + k * d + 2 * k + 1) * sizeof(double));
     b->labels = malloc((size_t)(n + 1) * sizeof(long));
     b->taken = malloc((size_t)(n + 1));
     if (b->norms == NULL || b->labels == NULL || b->taken == NULL)
@@ -290,7 +259,6 @@ static int buf_alloc(struct lloyd_buf *b, long n, long d, long k)
     b->sums = b->point_d + n;
     b->counts = b->sums + k * d;
     b->cnorms = b->counts + k;
-    b->sq = b->cnorms + k;  /* d doubles */
     return 0;
 }
 
@@ -311,21 +279,30 @@ struct fit_result {
 INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter, double tol,
                  double *restrict centroids, struct fit_result *out, struct lloyd_buf b)
 {
-    for (long i = 0; i < n; i++)
-        b.norms[i] = einsum_dot(x + i * d, x + i * d, d);
+    double norm_sum = 0.0, norm_max = 0.0;
+    for (long i = 0; i < n; i++) {
+        b.norms[i] = sumsq(x + i * d, d);
+        norm_sum += b.norms[i];
+        if (b.norms[i] > norm_max)
+            norm_max = b.norms[i];
+    }
+    double slack = (4.0 * d + 10.0 + 0x1p-51 * n * n) * (norm_sum + n * norm_max);
     double prev_inertia = INFINITY;
     *out = (struct fit_result){0, 0, 0.0, 0};
     for (long it = 1; it <= max_iter; it++) {
         out->n_iter = it;
         for (long m = 0; m < k; m++)
-            b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
-        for (long i = 0; i < n; i++)
+            b.cnorms[m] = sumsq(centroids + m * d, d);
+        double inertia = 0.0;
+        for (long i = 0; i < n; i++) {
             b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d,
                                   &b.point_d[i]);
-        out->inertia = pairwise_sum(b.point_d, n);
-        if (!(out->inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12))
+            inertia += b.point_d[i];
+        }
+        /* the rise rounding allows, derived in clustering._fit_kmeans_numpy */
+        if (!(inertia <= prev_inertia + 0x1p-53 * (3.0 * n * prev_inertia + slack)))
             return 1;
-        prev_inertia = out->inertia;
+        out->inertia = prev_inertia = inertia;
 
         memset(b.sums, 0, (size_t)(k * d) * sizeof(double));
         memset(b.counts, 0, (size_t)k * sizeof(double));
@@ -354,13 +331,14 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
 
         double shift = 0.0;
         for (long m = 0; m < k; m++) {
+            double sq = 0.0;
             for (long j = 0; j < d; j++) {
                 double c_new = b.sums[m * d + j] / b.counts[m];
                 double moved = c_new - centroids[m * d + j];
-                b.sq[j] = moved * moved;
+                sq += moved * moved;
                 centroids[m * d + j] = c_new;
             }
-            double row_shift = sqrt(pairwise_sum(b.sq, d));
+            double row_shift = sqrt(sq);
             if (m == 0 || row_shift > shift)
                 shift = row_shift;
         }
@@ -377,7 +355,7 @@ INLINE int fit(const double *restrict x, long n, long d, long k, uint64_t seed, 
                double tol, double *restrict centroids, struct fit_result *out,
                struct lloyd_buf b)
 {
-    int status = pp_init(x, n, d, k, seed, centroids, b.point_d, b.norms, b.sq);
+    int status = pp_init(x, n, d, k, seed, centroids, b.point_d, b.norms);
     if (status)
         return status;
     return lloyd(x, n, d, k, max_iter, tol, centroids, out, b);
@@ -416,7 +394,7 @@ INLINE int layer_counts(const double *restrict x, long n, long d, long k,
     if (status)
         return status;
     for (long m = 0; m < k; m++)
-        b.cnorms[m] = einsum_dot(centroids + m * d, centroids + m * d, d);
+        b.cnorms[m] = sumsq(centroids + m * d, d);
     for (long i = 0; i < n; i++)
         b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d, &b.point_d[i]);
     memset(counts, 0, (size_t)(2 * k) * sizeof(int64_t));
@@ -444,7 +422,7 @@ int tcm_region_counts(const double *x, long n_chips, const int64_t *sizes, long 
     for (long c = 0; c < n_chips; c++)
         if (sizes[c] > n_max)
             n_max = sizes[c];
-    struct lloyd_buf b;
+    struct lloyd_buf b = {0};  /* gcc cannot see that a failed buf_alloc skips every fit */
     double *centroids = malloc((size_t)(k * d + 1) * sizeof(double));
     int failed = buf_alloc(&b, n_max, d, k);
     if (centroids == NULL)

@@ -10,11 +10,14 @@ Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
 below operation by operation: the k-means++ init, the Lloyd loop and the
 final assignment. `region_counts` fits every wanted layer of a batch of
 chips, a ragged stack of point sets, and counts their labels per region in
-one kernel call; `assign_features` stays in numpy. Both paths sum a
-distance's cross term left to right, where BLAS could round it another way,
-so the tests demand the same centroids, iteration and reseed counts and
-region counts from both, on real chip layers and on edge cases,
-float-valued ones included. The kernel also runs
+one kernel call; `assign_features` stays in numpy. Every floating-point sum
+of a fit runs left to right on both paths, written out the same way: row
+norms and the cross term of a distance over the dimensions, the init's total
+weight and the inertia over the points, a centroid's shift over its
+dimensions. Nothing rests on the order in which numpy's reductions or BLAS
+sum, and the tests demand the same centroids, inertia, iteration and reseed
+counts and region counts from both paths, on real chip layers and on edge
+cases, float-valued ones included. The kernel also runs
 each fit's `np.random.default_rng(seed)` bit for bit (SeedSequence, PCG64,
 `integers` and `random`), so it makes every draw of the init itself, those
 of a layer whose weights sum to 0 included. Only a `fit_kmeans` seed
@@ -49,7 +52,7 @@ import numpy as np
 from .errors import FeatureDimMismatch, TooFewPixels
 
 FEATURE_MODES = ("spectral", "spectral_window")
-MAX_ITER, TOL = 50, 1e-4  # Lloyd's defaults: iteration cap and centroid-shift tolerance
+MAX_ITER, TOL = 50, 1e-4  # Lloyd: default iteration cap, centroid-shift tolerance
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class ClusterModel:
     n_iter: int = 0
     inertia: float = float("nan")
     reseeds: int = 0  # empty clusters given a far point, over all iterations
-    converged: bool = False  # the centroid shift fell below tol within max_iter
+    converged: bool = False  # the centroid shift fell below TOL within max_iter
 
     def __post_init__(self):
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
@@ -117,13 +120,14 @@ def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarra
     return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
 
 
-def _sqdist_to_point(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def _row_norms(points: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", points, points)
+    """Squared norm of each row, its columns summed left to right."""
+    return np.cumsum(points * points, axis=1)[:, -1]
+
+
+def _sum(values: np.ndarray) -> float:
+    """Sum of a vector, left to right (np.sum takes another order)."""
+    return float(np.cumsum(values)[-1])
 
 
 def _sqdist(points: np.ndarray, centroids: np.ndarray,
@@ -148,15 +152,15 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest = _sqdist_to_point(points, centroids[0])
+    closest = _row_norms(points - centroids[0])
     for j in range(1, k):
-        total = closest.sum()
+        total = _sum(closest)
         if total <= 0.0:
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=closest / total))
         centroids[j] = points[pick]
-        np.minimum(closest, _sqdist_to_point(points, centroids[j]), out=closest)
+        np.minimum(closest, _row_norms(points - centroids[j]), out=closest)
     return centroids
 
 
@@ -175,12 +179,28 @@ def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
-                      tol: float) -> ClusterModel:
-    n = x.shape[0]
+def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int) -> ClusterModel:
+    n, d = x.shape
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
     norms = _row_norms(x)
+    # Lloyd never raises the inertia; the check allows what rounding can add.
+    # With u = 2**-53, N = sum ||x||^2, X = max ||x||^2, n < 2**32, d < 2**16:
+    # - a norm expansion is off by at most (2d + 3) u (||x||^2 + ||c||^2):
+    #   gamma_d for each of its three left-to-right sums, u for each of its
+    #   two additions; a clamp at 0 only brings it closer, and a centroid,
+    #   a point or a rounded mean, has ||c||^2 <= X (1 + 2nu)^2;
+    # - labels minimize rounded distances, so the new inertia exceeds the
+    #   exact distances of the old labels to the new centroids (a reseeded
+    #   point to itself) by at most one such error per point, and the old
+    #   one falls short of its exact distances by as much: (4d + 6) u (N + nX);
+    # - exact means never raise the exact inertia; a mean rounded by delta_m
+    #   adds n_m ||delta_m||^2, at most 4 n^2 u^2 N over all clusters;
+    # - a left-to-right sum of n terms >= 0 is within (n - 1) u times its
+    #   exact value: 2nu of the old inertia for the two sums, u more where
+    #   the check itself rounds.
+    # 3n and 4d + 10 cover these and the u^2 terms dropped on the way.
+    slack = (4.0 * d + 10.0 + 2.0**-51 * n * n) * (_sum(norms) + n * float(norms.max()))
 
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
@@ -191,9 +211,9 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
         dist = _sqdist(x, centroids, norms)
         labels = np.argmin(dist, axis=1)  # ties -> lowest index
         point_d = dist[np.arange(n), labels]
-        inertia = float(point_d.sum())
-        # Lloyd never increases inertia; reseeding moves only empty centroids.
-        assert inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12, "inertia increased"
+        inertia = _sum(point_d)
+        assert inertia <= prev_inertia + 2.0**-53 * (3.0 * n * prev_inertia + slack), \
+            "inertia increased"
         prev_inertia = inertia
 
         counts = np.bincount(labels, minlength=k).astype(np.float64)
@@ -211,9 +231,9 @@ def _fit_kmeans_numpy(x: np.ndarray, k: int, seed: int, max_iter: int,
                 counts[j] = 1.0
         new_centroids = sums / counts[:, None]
 
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        shift = np.sqrt(_row_norms(new_centroids - centroids)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             converged = True
             break
 
@@ -241,16 +261,11 @@ def _kernel_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64
 
 
-def fit_kmeans(
-    features: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = MAX_ITER,
-    tol: float = TOL,
-) -> ClusterModel:
+def fit_kmeans(features: np.ndarray, k: int, seed: int,
+               max_iter: int = MAX_ITER) -> ClusterModel:
     """Lloyd's algorithm with seeded greedy (D^2-weighted) initialization.
 
-    Iterates until the largest centroid movement drops below tol
+    Iterates until the largest centroid movement drops below TOL
     (`converged`) or max_iter passes. Clusters that empty out are reseeded to the points currently
     farthest from their assigned centroid. An iteration that raises the
     inertia is a bug and raises AssertionError.
@@ -261,7 +276,7 @@ def fit_kmeans(
         centroids = np.empty((k, d), dtype=np.float64)
         n_iter, reseeds, inertia = ctypes.c_long(), ctypes.c_long(), ctypes.c_double()
         converged = ctypes.c_int()
-        status = _lib.tcm_fit(x.ctypes.data, n, d, k, int(seed), max_iter, tol,
+        status = _lib.tcm_fit(x.ctypes.data, n, d, k, int(seed), max_iter, TOL,
                               centroids.ctypes.data, ctypes.byref(n_iter),
                               ctypes.byref(reseeds), ctypes.byref(inertia),
                               ctypes.byref(converged))
@@ -270,7 +285,7 @@ def fit_kmeans(
             return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
                                 inertia=inertia.value, reseeds=reseeds.value,
                                 converged=bool(converged.value))
-    return _fit_kmeans_numpy(x, k, seed, max_iter, tol)
+    return _fit_kmeans_numpy(x, k, seed, max_iter)
 
 
 def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k: int,
@@ -319,7 +334,7 @@ def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k
         for f, c in zip(redo.tolist(), chip.tolist()):
             n, codes = int(sizes[c]), region[starts[c]:starts[c + 1]]
             layer = x[n_layers * starts[c] + (f - c * n_layers) * n:][:n]
-            model = _fit_kmeans_numpy(layer, k, int(seeds[f]), MAX_ITER, TOL)
+            model = _fit_kmeans_numpy(layer, k, int(seeds[f]), MAX_ITER)
             labels = _assign_features_numpy(model.centroids, layer)
             counts[f] = [np.bincount(labels[codes == code], minlength=k) for code in (0, 1)]
             n_iter[f], reseeds[f], converged[f] = model.n_iter, model.reseeds, model.converged

@@ -35,9 +35,10 @@ class TooFewLabels(TCMError, ValueError):
 
 
 class MalformedPolygons(TCMError, ValueError):
-    """A polygons file is not JSON, a feature's properties or geometry is not an
-    object, its label_year not an integer, or a Polygon's coordinates not rings of
-    [x, y] numbers."""
+    """A polygons file is not JSON or not a FeatureCollection, a feature's
+    properties is not an object, its id missing or neither a string nor an
+    integer, its geometry not a Polygon, its label_year not an integer, or a
+    Polygon's coordinates not rings of finite [x, y] numbers."""
 
 
 class DegeneratePolygon(TCMError):

@@ -171,7 +171,7 @@ def read_polygons_geojson(path) -> list[Polygon]:
     except ValueError as exc:
         raise MalformedPolygons(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ConfigError(f"{path}: expected a GeoJSON FeatureCollection")
+        raise MalformedPolygons(f"{path}: expected a GeoJSON FeatureCollection")
     features = doc.get("features", [])
     if not (isinstance(features, list) and all(isinstance(f, dict) for f in features)):
         raise MalformedPolygons(f"{path}: 'features' must be a list of objects, "
@@ -182,18 +182,15 @@ def read_polygons_geojson(path) -> list[Polygon]:
         if not isinstance(props, dict):
             raise MalformedPolygons(f"{path}: a feature's 'properties' must be an object, "
                                     f"got {props!r:.80}")
-        if "id" not in props:
-            raise ConfigError(f"{path}: every feature needs an 'id' property")
-        if type(props["id"]) not in (str, int):  # nor a bool; cheaper than _as_type
-            raise MalformedPolygons(f"{path}: a feature's 'id' must be a string or an integer, "
-                                    f"got {props['id']!r:.80}")
-        fid = str(props["id"])
+        fid = props.get("id")
+        if type(fid) not in (str, int):  # nor a bool; cheaper than _as_type
+            raise MalformedPolygons(f"{path}: every feature needs an 'id' property, a string "
+                                    f"or an integer, got {fid!r:.80}")
+        fid = str(fid)
         geom = feat.get("geometry")
-        if not isinstance(geom, (dict, type(None))):
-            raise MalformedPolygons(f"{path}: feature {fid!r} needs 'geometry' as an "
-                                    f"object, got {geom!r:.80}")
-        if geom is None or geom.get("type") != "Polygon":
-            raise ConfigError(f"{path}: feature {fid!r} is not a Polygon")
+        if not (isinstance(geom, dict) and geom.get("type") == "Polygon"):
+            raise MalformedPolygons(f"{path}: feature {fid!r} needs a Polygon 'geometry', "
+                                    f"got {geom!r:.80}")
         rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and all(map(_is_ring, rings))):
             raise MalformedPolygons(f"{path}: feature {fid!r} needs 'coordinates' "

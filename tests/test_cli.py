@@ -508,6 +508,17 @@ MALFORMED = [
      3, "MalformedPolygons"),
     ("non_object_geometry", edit_first_feature(lambda f: f.update(geometry=[1])), {}, [], 3,
      "MalformedPolygons"),
+    ("feature_without_id", edit_first_feature(lambda f: f["properties"].pop("id")), {}, [], 3,
+     "MalformedPolygons"),
+    ("null_geometry", edit_first_feature(lambda f: f.update(geometry=None)), {}, [], 3,
+     "MalformedPolygons"),
+    ("point_geometry", edit_first_feature(
+        lambda f: f.update(geometry={"type": "Point", "coordinates": [20.0, 20.0]})), {}, [], 3,
+     "MalformedPolygons"),
+    ("multipolygon_geometry", edit_first_feature(lambda f: f["geometry"].update(
+        type="MultiPolygon", coordinates=[f["geometry"]["coordinates"]])), {}, [], 3,
+     "MalformedPolygons"),
+    ("not_a_feature_collection", write_polygons("[1]"), {}, [], 3, "MalformedPolygons"),
     ("fractional_label_year",
      edit_first_feature(lambda f: f["properties"].update(label_year=2015.5)), {}, [], 3,
      "MalformedPolygons"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import best_partition_inertia
 
+from tcm import clustering
 from tcm.clustering import (
     ClusterModel,
     PixelFeatureConfig,
@@ -145,3 +146,28 @@ def test_inertia_monotone_assert_never_fires(seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 10, size=(int(rng.integers(10, 120)), int(rng.integers(1, 5))))
     fit_kmeans(pts, int(rng.integers(1, 7)), seed=seed)
+
+
+def left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_row_norms_and_sums_run_left_to_right():
+    # Both fit paths sum in this written order. np.einsum and np.sum take
+    # others, which round differently on some of these draws.
+    rng = np.random.default_rng(5)
+    einsum_differs = sum_differs = False
+    for d in range(1, 28):
+        rows = rng.normal(size=(50, d)) * 10.0 ** rng.integers(-3, 4, size=(50, d))
+        expected = [left_to_right(v * v for v in row) for row in rows.tolist()]
+        assert clustering._row_norms(rows).tolist() == expected
+        einsum_differs |= np.einsum("ij,ij->i", rows, rows).tolist() != expected
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 2000):
+        values = np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-3, 4, size=n)
+        expected = left_to_right(values.tolist())
+        assert clustering._sum(values) == expected
+        sum_differs |= float(np.sum(values)) != expected
+    assert einsum_differs and sum_differs

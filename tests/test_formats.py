@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tcm.core import DetectionResult
-from tcm.errors import ConfigError, CorruptScene
+from tcm.errors import ConfigError, CorruptScene, MalformedPolygons
 from tcm.formats import (
     read_labels_csv,
     read_polygons_geojson,
@@ -123,7 +123,7 @@ class TestGeoJSON:
         }]}
         path = tmp_path / "bad.geojson"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        with pytest.raises(MalformedPolygons):
             read_polygons_geojson(path)
 
     def test_non_polygon_rejected(self, tmp_path):
@@ -133,7 +133,7 @@ class TestGeoJSON:
         }]}
         path = tmp_path / "pt.geojson"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        with pytest.raises(MalformedPolygons):
             read_polygons_geojson(path)
 
 
