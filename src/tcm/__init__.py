@@ -25,6 +25,7 @@ from .core import (
     detect,
     divergence_series,
     first_crossing,
+    first_crossings,
     kl_divergence,
     layer_divergence,
 )

@@ -23,7 +23,7 @@ from typing import Literal, Optional, Sequence, Union
 from . import clustering, evaluation, formats, synthgen
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE, calibrate
 from .clustering import FEATURE_MODES, PixelFeatureConfig
-from .core import DEFAULT_EPS, DivergenceCache, decide
+from .core import DEFAULT_EPS, DetectionResult, DivergenceCache, first_crossings
 from .data import FootprintDataset
 from .errors import ConfigError, TCMError
 
@@ -251,8 +251,10 @@ def _resolved_params(cfg: RunConfig, cache: DivergenceCache):
 def cmd_detect(cfg: RunConfig) -> int:
     cache = _load_store(cfg)
     k, r, theta = _resolved_params(cfg, cache)
-    results = [decide(fid, values, cache.dataset.years, theta)
-               for fid, values in cache.series(k, r).items()]
+    series, years = cache.series(k, r), cache.dataset.years
+    index = first_crossings(list(series.values()), theta).tolist()
+    results = [DetectionResult(fid, i, years[i - 1], values, bool((values > theta).any()))
+               for (fid, values), i in zip(series.items(), index)]
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)
     log.info("detected %d footprints with k=%d r=%g theta=%.6g", len(results), k, r, theta)
@@ -347,7 +349,8 @@ def _setup_logging() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
-    log.debug("k-means: %s", clustering.KERNEL)
+    level = logging.WARNING if clustering._lib is None else logging.DEBUG
+    log.log(level, "k-means: %s", clustering.KERNEL)
     args = build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)

@@ -32,7 +32,8 @@ On import the kernel is compiled once per machine with `cc` into
 keyed by the sha256 of its source and flags; later imports load the cached
 file. With no compiler, an unwritable cache or a failed build, every fit
 takes the numpy path, which stays as the kernel's tested oracle. `KERNEL`
-names the path taken; the CLI logs it at `TCM_LOG=debug`.
+names the path taken; the CLI logs the numpy path as a warning and the
+compiled one at `TCM_LOG=debug`.
 """
 
 from __future__ import annotations
@@ -379,8 +380,9 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 # -O3 vectorizes across points, which leaves each point's operations in their
 # order; -ffp-contract=off keeps every multiply and add apart. Never
 # -ffast-math or -march=native: reassociation or fused multiply-adds would
-# change the bits.
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall", "-Werror")
+# change the bits. No -Werror: a warning from another compiler must not send
+# every fit down the numpy path; the tests build the source with it.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
     "tcm_fit": ([_P, _L, _L, _L, ctypes.c_uint64, _L, _D, _P, _P, _P, _P, _P], _I),

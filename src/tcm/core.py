@@ -3,10 +3,12 @@
 For each chip layer, pixels are clustered, the footprint and its neighborhood
 are summarized as discrete distributions of cluster indices, and the layer's
 score is the KL divergence between the two. A footprint is called developed
-from the first layer whose divergence exceeds the decision threshold. Because
-every layer is clustered on its own, the comparison is immune to global
-color shifts between years. `DivergenceCache` is the one store through which
-calibration, detection and evaluation read these divergences.
+from the first layer whose divergence exceeds the decision threshold, and
+from the last layer when none does; `first_crossings` is the rule's one
+spelling. Because every layer is clustered on its own, the comparison is
+immune to global color shifts between years. `DivergenceCache` is the one
+store through which calibration, detection and evaluation read these
+divergences.
 
 `layer_divergence` states one layer's computation and is its reference.
 The store computes a request as batches of `BATCH` polygons: a batch's
@@ -137,25 +139,21 @@ def divergence_series(
                               eps)[0][k][0]
 
 
-def first_crossing(values: Sequence[float], theta: float) -> int:
-    """Smallest 1-based index with value > theta; the last index if none crosses."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+def first_crossings(series: Sequence[Sequence[float]], theta: float) -> np.ndarray:
+    """The decision rule for each row of an (n, T) series table: the smallest
+    1-based index whose value exceeds theta (equal does not cross), else T."""
+    series = np.asarray(series, dtype=np.float64)
+    if series.size == 0:
         raise ValueError("series is empty")
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    above = values > theta
-    if not above.any():
-        return int(values.size)
-    return int(np.argmax(above)) + 1
+    above = series > theta
+    return np.where(above.any(axis=1), above.argmax(axis=1) + 1, series.shape[1])
 
 
-def decide(footprint_id: str, values: np.ndarray, years: Sequence[int],
-           theta: float) -> DetectionResult:
-    """First crossing of one footprint's computed series."""
-    index = first_crossing(values, theta)
-    return DetectionResult(footprint_id, index, years[index - 1], values,
-                           bool(values[index - 1] > theta))
+def first_crossing(values: Sequence[float], theta: float) -> int:
+    """`first_crossings` of one (T,) series."""
+    return int(first_crossings([values], theta)[0])
 
 
 def detect(
@@ -168,7 +166,9 @@ def detect(
 ) -> DetectionResult:
     """Run the full per-footprint decision: series, then first crossing."""
     values = divergence_series(chips, k, feature_config, seed, eps)
-    return decide(chips.footprint_id, values, chips.years, theta)
+    index = first_crossing(values, theta)
+    return DetectionResult(chips.footprint_id, index, chips.years[index - 1], values,
+                           bool((values > theta).any()))
 
 
 def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config, seed,

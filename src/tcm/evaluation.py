@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import DEFAULT_N_BINS, DEFAULT_N_RANDOM, DEFAULT_PERCENTILE
 from .calibration import CalibrationReport, calibrate
-from .core import DivergenceCache, divergence_store, first_crossing
+from .core import DivergenceCache, divergence_store, first_crossings
 from .data import FootprintDataset
 from .errors import DegenerateRanks, MissingPrediction, TooFewLabels
 from .supervised import fit_lr, fit_threshold, mode_predictor, predict_lr
@@ -74,17 +74,8 @@ def score(
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties get the average of their rank range."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -101,7 +92,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _accuracy_of_threshold(series: dict[str, np.ndarray], ids, labels_idx, theta) -> float:
-    pred = np.array([first_crossing(series[i], theta) for i in ids])
+    pred = first_crossings([series[i] for i in ids], theta)
     true = np.array([labels_idx[i] for i in ids])
     return float((pred == true).mean())
 
@@ -115,7 +106,7 @@ def _threshold_method(feature_fn, grid, labels_idx, train_ids, test_ids):
 
     _, cell, theta = min(fitted(cell) for cell in grid)
     series = feature_fn(cell)
-    return {i: first_crossing(series[i], theta) for i in test_ids}
+    return dict(zip(test_ids, first_crossings([series[i] for i in test_ids], theta).tolist()))
 
 
 def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes):
@@ -248,7 +239,7 @@ def detect_all(
 ) -> dict[str, int]:
     """First-crossing index for every footprint at fixed parameters."""
     series = divergence_store(cache, dataset, seed).series(k, r)
-    return {i: first_crossing(v, theta) for i, v in series.items()}
+    return dict(zip(series, first_crossings(list(series.values()), theta).tolist()))
 
 
 def evaluate_semi_supervised(

@@ -176,6 +176,8 @@ def read_polygons_geojson(path) -> list[Polygon]:
     if not (isinstance(features, list) and all(isinstance(f, dict) for f in features)):
         raise MalformedPolygons(f"{path}: 'features' must be a list of objects, "
                                 f"got {features!r:.80}")
+    if not features:
+        raise MalformedPolygons(f"{path}: the FeatureCollection holds no features")
     polygons = []
     for feat in features:
         props = feat.get("properties") or {}

@@ -1,11 +1,13 @@
 """Supervised decision models and color baselines.
 
 Threshold fitting and a small multinomial logistic regression cover the
-label-trained variants; the average-color and color-over-time feature
-extractors provide the non-clustered baselines. Everything here is
-deterministic: the regression starts from zero weights and runs damped Newton
-steps on its convex objective until the gradient norm falls below
-`LR_GRAD_TOL`, so its result depends on the data alone.
+label-trained variants; the threshold fit counts, for every candidate at
+once, the labelled series that `core.first_crossings` would date right. The
+average-color and color-over-time feature extractors provide the
+non-clustered baselines. Everything here is deterministic: the regression
+starts from zero weights and runs damped Newton steps on its convex
+objective until the gradient norm falls below `LR_GRAD_TOL`, so its result
+depends on the data alone.
 """
 
 from __future__ import annotations
@@ -20,15 +22,6 @@ from .errors import DegenerateLabels, SeriesTooShort
 from .geometry import ChipStack
 
 
-def _series_matrix(labeled: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    rows = [np.asarray(s, dtype=np.float64) for s, _ in labeled]
-    lengths = {r.shape[0] for r in rows}
-    if len(lengths) != 1:
-        raise ValueError("all series must share one length")
-    labels = np.array([int(l) for _, l in labeled])
-    return np.stack(rows), labels
-
-
 def threshold_candidates(values: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive distinct observed values, plus one
     candidate below the minimum and one above the maximum."""
@@ -37,27 +30,29 @@ def threshold_candidates(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([v[0] / 2.0], mids, [v[-1] + 1.0]))
 
 
-def _crossing_predictions(series: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """(m, n) 1-based first-crossing indices for every candidate theta."""
-    above = series[None, :, :] > thetas[:, None, None]
-    idx = np.argmax(above, axis=2)
-    fallback = series.shape[1] - 1
-    return np.where(above.any(axis=2), idx, fallback) + 1
-
-
 def fit_threshold(labeled_series: Sequence[tuple]) -> float:
     """Exhaustive threshold search maximizing exact-match accuracy.
 
     labeled_series holds (series, true_index) pairs with 1-based indices.
-    Ties in accuracy go to the smallest candidate threshold.
+    Ties in accuracy go to the smallest candidate threshold. A series s is
+    dated right exactly for theta in [max(s[:y-1]), s[y-1]), open below at
+    y = 1 and above at y = T, so a candidate's hits are the intervals that
+    start at or below it less those that end there.
     """
     if len(labeled_series) == 0:
         raise ValueError("need at least one labeled series")
-    series, labels = _series_matrix(labeled_series)
+    series = np.stack([np.asarray(s, dtype=np.float64) for s, _ in labeled_series])
+    labels = np.array([int(label) for _, label in labeled_series])
+    n, t = series.shape
+    at = np.clip(labels, 1, t) - 1
+    rows = np.arange(n)
+    lo = np.where(at > 0, np.maximum.accumulate(series, axis=1)[rows, at - 1], -np.inf)
+    hi = np.where(at < t - 1, series[rows, at], np.inf)
+    keep = (labels == at + 1) & (lo < hi)  # a label outside 1..T is never right
     cands = threshold_candidates(series)
-    preds = _crossing_predictions(series, cands)
-    acc = (preds == labels[None, :]).mean(axis=1)
-    return float(cands[int(np.argmax(acc))])
+    hits = (np.searchsorted(np.sort(lo[keep]), cands, side="right")
+            - np.searchsorted(np.sort(hi[keep]), cands, side="right"))
+    return float(cands[int(np.argmax(hits))])
 
 
 LR_LAM = 1e-3  # L2 weight penalty; the bias is not penalized

@@ -70,3 +70,23 @@ def separated_blob_instance(k, n, seed):
         [[-12.0, -12.0], [12.0, -10.0], [0.0, 14.0]]))[:k]
     assign = np.sort(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
     return centers[assign] + rng.normal(0, 0.35, (n, 2))
+
+
+def scalar_first_crossing(values, theta):
+    """1-based index of the first value above theta, by a plain loop; the
+    last index when none is above it."""
+    for index, value in enumerate(values, start=1):
+        if value > theta:
+            return index
+    return len(values)
+
+
+def exhaustive_threshold(labeled, candidates):
+    """The first of the candidates, in their order, that dates the most
+    (series, 1-based label) pairs right by the scalar loop."""
+    best, best_hits = None, -1
+    for theta in candidates:
+        hits = sum(scalar_first_crossing(series, theta) == label for series, label in labeled)
+        if hits > best_hits:
+            best, best_hits = theta, hits
+    return best

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tcm.clustering
 import tcm.core
 from tcm import (DivergenceCache, PixelFeatureConfig, calibrate, detect,
                  evaluate_semi_supervised, extract_chip_stack, first_crossing,
@@ -67,6 +68,16 @@ class TestGenerate:
                                    data / "labels.csv")
         assert len(ds.polygons) == 12
         assert set(ds.labels) == {p.id for p in ds.polygons}
+
+    @pytest.mark.parametrize("lib, warned", [(None, True), (object(), False)])
+    def test_numpy_path_is_a_warning(self, tmp_path, monkeypatch, capsys, lib, warned):
+        monkeypatch.setattr(tcm.clustering, "_lib", lib)
+        monkeypatch.setattr(tcm.clustering, "KERNEL", "numpy path: no C compiler (cc) on PATH")
+        monkeypatch.delenv("TCM_LOG", raising=False)
+        assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
+        err = capsys.readouterr().err
+        assert ("WARNING tcm: k-means: numpy path" in err) == warned
+        assert ("k-means:" in err) == warned  # the compiled path logs at debug only
 
     def test_unknown_synth_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, synth={"bogus": 1})
@@ -519,6 +530,12 @@ MALFORMED = [
         type="MultiPolygon", coordinates=[f["geometry"]["coordinates"]])), {}, [], 3,
      "MalformedPolygons"),
     ("not_a_feature_collection", write_polygons("[1]"), {}, [], 3, "MalformedPolygons"),
+    # Without labels, which would name no footprint.
+    ("empty_feature_collection", write_polygons('{"type": "FeatureCollection", "features": []}'),
+     {"labels": None}, [], 3, "MalformedPolygons"),
+    ("empty_feature_collection_calibrate",
+     write_polygons('{"type": "FeatureCollection", "features": []}'), {"labels": None},
+     ["calibrate"], 3, "MalformedPolygons"),
     ("fractional_label_year",
      edit_first_feature(lambda f: f["properties"].update(label_year=2015.5)), {}, [], 3,
      "MalformedPolygons"),

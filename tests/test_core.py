@@ -11,12 +11,15 @@ from tcm.core import (
     detect,
     divergence_series,
     first_crossing,
+    first_crossings,
     kl_divergence,
     layer_divergence,
 )
 from tcm.errors import EmptyRegion, SupportMismatch
 from tcm.geometry import ChipStack
 from tcm.synthgen import SynthConfig, generate
+
+from oracles import scalar_first_crossing
 
 
 def hand_kl(p, q):
@@ -116,6 +119,11 @@ class TestFirstCrossing:
         with pytest.raises(ValueError):
             first_crossing(np.array([0.1]), -1.0)
 
+    def test_table_without_rows_or_layers_rejected(self):
+        for series in (np.empty((0, 3)), np.empty((2, 0))):
+            with pytest.raises(ValueError):
+                first_crossings(series, 0.5)
+
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10**9))
@@ -124,6 +132,19 @@ def test_first_crossing_monotone_in_theta(seed):
     series = rng.uniform(0, 3, size=int(rng.integers(1, 12)))
     t1, t2 = sorted(rng.uniform(0, 3, size=2))
     assert first_crossing(series, t1) <= first_crossing(series, t2)
+
+
+def test_first_crossings_match_the_scalar_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        n, t = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        series = rng.uniform(0, 2, (n, t))
+        if rng.random() < 1 / 3:  # quarters: theta often equals a value
+            series = np.round(series * 4) / 4
+        theta = float(rng.choice(np.append(series.ravel(), [0.0, 1.0, 3.0])))
+        expected = [scalar_first_crossing(row, theta) for row in series]
+        assert first_crossings(series, theta).tolist() == expected
+        assert first_crossing(series[0], theta) == expected[0]
 
 
 def solid_chip(fp_value, nb_value, size=8, fp=4):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from tcm.calibration import calibrate
 from tcm.clustering import FEATURE_MODES, PixelFeatureConfig
@@ -13,6 +14,7 @@ from tcm.data import FootprintDataset
 from tcm.errors import DegenerateRanks, MissingPrediction
 from tcm.evaluation import (
     DivergenceCache,
+    _ranks,
     detect_all,
     evaluate_semi_supervised,
     repeated_splits,
@@ -82,6 +84,12 @@ class TestSpearman:
     def test_degenerate_ranks(self):
         with pytest.raises(DegenerateRanks):
             spearman([1.0, 1.0, 1.0], [1, 2, 3])
+
+    def test_ranks_match_scipy_on_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            values = rng.integers(0, 6, int(rng.integers(1, 30))) / 2.0
+            assert _ranks(values).tolist() == rankdata(values, method="average").tolist()
 
     def test_scale_invariance(self):
         a = spearman([1, 5, 2, 8], [3.0, 1.0, 9.0, 4.0])

@@ -12,6 +12,7 @@ generator must pick the init centres that numpy's `default_rng` picks.
 
 import json
 import shutil
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -37,6 +38,19 @@ def test_kernel_loads_where_a_compiler_exists():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert clustering._lib is not None, clustering.KERNEL
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    # The runtime build leaves -Werror out, so that another compiler's warning
+    # keeps the kernel; this repository's own warnings still fail here.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    assert "-Werror" not in clustering._CFLAGS
+    source = Path(clustering.__file__).with_name("_lloyd.c")
+    build = subprocess.run([cc, *clustering._CFLAGS, "-Werror", "-o", str(tmp_path / "k.so"),
+                            str(source), "-lm"], capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
 
 
 def numpy_fit(*args, **kwargs):

@@ -18,7 +18,10 @@ from tcm.supervised import (
     lr_probabilities,
     mode_predictor,
     predict_lr,
+    threshold_candidates,
 )
+
+from oracles import exhaustive_threshold
 
 
 def crossing_accuracy(series_label_pairs, theta):
@@ -62,6 +65,31 @@ class TestFitThreshold:
         best = crossing_accuracy(pairs, theta)
         for candidate in np.linspace(0.0, 2.5, 301):
             assert best >= crossing_accuracy(pairs, candidate) - 1e-12
+
+
+def random_labeled_set(rng):
+    """1-40 series of 1-7 values with labels from 1 to T. In half of the sets
+    the series step up at their labels; a third are quantised to quarters,
+    so that values and candidates tie; a tenth hold a label outside 1..T."""
+    n, t = int(rng.integers(1, 41)), int(rng.integers(1, 8))
+    series = rng.uniform(0, 1, (n, t))
+    labels = rng.integers(1, t + 1, n)
+    if rng.random() < 1 / 2:
+        series += np.arange(t) >= labels[:, None] - 1
+    if rng.random() < 1 / 3:
+        series = np.round(series * 4) / 4
+    if rng.random() < 1 / 10:
+        labels[0] = rng.choice([0, t + 1])
+    return [(row, int(label)) for row, label in zip(series, labels)]
+
+
+def test_fit_threshold_matches_the_exhaustive_search():
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        pairs = random_labeled_set(rng)
+        cands = threshold_candidates(np.stack([row for row, _ in pairs]))
+        theta = exhaustive_threshold([(row.tolist(), label) for row, label in pairs], cands)
+        assert fit_threshold(pairs) == theta
 
 
 class TestLogisticRegression:
