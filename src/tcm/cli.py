@@ -252,9 +252,9 @@ def cmd_detect(cfg: RunConfig) -> int:
     cache = _load_store(cfg)
     k, r, theta = _resolved_params(cfg, cache)
     series, years = cache.series(k, r), cache.dataset.years
-    index = first_crossings(list(series.values()), theta).tolist()
-    results = [DetectionResult(fid, i, years[i - 1], values, bool((values > theta).any()))
-               for (fid, values), i in zip(series.items(), index)]
+    index, crossed = first_crossings(series, theta), (series > theta).any(axis=1)
+    results = [DetectionResult(fid, i, years[i - 1], values, c) for fid, i, values, c
+               in zip(cache.ids, index.tolist(), series, crossed.tolist())]
     out = _out_dir(cfg)
     formats.write_detections_csv(out / "detections.csv", results)
     log.info("detected %d footprints with k=%d r=%g theta=%.6g", len(results), k, r, theta)

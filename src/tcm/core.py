@@ -8,7 +8,7 @@ from the last layer when none does; `first_crossings` is the rule's one
 spelling. Because every layer is clustered on its own, the comparison is
 immune to global color shifts between years. `DivergenceCache` is the one
 store through which calibration, detection and evaluation read these
-divergences.
+divergences, as read-only (n, T) tables whose rows follow its `ids`.
 
 `layer_divergence` states one layer's computation and is its reference.
 The store computes a request as batches of `BATCH` polygons: a batch's
@@ -215,11 +215,13 @@ class DivergenceCache:
 
     A footprint's value at (r, k, layer) depends only on those and on the
     store's seed, eps and feature config, so calibration, detection, splits
-    and methods share it. Requests cover every footprint, so values are kept
-    as one column over the footprints per (r, k, layer); a request computes
-    only its missing columns, in batches of `BATCH` polygons. Chips are cut
-    for each request and kept only for the color features, per r. `workers`
-    threads only speed up the first computation of a value.
+    and methods share it. Per-footprint values are rows of tables in `ids`
+    order, the dataset's sorted polygon ids: one (n, T) table per (k, r), of
+    which a request computes only the layers not marked done, in batches of
+    `BATCH` polygons, and one table per colour feature and r. `series`,
+    `avg_color` and `color_deltas` hand out those tables read-only. Chips are
+    cut for each request and kept only for the colour features, per r.
+    `workers` threads only speed up the first computation of a value.
     """
 
     def __init__(self, dataset: FootprintDataset,
@@ -230,12 +232,11 @@ class DivergenceCache:
         self.eps = eps
         self.seed = seed
         self.workers = workers
-        self._ids = [p.id for p in dataset.polygons]
+        self.ids = tuple(p.id for p in dataset.polygons)
         self._chips: dict[float, dict[str, ChipStack]] = {}
-        self._columns: dict[tuple[float, int, int], np.ndarray] = {}
-        self._series: dict[tuple[int, float], dict[str, np.ndarray]] = {}
-        self._avg: dict[float, dict[str, np.ndarray]] = {}
-        self._cot: dict[float, dict[str, np.ndarray]] = {}
+        self._tables: dict[tuple[int, float], np.ndarray] = {}  # (k, r) -> (n, T)
+        self._done: dict[tuple[int, float], set[int]] = {}  # the table's computed layers
+        self._colors: dict[tuple[str, float], np.ndarray] = {}
         self.fit_stats = FitStats()  # every fit this store made, at any worker count
 
     def chips(self, r: float) -> dict[str, ChipStack]:
@@ -246,27 +247,31 @@ class DivergenceCache:
                               for ch in extract_chips(scenes, polygons[i : i + BATCH], r)}
         return self._chips[r]
 
-    def series(self, k: int, r: float) -> dict[str, np.ndarray]:
-        """Full series of every footprint; repeat calls return the same dict."""
+    def series(self, k: int, r: float) -> np.ndarray:
+        """The (n, T) divergences, read-only, rows in `ids` order; repeat calls
+        return the same array."""
         k, r = int(k), float(r)
-        if (k, r) not in self._series:
-            table = self.layer_values([k], r, range(self.dataset.n_layers))[k]
-            self._series[(k, r)] = dict(zip(self._ids, table))
-        return self._series[(k, r)]
+        if len(self._done.get((k, r), ())) < self.dataset.n_layers:
+            self.layer_values([k], r, range(self.dataset.n_layers))
+        return self._tables[(k, r)]
 
     def layer_values(self, k_grid: Sequence[int], r: float,
                      layers: Sequence[int]) -> dict[int, np.ndarray]:
-        """Per k, the divergences of every footprint (rows, in id order) at
-        the given layers (columns)."""
-        r = float(r)
-        missing = {k: [l for l in layers if (r, k, l) not in self._columns] for k in k_grid}
+        """Per k, the divergences of every footprint (rows) at the given layers
+        (columns). Only the layers not done yet are computed, and a table turns
+        read-only once every layer is done."""
+        r, layers = float(r), list(layers)
+        missing = {k: [l for l in layers if l not in self._done.get((k, r), ())] for k in k_grid}
         missing = {k: ls for k, ls in missing.items() if ls}
         if missing:
             computed = self._compute(self.dataset.polygons, r, missing)
+            n_layers = self.dataset.n_layers
             for k, ls in missing.items():
-                self._columns.update(((r, k, l), computed[k][:, j]) for j, l in enumerate(ls))
-        return {k: np.stack([self._columns[(r, k, l)] for l in layers], axis=1)
-                for k in k_grid}
+                table = self._tables.setdefault((k, r), np.empty((len(self.ids), n_layers)))
+                table[:, ls] = computed[k]
+                self._done.setdefault((k, r), set()).update(ls)
+                table.flags.writeable = len(self._done[(k, r)]) < n_layers
+        return {k: self._tables[(k, r)][:, layers] for k in k_grid}
 
     def polygon_series(self, polygons: Sequence[Polygon], k_grid: Sequence[int],
                        r: float) -> dict[int, np.ndarray]:
@@ -292,17 +297,20 @@ class DivergenceCache:
             self.fit_stats += stats
         return {k: np.concatenate([rows[k] for rows, _ in results]) for k in wanted}
 
-    def avg_color(self, r: float) -> dict[str, np.ndarray]:
-        return self._per_chip(self._avg, avg_color_series, r)
+    def avg_color(self, r: float) -> np.ndarray:
+        """`avg_color_series` of every footprint: (n, T), read-only, in `ids` order."""
+        return self._color_table(avg_color_series, r)
 
-    def color_deltas(self, r: float) -> dict[str, np.ndarray]:
-        return self._per_chip(self._cot, color_over_time_features, r)
+    def color_deltas(self, r: float) -> np.ndarray:
+        """`color_over_time_features` of every footprint: (n, T - 1), likewise."""
+        return self._color_table(color_over_time_features, r)
 
-    def _per_chip(self, memo: dict, feature_fn, r: float) -> dict[str, np.ndarray]:
-        r = float(r)
-        if r not in memo:
-            memo[r] = {i: feature_fn(ch) for i, ch in self.chips(r).items()}
-        return memo[r]
+    def _color_table(self, feature_fn, r: float) -> np.ndarray:
+        key = (feature_fn.__name__, float(r))
+        if key not in self._colors:
+            self._colors[key] = np.stack([feature_fn(ch) for ch in self.chips(r).values()])
+            self._colors[key].flags.writeable = False
+        return self._colors[key]
 
 
 def divergence_store(cache: Optional[DivergenceCache], dataset: FootprintDataset,

@@ -2,8 +2,12 @@
 
 Divergence and color features depend only on (footprint, parameters), never on
 how the labeled set was split, so one `DivergenceCache` (defined in `core`)
-computes them once and every split/method reuses them. Supervised methods
-grid-search their hyperparameters on the training side of each split.
+computes them once and every split/method reuses them. They are read as
+tables whose rows follow the store's `ids`; a split is two arrays of rows,
+the train side in its shuffled order and the test side in id order.
+Supervised methods grid-search their hyperparameters on the train rows of
+each split. Ids reappear only in what is keyed by them: `score`'s inputs and
+the dicts that `detect_all` and `evaluate_semi_supervised` return.
 """
 
 from __future__ import annotations
@@ -91,65 +95,64 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-def _accuracy_of_threshold(series: dict[str, np.ndarray], ids, labels_idx, theta) -> float:
-    pred = first_crossings([series[i] for i in ids], theta)
-    true = np.array([labels_idx[i] for i in ids])
-    return float((pred == true).mean())
+def _labelled_rows(cache: DivergenceCache) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the labelled footprints in the store's tables, in the order
+    of `labeled_ids`, and their 1-based labels."""
+    labels = cache.dataset.labels or {}
+    rows = np.flatnonzero([fid in labels for fid in cache.ids])
+    return rows, np.array([labels[cache.ids[row]][0] for row in rows], dtype=np.int64)
 
 
-def _threshold_method(feature_fn, grid, labels_idx, train_ids, test_ids):
-    """Fit a threshold per grid cell on train, keep the best cell, predict test."""
+def _accuracy_of_threshold(series: np.ndarray, labels: np.ndarray, theta: float) -> float:
+    return float((first_crossings(series, theta) == labels).mean())
+
+
+def _threshold_method(table, grid, train, y_train, test) -> np.ndarray:
+    """Fit a threshold per grid cell on the train rows, keep the best cell,
+    and date the test rows."""
     def fitted(cell):
-        series = feature_fn(cell)
-        theta = fit_threshold([(series[i], labels_idx[i]) for i in train_ids])
-        return -_accuracy_of_threshold(series, train_ids, labels_idx, theta), cell, theta
+        x = table(cell)[train]
+        theta = fit_threshold(x, y_train)
+        return -_accuracy_of_threshold(x, y_train, theta), cell, theta
 
     _, cell, theta = min(fitted(cell) for cell in grid)
-    series = feature_fn(cell)
-    return dict(zip(test_ids, first_crossings([series[i] for i in test_ids], theta).tolist()))
+    return first_crossings(table(cell)[test], theta)
 
 
-def _lr_method(feature_fn, grid, labels_idx, train_ids, test_ids, n_classes):
-    """Fit a logistic regression per grid cell on train, keep the best cell."""
-    y_train = np.array([labels_idx[i] - 1 for i in train_ids])
-
+def _lr_method(table, grid, train, y_train, test, n_classes) -> np.ndarray:
+    """Fit a logistic regression per grid cell on the train rows, in their
+    order, keep the best cell, and date the test rows."""
     def fitted(cell):
-        feats = feature_fn(cell)
-        x_train = np.stack([feats[i] for i in train_ids])
-        model = fit_lr(x_train, y_train, n_classes=n_classes)
-        return -float((predict_lr(model, x_train) == y_train).mean()), cell, model
+        x = table(cell)[train]
+        model = fit_lr(x, y_train - 1, n_classes=n_classes)
+        return -float((predict_lr(model, x) + 1 == y_train).mean()), cell, model
 
     _, cell, model = min((fitted(cell) for cell in grid), key=lambda fit: fit[:2])
-    feats = feature_fn(cell)
-    x_test = np.stack([feats[i] for i in test_ids])
-    preds = predict_lr(model, x_test) + 1
-    return {i: int(p) for i, p in zip(test_ids, preds)}
+    return predict_lr(model, table(cell)[test]) + 1
 
 
-def _predict_split(method: str, cache: DivergenceCache, labels_idx: dict[str, int],
-                   train_ids: list[str], test_ids: list[str], k_grid: Sequence[int],
-                   r_grid: Sequence[float]) -> dict[str, int]:
-    """Predicted 1-based first-developed indices for the test side of one split."""
+def _predict_split(method: str, cache: DivergenceCache, train: np.ndarray,
+                   y_train: np.ndarray, test: np.ndarray, k_grid: Sequence[int],
+                   r_grid: Sequence[float]) -> np.ndarray:
+    """Predicted 1-based first-developed indices of the test rows of one split.
+
+    train and test are rows of the store's tables, and y_train holds the
+    train rows' 1-based labels."""
     n_classes = cache.dataset.n_layers
     kr_grid = [(k, r) for k in k_grid for r in r_grid]
+    series = lambda cell: cache.series(*cell)
     if method == "tcm_supervised":
-        return _threshold_method(lambda c: cache.series(*c), kr_grid,
-                                 labels_idx, train_ids, test_ids)
+        return _threshold_method(series, kr_grid, train, y_train, test)
     if method == "tcm_lr":
-        return _lr_method(lambda c: cache.series(*c), kr_grid,
-                          labels_idx, train_ids, test_ids, n_classes)
+        return _lr_method(series, kr_grid, train, y_train, test, n_classes)
     if method == "avgcolor_threshold":
-        return _threshold_method(cache.avg_color, list(r_grid),
-                                 labels_idx, train_ids, test_ids)
+        return _threshold_method(cache.avg_color, list(r_grid), train, y_train, test)
     if method == "avgcolor_lr":
-        return _lr_method(cache.avg_color, list(r_grid),
-                          labels_idx, train_ids, test_ids, n_classes)
+        return _lr_method(cache.avg_color, list(r_grid), train, y_train, test, n_classes)
     if method == "color_over_time":
-        return _lr_method(cache.color_deltas, [r_grid[0]],
-                          labels_idx, train_ids, test_ids, n_classes)
+        return _lr_method(cache.color_deltas, [r_grid[0]], train, y_train, test, n_classes)
     if method == "mode":
-        predictor = mode_predictor([labels_idx[i] for i in train_ids])
-        return {i: predictor() for i in test_ids}
+        return np.full(len(test), mode_predictor(y_train)())
     raise ValueError(f"unknown split method {method!r}")
 
 
@@ -191,9 +194,8 @@ def repeated_splits(
     ids = dataset.labeled_ids()
     if len(ids) < 5:
         raise TooFewLabels(f"need >= 5 labeled footprints, got {len(ids)}")
-    labels_idx = {i: dataset.labels[i][0] for i in ids}
-    labels_year = {i: dataset.labels[i][1] for i in ids}
     cache = divergence_store(cache, dataset, seed)
+    rows, labels = _labelled_rows(cache)
 
     rng = np.random.default_rng(stable_seed(seed, "splits"))
     n_train = int(round(train_frac * len(ids)))
@@ -202,19 +204,14 @@ def repeated_splits(
     records = []
     for rep in range(n_repeats):
         perm = rng.permutation(len(ids))
-        train_ids = [ids[i] for i in perm[:n_train]]
-        test_ids = sorted(ids[i] for i in perm[n_train:])
-        preds_idx = _predict_split(
-            method, cache, labels_idx, train_ids, test_ids, k_grid, r_grid)
-        preds_year = {i: dataset.year_of_index(preds_idx[i]) for i in test_ids}
-        result = score(preds_year, {i: labels_year[i] for i in test_ids}, years=dataset.years)
-        records.append(SplitRecord(
-            repeat=rep,
-            accuracy=result.accuracy,
-            mae=result.mae,
-            mae_index=result.mae_index,
-            n_test=result.n,
-        ))
+        train, test = perm[:n_train], np.sort(perm[n_train:])
+        preds_idx = _predict_split(method, cache, rows[train], labels[train], rows[test],
+                                   k_grid, r_grid)
+        test_ids = [ids[i] for i in test]
+        result = score(dict(zip(test_ids, map(dataset.year_of_index, preds_idx.tolist()))),
+                       {i: dataset.labels[i][1] for i in test_ids}, years=dataset.years)
+        records.append(SplitRecord(rep, result.accuracy, result.mae, result.mae_index,
+                                   result.n))
 
     acc = np.array([r.accuracy for r in records])
     mae = np.array([r.mae for r in records])
@@ -238,8 +235,8 @@ def detect_all(
     cache: Optional[DivergenceCache] = None,
 ) -> dict[str, int]:
     """First-crossing index for every footprint at fixed parameters."""
-    series = divergence_store(cache, dataset, seed).series(k, r)
-    return dict(zip(series, first_crossings(list(series.values()), theta).tolist()))
+    cache = divergence_store(cache, dataset, seed)
+    return dict(zip(cache.ids, first_crossings(cache.series(k, r), theta).tolist()))
 
 
 def evaluate_semi_supervised(
@@ -254,16 +251,14 @@ def evaluate_semi_supervised(
 ) -> tuple[EvalResult, CalibrationReport, dict[str, int]]:
     """Calibrate label-free, detect everything from the same store, and score
     on the labeled set."""
+    if not dataset.labels:
+        raise ValueError("semi-supervised evaluation needs labels")
     cache = divergence_store(cache, dataset, seed)
     report = calibrate(dataset, k_grid, r_grid, n_random, n_bins, pct, seed, cache)
     preds_idx = detect_all(dataset, report.chosen_k, report.chosen_r, report.chosen_theta,
                            seed, cache)
-    ids = dataset.labeled_ids()
-    if not ids:
-        raise ValueError("semi-supervised evaluation needs labels")
-    preds_year = {i: dataset.year_of_index(preds_idx[i]) for i in ids}
-    labels_year = {i: dataset.labels[i][1] for i in ids}
-    result = score(preds_year, labels_year, years=dataset.years)
+    result = score({i: dataset.year_of_index(p) for i, p in preds_idx.items()},
+                   {i: year for i, (_, year) in dataset.labels.items()}, years=dataset.years)
     return result, report, preds_idx
 
 
@@ -278,15 +273,13 @@ def grid_cell_accuracies(
     This is the diagnostic pairing overlap scores with realized accuracy; the
     two should be anti-correlated when the calibration heuristic is healthy.
     """
-    ids = dataset.labeled_ids()
-    if not ids:
+    if not dataset.labels:
         raise ValueError("cell accuracies need labels")
     cache = divergence_store(cache, dataset, seed)
-    labels_idx = {i: dataset.labels[i][0] for i in ids}
-    rows = []
+    rows, labels = _labelled_rows(cache)
+    cells = []
     for cell in report.cells:
-        series = cache.series(cell.k, cell.r)
-        acc = _accuracy_of_threshold(series, ids, labels_idx, cell.theta)
-        rows.append({"k": cell.k, "r": cell.r, "bc": cell.bc, "theta": cell.theta,
-                     "accuracy": acc})
-    return rows
+        acc = _accuracy_of_threshold(cache.series(cell.k, cell.r)[rows], labels, cell.theta)
+        cells.append({"k": cell.k, "r": cell.r, "bc": cell.bc, "theta": cell.theta,
+                      "accuracy": acc})
+    return cells

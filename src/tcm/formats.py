@@ -202,12 +202,8 @@ def read_polygons_geojson(path) -> list[Polygon]:
         if not (label_year is None or type(label_year) is int):  # JSON true/false are not years
             raise MalformedPolygons(f"{path}: feature {fid!r} needs an integer "
                                     f"'label_year', got {label_year!r:.80}")
-        polygons.append(Polygon(
-            id=fid,
-            exterior=tuple((float(x), float(y)) for x, y in rings[0]),
-            holes=tuple(tuple((float(x), float(y)) for x, y in ring) for ring in rings[1:]),
-            label_year=label_year,
-        ))
+        polygons.append(Polygon(id=fid, exterior=rings[0], holes=rings[1:],
+                                label_year=label_year))
     return polygons
 
 

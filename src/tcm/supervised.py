@@ -1,13 +1,14 @@
 """Supervised decision models and color baselines.
 
 Threshold fitting and a small multinomial logistic regression cover the
-label-trained variants; the threshold fit counts, for every candidate at
-once, the labelled series that `core.first_crossings` would date right. The
-average-color and color-over-time feature extractors provide the
-non-clustered baselines. Everything here is deterministic: the regression
-starts from zero weights and runs damped Newton steps on its convex
-objective until the gradient norm falls below `LR_GRAD_TOL`, so its result
-depends on the data alone.
+label-trained variants; both take a table whose rows are the labelled
+footprints' series or features, with one label per row. The threshold fit
+counts, for every candidate at once, the rows that `core.first_crossings`
+would date right. The average-color and color-over-time feature extractors
+provide the non-clustered baselines. Everything here is deterministic: the
+regression starts from zero weights and runs damped Newton steps on its
+convex objective until the gradient norm falls below `LR_GRAD_TOL`, so its
+result depends on the data alone.
 """
 
 from __future__ import annotations
@@ -24,25 +25,26 @@ from .geometry import ChipStack
 
 def threshold_candidates(values: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive distinct observed values, plus one
-    candidate below the minimum and one above the maximum."""
-    v = np.unique(np.asarray(values, dtype=np.float64).ravel())
+    candidate below the minimum and one above the maximum, in ascending order.
+    A value below 0 counts as 0, since no theta >= 0 is crossed by either."""
+    v = np.unique(np.maximum(np.asarray(values, dtype=np.float64).ravel(), 0.0))
     mids = (v[:-1] + v[1:]) / 2.0
     return np.concatenate(([v[0] / 2.0], mids, [v[-1] + 1.0]))
 
 
-def fit_threshold(labeled_series: Sequence[tuple]) -> float:
+def fit_threshold(series: np.ndarray, labels: Sequence[int]) -> float:
     """Exhaustive threshold search maximizing exact-match accuracy.
 
-    labeled_series holds (series, true_index) pairs with 1-based indices.
+    series is an (n, T) table and labels its rows' 1-based true indices.
     Ties in accuracy go to the smallest candidate threshold. A series s is
     dated right exactly for theta in [max(s[:y-1]), s[y-1]), open below at
     y = 1 and above at y = T, so a candidate's hits are the intervals that
     start at or below it less those that end there.
     """
-    if len(labeled_series) == 0:
-        raise ValueError("need at least one labeled series")
-    series = np.stack([np.asarray(s, dtype=np.float64) for s, _ in labeled_series])
-    labels = np.array([int(label) for _, label in labeled_series])
+    series = np.asarray(series, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if series.ndim != 2 or series.size == 0 or labels.shape != series.shape[:1]:
+        raise ValueError(f"need an (n, T) table and n labels, got {series.shape}, {labels.shape}")
     n, t = series.shape
     at = np.clip(labels, 1, t) - 1
     rows = np.arange(n)

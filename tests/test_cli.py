@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import tcm.clustering
 import tcm.core
-from tcm import (DivergenceCache, PixelFeatureConfig, calibrate, detect,
-                 evaluate_semi_supervised, extract_chip_stack, first_crossing,
+from tcm import (DivergenceCache, PixelFeatureConfig, SynthConfig, calibrate, detect,
+                 evaluate_semi_supervised, extract_chip_stack, first_crossing, generate,
                  repeated_splits)
 from tcm.cli import RunConfig, load_config, main
 from tcm.data import FootprintDataset
@@ -236,8 +236,8 @@ def test_store_settings_reach_every_command(tmp_path):
     with open(out / "detections.csv") as fh:
         rows = {row["footprint_id"]: row for row in csv.DictReader(fh)}
     series = store.series(report.chosen_k, report.chosen_r)
-    assert set(rows) == set(series)
-    for fid, values in series.items():
+    assert set(rows) == set(store.ids)
+    for fid, values in zip(store.ids, series):
         assert int(rows[fid]["predicted_index"]) == first_crossing(values, report.chosen_theta)
         assert [float(rows[fid][f"d_{i}"]) for i in range(1, 4)] == list(values)
 
@@ -631,6 +631,93 @@ def test_malformed_input_exit_codes(tmp_path, capsys, edit, overrides, flags, co
     command, *flags = flags if flags[:1] in (["calibrate"], ["evaluate"]) else ["detect"] + flags
     assert main([command, "--config", str(cfg)] + flags) == code
     assert f"error[{error}]" in capsys.readouterr().err
+
+
+# Values put in place of one JSON field: each JSON type, the literals NaN and
+# Infinity (json.dumps writes them), floats and an integer past the float range,
+# an empty and an over-nested list, and a 3-D vertex.
+FIELD_VALUES = (None, True, False, 0, -1, 1.5, 1e308, -1e308, 10**400, float("nan"),
+                float("inf"), float("-inf"), "", "x", [], [[[[[]]]]], {}, [1.0, 2.0, 3.0])
+_never = lambda v: False
+_number = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
+_vertex = lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+_ring = lambda v: isinstance(v, list) and all(map(_vertex, v))
+_FEATURE = ("features", 0)
+_RING = _FEATURE + ("geometry", "coordinates", 0)
+# (file, path to one field, which of FIELD_VALUES have the field's type). An index one
+# past the end of a list appends, so coordinates index 1 is a hole.
+FIELDS = [
+    ("sidecar", (), _never),
+    ("sidecar", ("year",), lambda v: type(v) is int),
+    ("sidecar", ("geotransform",), _never),
+    *[("sidecar", ("geotransform", i), _number) for i in range(6)],
+    ("polygons", (), _never),
+    ("polygons", ("type",), _never),
+    ("polygons", ("features",), _never),
+    ("polygons", _FEATURE, _never),
+    ("polygons", _FEATURE + ("properties",), _never),
+    ("polygons", _FEATURE + ("properties", "id"), lambda v: type(v) in (str, int)),
+    ("polygons", _FEATURE + ("properties", "label_year"), lambda v: v is None or type(v) is int),
+    ("polygons", _FEATURE + ("geometry",), _never),
+    ("polygons", _FEATURE + ("geometry", "type"), _never),
+    ("polygons", _FEATURE + ("geometry", "coordinates"), _never),
+    ("polygons", _RING, _ring),
+    ("polygons", _RING[:-1] + (1,), _ring),
+    ("polygons", _RING + (1,), _vertex),
+    ("polygons", _RING + (1, 0), _number),
+    ("polygons", _RING + (1, 1), _number),
+]
+
+
+def with_field(doc, path, value):
+    """doc with the field at path set to value."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, list) and path[-1] == len(parent):
+        parent.append(value)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny_area(tmp_path_factory):
+    """A run config for three footprints on two 40x40 scenes, and its data directory."""
+    root = tmp_path_factory.mktemp("tiny")
+    generate(SynthConfig(height=40, width=40, layers=2, footprints=3, size_range=(5.0, 7.0),
+                         margin=8.0, year_weights=(0.5, 0.5), seed=4)).save(root / "data")
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({
+        "scenes_dir": str(root / "data" / "scenes"),
+        "polygons": str(root / "data" / "polygons.geojson"), "out_dir": str(root / "out"),
+        "k": 2, "r": 3.0, "theta": 0.5, "k_grid": [2], "r_grid": [3.0], "n_random": 4}))
+    return cfg, root / "data"
+
+
+@pytest.mark.parametrize("file, path, typed", FIELDS,
+                         ids=["-".join([f[0], *map(str, f[1])]) for f in FIELDS])
+def test_sidecar_and_feature_fields_exit_0_2_or_3(tiny_area, capsys, file, path, typed):
+    """Every value of FIELD_VALUES in the field: detect and calibrate exit 0, 2 or 3,
+    and never 0 for a value of another type."""
+    cfg, data = tiny_area
+    target = (sorted((data / "scenes").glob("*.json"))[0] if file == "sidecar"
+              else data / "polygons.geojson")
+    original = target.read_text()
+    wrong = []
+    try:
+        for value in FIELD_VALUES:
+            target.write_text(json.dumps(with_field(json.loads(original), path, value)))
+            for command in ("detect", "calibrate"):
+                code = main([command, "--config", str(cfg)])
+                err = capsys.readouterr().err
+                if code not in (0, 2, 3) or code == 0 and not typed(value):
+                    wrong.append((repr(value)[:20], command, code, err[-160:]))
+    finally:
+        target.write_text(original)
+    assert not wrong
 
 
 # (case, ring of one more footprint, whose chip cannot be cut, error class)

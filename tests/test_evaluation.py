@@ -9,7 +9,7 @@ from scipy.stats import rankdata
 
 from tcm.calibration import calibrate
 from tcm.clustering import FEATURE_MODES, PixelFeatureConfig
-from tcm.core import BATCH, divergence_store
+from tcm.core import BATCH, divergence_series, divergence_store
 from tcm.data import FootprintDataset
 from tcm.errors import DegenerateRanks, MissingPrediction
 from tcm.evaluation import (
@@ -21,6 +21,7 @@ from tcm.evaluation import (
     score,
     spearman,
 )
+from tcm.supervised import avg_color_series, color_over_time_features
 from tcm.synthgen import SynthConfig, generate
 
 
@@ -161,16 +162,15 @@ class TestPredictionRange:
     def test_all_methods_stay_within_time_axis(self):
         ds = small_dataset(footprints=14, seed=2)
         cache = DivergenceCache(ds, seed=0)
-        from tcm.evaluation import _predict_split
+        from tcm.evaluation import _labelled_rows, _predict_split
 
-        ids = ds.labeled_ids()
-        labels_idx = {i: ds.labels[i][0] for i in ids}
-        train, test = ids[:10], ids[10:]
+        rows, labels = _labelled_rows(cache)
+        train, test = rows[:10], rows[10:]
         for method in ("tcm_supervised", "tcm_lr", "avgcolor_threshold",
                        "avgcolor_lr", "color_over_time", "mode"):
-            preds = _predict_split(method, cache, labels_idx, train, test, (2, 4), (3.0,))
-            assert set(preds) == set(test)
-            assert all(1 <= p <= ds.n_layers for p in preds.values()), method
+            preds = _predict_split(method, cache, train, labels[:10], test, (2, 4), (3.0,))
+            assert len(preds) == len(test)
+            assert all(1 <= p <= ds.n_layers for p in preds), method
 
 
 class TestDivergenceCache:
@@ -181,8 +181,7 @@ class TestDivergenceCache:
         again = cache.series(3, 4.0)
         assert first is again
         fresh = DivergenceCache(ds, seed=0).series(3, 4.0)
-        for fid in first:
-            assert np.array_equal(first[fid], fresh[fid])
+        assert np.array_equal(first, fresh)
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_workers_do_not_change_series(self, mode):
@@ -197,9 +196,8 @@ class TestDivergenceCache:
             s4 = four.series(3, 4.0)
         finally:
             sys.setswitchinterval(interval)
-        assert list(s1) == list(s4)
-        for fid in s1:
-            assert np.array_equal(s1[fid], s4[fid])
+        assert one.ids == four.ids
+        assert np.array_equal(s1, s4)
         assert one.fit_stats == four.fit_stats
 
     def test_workers_start_no_child_process(self, monkeypatch):
@@ -219,9 +217,29 @@ class TestDivergenceCache:
         calibrate(ds, k_grid=[3], r_grid=[4.0], n_random=6, seed=0, cache=cache)
         after = cache.series(3, 4.0)
         fresh = DivergenceCache(ds, seed=0).series(3, 4.0)
-        assert set(after) == set(fresh)
-        for fid in fresh:
-            assert np.array_equal(after[fid], fresh[fid])
+        assert np.array_equal(after, fresh)
+
+    def test_tables_are_read_only_rows_in_id_order(self):
+        ds = small_dataset(footprints=8)
+        cache = DivergenceCache(ds, seed=0)
+        assert cache.ids == tuple(sorted(p.id for p in ds.polygons))
+        chips = cache.chips(4.0)
+        for table, row_of in ((cache.series(3, 4.0), lambda ch: divergence_series(ch, 3)),
+                              (cache.avg_color(4.0), avg_color_series),
+                              (cache.color_deltas(4.0), color_over_time_features)):
+            assert table.dtype == np.float64 and len(table) == len(cache.ids)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+            for row, fid in zip(table, cache.ids):
+                assert np.array_equal(row, row_of(chips[fid]))
+
+    def test_semi_supervised_checks_for_labels_before_calibrating(self):
+        ds = small_dataset(footprints=8)
+        ds = FootprintDataset(ds.scenes, ds.polygons, None)
+        cache = DivergenceCache(ds, seed=0)
+        with pytest.raises(ValueError, match="needs labels"):
+            evaluate_semi_supervised(ds, (2,), (3.0,), n_random=4, seed=0, cache=cache)
+        assert cache.fit_stats.fits == 0
 
 
 class TestStoreSettings:

@@ -179,13 +179,13 @@ def test_store_without_smoothing_matches_numpy(stock_dataset, k):
     final = store.layer_values([k], 2.0, [dataset.n_layers - 1])[k]
     series = store.series(k, 2.0)
     config = PixelFeatureConfig()
-    for p, last in zip(dataset.polygons, final):
+    for row, (p, last) in enumerate(zip(dataset.polygons, final)):
         chips = store.chips(2.0)[p.id]
         oracle, _ = numpy_divergences(chips, range(chips.n_layers), k, config, 4, 0.0)
-        assert series[p.id].tobytes() == oracle.tobytes()
+        assert series[row].tobytes() == oracle.tobytes()
         assert last.tobytes() == oracle[-1:].tobytes()
     assert store.fit_stats.fits == len(dataset.polygons) * dataset.n_layers
-    values = np.concatenate(list(series.values()))
+    values = series.ravel()
     assert np.isinf(values).any() and np.isfinite(values).any()
 
 
@@ -220,13 +220,13 @@ def test_store_batches_match_layer_divergence(ragged_dataset, monkeypatch, mode,
     series = store.series(k, r)
     assert len(calls) == -(-len(polygons) // BATCH)
     oracle_fits = []
-    for p in polygons:
+    for row, p in enumerate(polygons):
         chips = extract_chip_stack(ragged_dataset.scenes, p, r)
         if p.id.startswith("corner"):  # clipped: their full windows are 15 px or more
             assert max(chips.mask.shape) <= 10
         values, fits = numpy_divergences(chips, range(chips.n_layers), k, config, seed,
                                          DEFAULT_EPS)
-        assert series[p.id].tobytes() == values.tobytes(), p.id
+        assert series[row].tobytes() == values.tobytes(), p.id
         oracle_fits += fits
     assert [fit for call in calls for fit in call] == oracle_fits
     oracle_stats = FitStats()

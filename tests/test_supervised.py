@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm.core import first_crossing
+from tcm.core import first_crossing, first_crossings
 from tcm.errors import DegenerateLabels, SeriesTooShort
 from tcm.geometry import ChipStack
 from tcm.supervised import (
@@ -24,6 +24,11 @@ from tcm.supervised import (
 from oracles import exhaustive_threshold
 
 
+def fit_pairs(pairs):
+    """fit_threshold of (series, label) pairs, as a table and its labels."""
+    return fit_threshold(np.stack([s for s, _ in pairs]), [label for _, label in pairs])
+
+
 def crossing_accuracy(series_label_pairs, theta):
     hits = sum(first_crossing(s, theta) == l for s, l in series_label_pairs)
     return hits / len(series_label_pairs)
@@ -31,7 +36,7 @@ def crossing_accuracy(series_label_pairs, theta):
 
 class TestFitThreshold:
     def test_single_separable_series_returns_midpoint(self):
-        assert fit_threshold([(np.array([0.1, 0.9]), 2)]) == pytest.approx(0.5)
+        assert fit_threshold(np.array([[0.1, 0.9]]), [2]) == pytest.approx(0.5)
 
     def test_separable_set_reaches_full_accuracy(self):
         rng = np.random.default_rng(0)
@@ -42,18 +47,18 @@ class TestFitThreshold:
             series = low.copy()
             series[label - 1 :] = rng.uniform(1.0, 2.0, 5 - label + 1)
             pairs.append((series, label))
-        theta = fit_threshold(pairs)
+        theta = fit_pairs(pairs)
         assert crossing_accuracy(pairs, theta) == 1.0
 
     def test_all_last_layer_labels_push_theta_above_max(self):
         pairs = [(np.array([0.1, 0.2, 0.15]), 3) for _ in range(4)]
-        theta = fit_threshold(pairs)
+        theta = fit_pairs(pairs)
         assert theta > 0.2
         assert crossing_accuracy(pairs, theta) == 1.0
 
     def test_ties_prefer_smallest_theta(self):
         # Both 0.5 and anything above 0.9 give accuracy 1; the midpoint wins.
-        assert fit_threshold([(np.array([0.1, 0.9]), 2)]) == pytest.approx(0.5)
+        assert fit_threshold(np.array([[0.1, 0.9]]), [2]) == pytest.approx(0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -61,7 +66,7 @@ class TestFitThreshold:
         rng = np.random.default_rng(seed)
         n, t = int(rng.integers(2, 12)), int(rng.integers(2, 6))
         pairs = [(rng.uniform(0, 2, t), int(rng.integers(1, t + 1))) for _ in range(n)]
-        theta = fit_threshold(pairs)
+        theta = fit_pairs(pairs)
         best = crossing_accuracy(pairs, theta)
         for candidate in np.linspace(0.0, 2.5, 301):
             assert best >= crossing_accuracy(pairs, candidate) - 1e-12
@@ -89,7 +94,40 @@ def test_fit_threshold_matches_the_exhaustive_search():
         pairs = random_labeled_set(rng)
         cands = threshold_candidates(np.stack([row for row, _ in pairs]))
         theta = exhaustive_threshold([(row.tolist(), label) for row, label in pairs], cands)
-        assert fit_threshold(pairs) == theta
+        assert fit_pairs(pairs) == theta
+
+
+def test_candidates_of_negative_values_are_nonnegative_and_ascending():
+    cands = threshold_candidates(np.array([-10.0, -9.0]))
+    assert (cands >= 0).all() and (np.diff(cands) > 0).all()
+    theta = fit_threshold(np.array([[-10.0, -9.0]]), [2])
+    assert theta == cands[0] == 0.0
+    assert first_crossing([-10.0, -9.0], theta) == 2
+
+
+def test_candidates_of_nonnegative_values_keep_their_formula():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        values = rng.uniform(0, 2, int(rng.integers(1, 30)))
+        if rng.random() < 1 / 3:
+            values = np.round(values * 4) / 4  # ties and zeros
+        v = np.unique(values)
+        formula = np.concatenate(([v[0] / 2.0], (v[:-1] + v[1:]) / 2.0, [v[-1] + 1.0]))
+        assert threshold_candidates(values).tobytes() == formula.tobytes()
+
+
+def test_fit_threshold_on_signed_series_beats_every_admissible_theta():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        pairs = [(row - 0.5, label) for row, label in random_labeled_set(rng)]
+        series, labels = np.stack([row for row, _ in pairs]), np.array([l for _, l in pairs])
+        cands = threshold_candidates(series)
+        assert (cands >= 0).all() and (np.diff(cands) > 0).all()
+        theta = fit_threshold(series, labels)
+        assert theta == exhaustive_threshold([(row.tolist(), l) for row, l in pairs], cands)
+        best = (first_crossings(series, theta) == labels).mean()
+        for candidate in np.linspace(0.0, 2.0, 81):
+            assert best >= (first_crossings(series, candidate) == labels).mean()
 
 
 class TestLogisticRegression:
