@@ -1,9 +1,10 @@
-/* Compiled k-means of tcm.clustering: whole fits (fit_kmeans), and the fits
- * and region counts of every layer of a batch of chips (region_counts).
+/* Compiled k-means of tcm.clustering: one entry point, tcm_region_counts,
+ * fits every layer of a batch of chips and counts its labels per region;
+ * clustering.region_counts calls it, and fit_kmeans is its one-fit case.
  *
- * Each function repeats the numpy code it stands in for operation by
- * operation, so that a fit gives the same centroids, iteration count and
- * labels on either path:
+ * It repeats the numpy code it stands in for operation by operation, so
+ * that a fit gives the same centroids, inertia, iteration count and labels
+ * on either path:
  *   - each fit draws from its own np.random.default_rng(seed), run here bit
  *     for bit: SeedSequence hashing, PCG64 seeding and its XSL-RR output,
  *     integers(n) as Lemire's bounded draw on the generator's buffered
@@ -20,9 +21,9 @@
  *     column by column.
  * Build with -ffp-contract=off so that the compiler fuses no multiply-add.
  *
- * The exported functions call always-inlined bodies with d = 3, the
- * spectral feature dimension, as a constant where it applies; the compiler
- * then unrolls the per-dimension loops without changing their order.
+ * The entry point calls always-inlined bodies with d = 3, the spectral
+ * feature dimension, as a constant where it applies; the compiler then
+ * unrolls the per-dimension loops without changing their order.
  *
  * Status codes: 0 done; 1 an iteration raised the inertia by more than
  * rounding can (a bug); 2 memory ran out; 3 the fit leaves what the kernel
@@ -361,30 +362,6 @@ INLINE int fit(const double *restrict x, long n, long d, long k, uint64_t seed, 
     return lloyd(x, n, d, k, max_iter, tol, centroids, out, b);
 }
 
-/* One fit of the n x d points x: k-means++ from default_rng(seed), then
- * Lloyd iterations from there. Writes the centroids, the iteration count,
- * the number of reseeded empty clusters, the inertia and whether the fit
- * converged. Returns a status code. */
-int tcm_fit(const double *x, long n, long d, long k, uint64_t seed, long max_iter, double tol,
-            double *centroids, long *n_iter, long *reseeds, double *inertia, int *converged)
-{
-    struct lloyd_buf b;
-    struct fit_result out = {0, 0, 0.0, 0};
-    int status = buf_alloc(&b, n, d, k);
-    if (!status) {
-        if (d == 3)
-            status = fit(x, n, 3, k, seed, max_iter, tol, centroids, &out, b);
-        else
-            status = fit(x, n, d, k, seed, max_iter, tol, centroids, &out, b);
-    }
-    buf_free(&b);
-    *n_iter = out.n_iter;
-    *reseeds = out.reseeds;
-    *inertia = out.inertia;
-    *converged = out.converged;
-    return status;
-}
-
 INLINE int layer_counts(const double *restrict x, long n, long d, long k,
                         const uint8_t *restrict region, uint64_t seed, long max_iter,
                         double tol, double *restrict centroids, int64_t *restrict counts,
@@ -404,39 +381,39 @@ INLINE int layer_counts(const double *restrict x, long n, long d, long k,
     return 0;
 }
 
-/* Fits of every layer of a batch of chips, each followed by the assignment
- * of its points to the final centroids. Chip c has sizes[c] points and L
- * layers; x holds, chip after chip, its L layers of sizes[c] x d points, and
- * region its sizes[c] region codes, which its layers share. Fit f = c * L + l
- * draws from default_rng(seeds[f]); counts[f] (2 x k) counts the labels of
- * the points whose region code is 0, then of those whose code is 1; other
- * codes count nowhere. status[f] is 0, or 3 where the fit's counts, n_iter,
- * reseeds and converged flag are left unset. Returns 0, or 1 or 2 from the
- * first fit that failed. */
+/* The kernel's one entry point: fits of every layer of a batch of chips,
+ * each followed by the assignment of its points to the final centroids.
+ * Chip c has sizes[c] points and L layers; x holds, chip after chip, its L
+ * layers of sizes[c] x d points, and region its sizes[c] region codes, which
+ * its layers share. Fit f = c * L + l draws from default_rng(seeds[f]) and
+ * runs at most max_iter Lloyd iterations; it writes its k x d centroids at
+ * centroids + f * k * d, its inertia, n_iter, reseeds and converged flag, and
+ * in counts[f] (2 x k) the labels of the points whose region code is 0, then
+ * of those whose code is 1; other codes count nowhere. status[f] is 0, or 3
+ * where the fit's outputs are left unset. Returns 0, or 1 or 2 from the first
+ * fit that failed. */
 int tcm_region_counts(const double *x, long n_chips, const int64_t *sizes, long L, long d,
                       long k, const uint8_t *region, const uint64_t *seeds, long max_iter,
-                      double tol, int64_t *counts, int64_t *n_iter, int64_t *reseeds,
-                      uint8_t *converged, int32_t *status)
+                      double tol, int64_t *counts, double *centroids, double *inertia,
+                      int64_t *n_iter, int64_t *reseeds, uint8_t *converged, int32_t *status)
 {
     long n_max = 0;
     for (long c = 0; c < n_chips; c++)
         if (sizes[c] > n_max)
             n_max = sizes[c];
     struct lloyd_buf b = {0};  /* gcc cannot see that a failed buf_alloc skips every fit */
-    double *centroids = malloc((size_t)(k * d + 1) * sizeof(double));
     int failed = buf_alloc(&b, n_max, d, k);
-    if (centroids == NULL)
-        failed = 2;
     for (long c = 0, f = 0; c < n_chips && !failed; region += sizes[c], c++) {
         long n = sizes[c];
         for (long l = 0; l < L && !failed; l++, f++, x += n * d) {
             struct fit_result out = {0, 0, 0.0, 0};
             if (d == 3)
                 status[f] = layer_counts(x, n, 3, k, region, seeds[f], max_iter, tol,
-                                         centroids, counts + f * 2 * k, &out, b);
+                                         centroids + f * k * d, counts + f * 2 * k, &out, b);
             else
                 status[f] = layer_counts(x, n, d, k, region, seeds[f], max_iter, tol,
-                                         centroids, counts + f * 2 * k, &out, b);
+                                         centroids + f * k * d, counts + f * 2 * k, &out, b);
+            inertia[f] = out.inertia;
             n_iter[f] = out.n_iter;
             reseeds[f] = out.reseeds;
             converged[f] = (uint8_t)out.converged;
@@ -445,6 +422,5 @@ int tcm_region_counts(const double *x, long n_chips, const int64_t *sizes, long 
         }
     }
     buf_free(&b);
-    free(centroids);
     return failed;
 }

@@ -8,9 +8,10 @@ given input shape.
 
 Whole fits run in a small C kernel, `_lloyd.c`, that repeats the numpy code
 below operation by operation: the k-means++ init, the Lloyd loop and the
-final assignment. `region_counts` fits every wanted layer of a batch of
-chips, a ragged stack of point sets, and counts their labels per region in
-one kernel call; `assign_features` stays in numpy. Every floating-point sum
+final assignment. Its one entry point is `region_counts`, which fits every
+layer of a batch of chips, a ragged stack of point sets, and counts their
+labels per region in one kernel call; `fit_kmeans` is its case of one chip
+and one layer, and `assign_features` stays in numpy. Every floating-point sum
 of a fit runs left to right on both paths, written out the same way: row
 norms and the cross term of a distance over the dimensions, the init's total
 weight and the inertia over the points, a centroid's shift over its
@@ -21,11 +22,11 @@ cases, float-valued ones included. The kernel also runs
 each fit's `np.random.default_rng(seed)` bit for bit (SeedSequence, PCG64,
 `integers` and `random`), so it makes every draw of the init itself, those
 of a layer whose weights sum to 0 included. Only a `fit_kmeans` seed
-outside [0, 2**64), which ctypes would wrap, an init whose total weight is
-not finite, where numpy's `choice` raises, and a layer of 2**32 points or
-more, where numpy bounds its integers another way, take the numpy path;
-`region_counts` takes its seeds as one uint64 array. Every fit reports
-whether it converged or stopped at its iteration budget.
+outside [0, 2**64), which the kernel's uint64 seeds cannot hold, an init
+whose total weight is not finite, where numpy's `choice` raises, and a
+layer of 2**32 points or more, where numpy bounds its integers another way,
+take the numpy path. Every fit reports whether it converged or stopped at
+its iteration budget.
 
 On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
@@ -258,7 +259,7 @@ def _check_kernel(status: int) -> None:
 
 def _kernel_seed(seed) -> bool:
     """Whether the kernel's generator repeats default_rng(seed): an integer
-    in [0, 2**64). ctypes would wrap any other integer without a word."""
+    in [0, 2**64), which the kernel's uint64 seeds hold."""
     return isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64
 
 
@@ -269,39 +270,32 @@ def fit_kmeans(features: np.ndarray, k: int, seed: int,
     Iterates until the largest centroid movement drops below TOL
     (`converged`) or max_iter passes. Clusters that empty out are reseeded to the points currently
     farthest from their assigned centroid. An iteration that raises the
-    inertia is a bug and raises AssertionError.
+    inertia is a bug and raises AssertionError. On the compiled path this is
+    `region_counts` of one chip and one layer whose points count in no region.
     """
     x = _checked_features(features, k)
-    if _lib is not None and _kernel_seed(seed):
-        n, d = x.shape
-        centroids = np.empty((k, d), dtype=np.float64)
-        n_iter, reseeds, inertia = ctypes.c_long(), ctypes.c_long(), ctypes.c_double()
-        converged = ctypes.c_int()
-        status = _lib.tcm_fit(x.ctypes.data, n, d, k, int(seed), max_iter, TOL,
-                              centroids.ctypes.data, ctypes.byref(n_iter),
-                              ctypes.byref(reseeds), ctypes.byref(inertia),
-                              ctypes.byref(converged))
-        if status != _REDO:
-            _check_kernel(status)
-            return ClusterModel(k=k, centroids=centroids, seed=seed, n_iter=n_iter.value,
-                                inertia=inertia.value, reseeds=reseeds.value,
-                                converged=bool(converged.value))
-    return _fit_kmeans_numpy(x, k, seed, max_iter)
+    if _lib is None or not _kernel_seed(seed):
+        return _fit_kmeans_numpy(x, k, seed, max_iter)
+    _, centroids, inertia, n_iter, reseeds, converged = region_counts(
+        x, [len(x)], np.full(len(x), 2, np.uint8), k, np.array([seed], np.uint64), max_iter)
+    return ClusterModel(k=k, centroids=centroids[0], seed=seed, n_iter=int(n_iter[0]),
+                        inertia=float(inertia[0]), reseeds=int(reseeds[0]),
+                        converged=bool(converged[0]))
 
 
 def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k: int,
-                  seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  seeds: np.ndarray, max_iter: int = MAX_ITER) -> tuple[np.ndarray, ...]:
     """Cluster every layer of a ragged batch of chips and count its labels
     per region: one kernel call for the whole batch.
 
     Chip c has `sizes[c]` points and the batch's L = len(seeds) / len(sizes)
     layers. `features` stacks, chip after chip, its L layers of sizes[c]
     rows; `region` stacks the chips' region codes, which a chip's layers
-    share. Fit f = c * L + l is `fit_kmeans(layer, k, seeds[f])` of chip c's
-    layer l, labelled as `assign_features` labels it. Returns, per fit, the
-    (2, k) int64 label counts, row 0 over the points whose region code is 0
-    and row 1 over code 1 (other codes count nowhere), n_iter, reseeds and
-    whether it converged.
+    share. Fit f = c * L + l is `fit_kmeans(layer, k, seeds[f], max_iter)`
+    of chip c's layer l, labelled as `assign_features` labels it. Returns,
+    per fit, the (2, k) int64 label counts, row 0 over the points whose
+    region code is 0 and row 1 over code 1 (other codes count nowhere), the
+    (k, dim) centroids, the inertia, n_iter, reseeds and whether it converged.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     sizes = np.ascontiguousarray(sizes, dtype=np.int64)
@@ -318,6 +312,8 @@ def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k
                          f"seeds for features of shape {x.shape}")
     _check_k(min(sizes.tolist(), default=k), k)  # k may lie past int64
     counts = np.empty((n_fits, 2, k), dtype=np.int64)
+    centroids = np.empty((n_fits, k, x.shape[1]))
+    inertia = np.empty(n_fits)
     n_iter = np.empty(n_fits, dtype=np.int64)
     reseeds = np.empty(n_fits, dtype=np.int64)
     converged = np.empty(n_fits, dtype=np.uint8)
@@ -325,9 +321,9 @@ def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k
     if _lib is not None:
         _check_kernel(_lib.tcm_region_counts(
             x.ctypes.data, sizes.size, sizes.ctypes.data, n_layers, x.shape[1], k,
-            region.ctypes.data, seeds.ctypes.data, MAX_ITER, TOL, counts.ctypes.data,
-            n_iter.ctypes.data, reseeds.ctypes.data, converged.ctypes.data,
-            status.ctypes.data))
+            region.ctypes.data, seeds.ctypes.data, max_iter, TOL, counts.ctypes.data,
+            centroids.ctypes.data, inertia.ctypes.data, n_iter.ctypes.data,
+            reseeds.ctypes.data, converged.ctypes.data, status.ctypes.data))
     redo = np.flatnonzero(status == _REDO)
     if redo.size:
         chip = redo // n_layers
@@ -335,11 +331,12 @@ def region_counts(features: np.ndarray, sizes: np.ndarray, region: np.ndarray, k
         for f, c in zip(redo.tolist(), chip.tolist()):
             n, codes = int(sizes[c]), region[starts[c]:starts[c + 1]]
             layer = x[n_layers * starts[c] + (f - c * n_layers) * n:][:n]
-            model = _fit_kmeans_numpy(layer, k, int(seeds[f]), MAX_ITER)
+            model = _fit_kmeans_numpy(layer, k, int(seeds[f]), max_iter)
             labels = _assign_features_numpy(model.centroids, layer)
             counts[f] = [np.bincount(labels[codes == code], minlength=k) for code in (0, 1)]
+            centroids[f], inertia[f] = model.centroids, model.inertia
             n_iter[f], reseeds[f], converged[f] = model.n_iter, model.reseeds, model.converged
-    return counts, n_iter, reseeds, converged.view(bool)
+    return counts, centroids, inertia, n_iter, reseeds, converged.view(bool)
 
 
 @dataclass
@@ -385,8 +382,7 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
-    "tcm_fit": ([_P, _L, _L, _L, ctypes.c_uint64, _L, _D, _P, _P, _P, _P, _P], _I),
-    "tcm_region_counts": ([_P, _L, _P, _L, _L, _L, _P, _P, _L, _D, _P, _P, _P, _P, _P], _I),
+    "tcm_region_counts": ([_P, _L, _P, _L, _L, _L, _P, _P, _L, _D, *[_P] * 7], _I),
 }
 
 

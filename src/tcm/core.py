@@ -11,13 +11,14 @@ store through which calibration, detection and evaluation read these
 divergences, as read-only (n, T) tables whose rows follow its `ids`.
 
 `layer_divergence` states one layer's computation and is its reference.
-The store computes a request as batches of `BATCH` polygons: a batch's
-chips are cut from the scenes in array passes (`extract_chips`), their
-features and seeds are made once for all k, one `region_counts` call per k
-fits every wanted layer of the batch and counts its clusters per region,
-and the KL of every layer follows in one vectorized step with the
-arithmetic of `cluster_distribution` and `kl_divergence`, so the values are
-the same bits. With workers > 1, the batches run on a thread pool
+The store computes a request, one set of layers at some ks, as batches of
+`BATCH` polygons: a batch's chips are cut from the scenes in array passes
+(`extract_chips`), their features and seeds are made once for all k, one
+`region_counts` call per k fits every layer of the batch and counts its
+clusters per region, and the KL of every layer follows in one vectorized
+step with the arithmetic of `cluster_distribution` and `kl_divergence`, so
+the values are the same bits. The chips are dropped with their batch: the
+store keeps only tables. With workers > 1, the batches run on a thread pool
 (`run_tasks`) and each cuts its chips from the request's one stack of the
 scenes. The store also counts the fits it made (`fit_stats`), merged in
 batch order; the batch size is a constant, so neither the values nor the
@@ -135,7 +136,7 @@ def divergence_series(
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """(T,) divergence of every chip layer, clustered independently per layer."""
-    return _batch_divergences([chips], {k: range(chips.n_layers)}, feature_config, seed,
+    return _batch_divergences([chips], [k], range(chips.n_layers), feature_config, seed,
                               eps)[0][k][0]
 
 
@@ -171,14 +172,14 @@ def detect(
                            bool((values > theta).any()))
 
 
-def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config, seed,
-                       eps) -> tuple[dict[int, np.ndarray], FitStats]:
-    """Per k of `wanted` ({k: layers}), the (chip, layer) divergences of a
-    batch of chips over that k's layers, and the counters of their fits.
+def _batch_divergences(chips: Sequence[ChipStack], ks: Sequence[int], layers: Sequence[int],
+                       feature_config, seed, eps) -> tuple[dict[int, np.ndarray], FitStats]:
+    """Per k of `ks`, the (chip, layer) divergences of a batch of chips over
+    `layers`, and the counters of their fits.
 
     Each value equals `layer_divergence` of that chip layer. The region
-    codes, features and seeds of the wanted layers are made once for all k;
-    each k's layers then take one `region_counts` call for the whole batch.
+    codes, features and seeds are made once for all k; each k then takes
+    one `region_counts` call for the whole batch.
     """
     masks = np.concatenate([ch.mask.ravel() for ch in chips])
     codes = np.where(masks == 1, 0, np.where(masks == 0, 1, 2)).astype(np.uint8)
@@ -187,26 +188,20 @@ def _batch_divergences(chips: Sequence[ChipStack], wanted: dict, feature_config,
     for region, code in (("footprint", 0), ("neighborhood", 1)):
         if not np.logical_or.reduceat(codes == code, starts).all():
             raise EmptyRegion(f"{region} region is empty")
-    layers = list(dict.fromkeys(l for ls in wanted.values() for l in ls))
+    layers = list(layers)
     n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
     feats = np.empty((n_layers * int(sizes.sum()), dim))
-    blocks = []  # each chip's (layer, point, dim) features, a view of feats
     for ch, start, n in zip(chips, (n_layers * starts).tolist(), sizes.tolist()):
-        blocks.append(feats[start : start + n_layers * n].reshape(n_layers, n, dim))
-        blocks[-1][...] = extract_features(ch.imagery[layers], feature_config)
-    seeds = np.array([[stable_seed(seed, ch.footprint_id, l) for l in layers] for ch in chips],
+        block = feats[start : start + n_layers * n].reshape(n_layers, n, dim)
+        block[...] = extract_features(ch.imagery[layers], feature_config)
+    seeds = np.array([stable_seed(seed, ch.footprint_id, l) for ch in chips for l in layers],
                      dtype=np.uint64)
-    at = {l: i for i, l in enumerate(layers)}
     stats = FitStats()
     rows = {}
-    for k, ls in wanted.items():
-        pick = [at[l] for l in ls]
-        x = (feats if pick == list(range(n_layers))
-             else np.concatenate([b[pick].reshape(-1, dim) for b in blocks]))
-        counts, n_iter, reseeds, converged = region_counts(x, sizes, codes, k,
-                                                           seeds[:, pick].ravel())
-        rows[k] = _kl_rows(counts, eps).reshape(len(chips), len(pick))
-        stats.add(n_iter, reseeds, converged)
+    for k in ks:
+        counts, _, _, *fits = region_counts(feats, sizes, codes, k, seeds)
+        rows[k] = _kl_rows(counts, eps).reshape(len(chips), n_layers)
+        stats.add(*fits)
     return rows, stats
 
 
@@ -217,10 +212,11 @@ class DivergenceCache:
     store's seed, eps and feature config, so calibration, detection, splits
     and methods share it. Per-footprint values are rows of tables in `ids`
     order, the dataset's sorted polygon ids: one (n, T) table per (k, r), of
-    which a request computes only the layers not marked done, in batches of
-    `BATCH` polygons, and one table per colour feature and r. `series`,
-    `avg_color` and `color_deltas` hand out those tables read-only. Chips are
-    cut for each request and kept only for the colour features, per r.
+    which a request computes only the layers not done yet, and one table per
+    colour feature and r. `series`, `avg_color` and `color_deltas` hand out
+    those tables read-only. The store keeps tables, not chips: every request
+    runs the one batch loop, `_batches`, which cuts the chips of `BATCH`
+    polygons at a time and drops them once the batch's values are made.
     `workers` threads only speed up the first computation of a value.
     """
 
@@ -233,19 +229,23 @@ class DivergenceCache:
         self.seed = seed
         self.workers = workers
         self.ids = tuple(p.id for p in dataset.polygons)
-        self._chips: dict[float, dict[str, ChipStack]] = {}
         self._tables: dict[tuple[int, float], np.ndarray] = {}  # (k, r) -> (n, T)
         self._done: dict[tuple[int, float], set[int]] = {}  # the table's computed layers
         self._colors: dict[tuple[str, float], np.ndarray] = {}
         self.fit_stats = FitStats()  # every fit this store made, at any worker count
 
+    def _batches(self, polygons: Sequence[Polygon], r: float, fn) -> list:
+        """fn of the chips of each batch of `BATCH` polygons, in batch order:
+        one task per batch, each cut from the request's one stack of the scenes."""
+        scenes = stack_scenes(self.dataset.scenes)
+        batches = [polygons[i : i + BATCH] for i in range(0, len(polygons), BATCH)]
+        return run_tasks(lambda batch: fn(extract_chips(scenes, batch, r)), batches,
+                         self.workers)
+
     def chips(self, r: float) -> dict[str, ChipStack]:
-        r = float(r)
-        if r not in self._chips:
-            polygons, scenes = self.dataset.polygons, stack_scenes(self.dataset.scenes)
-            self._chips[r] = {ch.footprint_id: ch for i in range(0, len(polygons), BATCH)
-                              for ch in extract_chips(scenes, polygons[i : i + BATCH], r)}
-        return self._chips[r]
+        """Every footprint's chips at r by id, cut afresh on each call."""
+        batches = self._batches(self.dataset.polygons, float(r), list)
+        return {ch.footprint_id: ch for batch in batches for ch in batch}
 
     def series(self, k: int, r: float) -> np.ndarray:
         """The (n, T) divergences, read-only, rows in `ids` order; repeat calls
@@ -258,19 +258,21 @@ class DivergenceCache:
     def layer_values(self, k_grid: Sequence[int], r: float,
                      layers: Sequence[int]) -> dict[int, np.ndarray]:
         """Per k, the divergences of every footprint (rows) at the given layers
-        (columns). Only the layers not done yet are computed, and a table turns
-        read-only once every layer is done."""
+        (columns). The ks that miss any of the layers take one computation of
+        the layers that any of them misses, and a table turns read-only once
+        every layer is done."""
         r, layers = float(r), list(layers)
-        missing = {k: [l for l in layers if l not in self._done.get((k, r), ())] for k in k_grid}
-        missing = {k: ls for k, ls in missing.items() if ls}
-        if missing:
-            computed = self._compute(self.dataset.polygons, r, missing)
+        done = {k: self._done.setdefault((k, r), set()) for k in k_grid}
+        ks = [k for k in k_grid if not done[k].issuperset(layers)]
+        if ks:
+            missing = [l for l in layers if any(l not in done[k] for k in ks)]
+            computed = self._compute(self.dataset.polygons, r, ks, missing)
             n_layers = self.dataset.n_layers
-            for k, ls in missing.items():
+            for k in ks:
                 table = self._tables.setdefault((k, r), np.empty((len(self.ids), n_layers)))
-                table[:, ls] = computed[k]
-                self._done.setdefault((k, r), set()).update(ls)
-                table.flags.writeable = len(self._done[(k, r)]) < n_layers
+                table[:, missing] = computed[k]
+                done[k].update(missing)
+                table.flags.writeable = len(done[k]) < n_layers
         return {k: self._tables[(k, r)][:, layers] for k in k_grid}
 
     def polygon_series(self, polygons: Sequence[Polygon], k_grid: Sequence[int],
@@ -278,24 +280,16 @@ class DivergenceCache:
         """Per k, the full series (rows) of polygons outside the dataset, such
         as calibration's random ones. Their chips and values are not kept, so
         they never mix with a footprint's, whatever its id."""
-        return self._compute(polygons, float(r),
-                             {k: range(self.dataset.n_layers) for k in k_grid})
+        return self._compute(polygons, float(r), k_grid, range(self.dataset.n_layers))
 
-    def _compute(self, polygons: Sequence[Polygon], r: float,
-                 wanted: dict) -> dict[int, np.ndarray]:
-        """Per k, a (polygon, layer) table of the layers wanted: one task per
-        batch of `BATCH` polygons."""
-        scenes = stack_scenes(self.dataset.scenes)
-
-        def task(batch: Sequence[Polygon]) -> tuple[dict[int, np.ndarray], FitStats]:
-            return _batch_divergences(extract_chips(scenes, batch, r), wanted,
-                                      self.feature_config, self.seed, self.eps)
-
-        batches = [polygons[i : i + BATCH] for i in range(0, len(polygons), BATCH)]
-        results = run_tasks(task, batches, self.workers)
+    def _compute(self, polygons: Sequence[Polygon], r: float, ks: Sequence[int],
+                 layers: Sequence[int]) -> dict[int, np.ndarray]:
+        """Per k, the (polygon, layer) table of the layers."""
+        results = self._batches(polygons, r, lambda chips: _batch_divergences(
+            chips, ks, layers, self.feature_config, self.seed, self.eps))
         for _, stats in results:
             self.fit_stats += stats
-        return {k: np.concatenate([rows[k] for rows, _ in results]) for k in wanted}
+        return {k: np.concatenate([rows[k] for rows, _ in results]) for k in ks}
 
     def avg_color(self, r: float) -> np.ndarray:
         """`avg_color_series` of every footprint: (n, T), read-only, in `ids` order."""
@@ -308,7 +302,9 @@ class DivergenceCache:
     def _color_table(self, feature_fn, r: float) -> np.ndarray:
         key = (feature_fn.__name__, float(r))
         if key not in self._colors:
-            self._colors[key] = np.stack([feature_fn(ch) for ch in self.chips(r).values()])
+            rows = self._batches(self.dataset.polygons, float(r),
+                                 lambda chips: [feature_fn(ch) for ch in chips])
+            self._colors[key] = np.stack([row for batch in rows for row in batch])
             self._colors[key].flags.writeable = False
         return self._colors[key]
 

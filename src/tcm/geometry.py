@@ -53,10 +53,11 @@ def _closed(ring: Ring) -> np.ndarray:
 
 
 def _ring_area(ring: Ring) -> float:
-    """Signed shoelace area."""
+    """Signed shoelace area; inf or NaN where it overflows."""
     v = _closed(ring)
     x, y = v[:-1, 0], v[:-1, 1]
-    return 0.5 * float(np.sum(x * v[1:, 1] - v[1:, 0] * y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.sum(x * v[1:, 1] - v[1:, 0] * y))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,10 @@ class Polygon:
     def __post_init__(self):
         object.__setattr__(self, "exterior", _normalize_ring(self.exterior))
         object.__setattr__(self, "holes", tuple(_normalize_ring(h) for h in self.holes))
-        if abs(_ring_area(self.exterior)) <= 0.0:
+        exterior = abs(_ring_area(self.exterior))
+        if not math.isfinite(exterior - sum(abs(_ring_area(h)) for h in self.holes)):
+            raise DegeneratePolygon(f"polygon {self.id!r} has an area past the float range")
+        if exterior <= 0.0:
             raise DegeneratePolygon(f"polygon {self.id!r} has zero area")
 
     @property
@@ -114,7 +118,8 @@ class AffineGeoTransform:
     """Affine map pixel (col, row) -> world (x, y), world-file convention.
 
     x = a*col + b*row + c ; y = d*col + e*row + f. The linear part must be
-    invertible.
+    invertible, with a finite determinant. A position past the float range
+    maps to inf or NaN, which every window test takes as outside.
     """
 
     a: float
@@ -125,8 +130,9 @@ class AffineGeoTransform:
     f: float
 
     def __post_init__(self):
-        if self.det == 0.0:
-            raise ValueError("geotransform linear part is singular")
+        if self.det == 0.0 or not math.isfinite(self.det):
+            raise ValueError(f"geotransform linear part must be invertible with a finite "
+                             f"determinant, got {self.det}")
 
     @property
     def det(self) -> float:
@@ -135,15 +141,15 @@ class AffineGeoTransform:
     def pixel_to_world(self, col, row):
         col = np.asarray(col, dtype=np.float64)
         row = np.asarray(row, dtype=np.float64)
-        return self.a * col + self.b * row + self.c, self.d * col + self.e * row + self.f
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.a * col + self.b * row + self.c, self.d * col + self.e * row + self.f
 
     def world_to_pixel(self, x, y):
         x = np.asarray(x, dtype=np.float64) - self.c
         y = np.asarray(y, dtype=np.float64) - self.f
         det = self.det
-        col = (self.e * x - self.b * y) / det
-        row = (self.a * y - self.d * x) / det
-        return col, row
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.e * x - self.b * y) / det, (self.a * y - self.d * x) / det
 
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
@@ -244,13 +250,14 @@ def _points_in_polygons(edges: np.ndarray, sizes: Sequence[int], px: np.ndarray,
     polygon crosses no point's horizontal. With the polygons in descending
     order of edge count, the cost is the sum over them of edges times
     points. A horizontal edge divides by zero, but it crosses no point's
-    horizontal either, so its quotients are masked out.
+    horizontal either, so its quotients are masked out; so is a quotient that
+    overflows, whose point lies far above or below the edge.
     """
     has_edge = ~np.isnan(edges[0])  # (P, E)
     last = len(has_edge) - np.argmax(has_edge[::-1], axis=0)  # polygons tested per slot
     ends = np.cumsum(sizes).tolist()
     inside = np.zeros(px.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for slot, n_poly in enumerate(last.tolist()):
             n = ends[n_poly - 1]
             x1, y1, x2, y2 = np.repeat(edges[:, :n_poly, slot], sizes[:n_poly], axis=1)
@@ -340,33 +347,29 @@ def stack_scenes(scenes: Sequence[Scene]) -> SceneStack:
 def _resample_window(stack: SceneStack, window: tuple[int, int, int, int], poly_id: str
                      ) -> tuple[tuple[int, int, int, int], list[tuple[np.ndarray, np.ndarray]]]:
     """The window shrunk to the rectangle that every off-grid scene fills,
-    and each such scene's nearest-neighbor (rows, cols) source pixels over it."""
+    and each such scene's nearest-neighbor (rows, cols) source pixels over it.
+    Whether a pixel is filled depends on that pixel alone: after one shrink to
+    the rows and columns that hold a filled pixel, either all are filled or
+    the overlap is not a rectangle."""
     row0, row1, col0, col1 = window
-    while True:
-        height, width = row1 - row0 + 1, col1 - col0 + 1
-        xs, ys = _window_points(stack.transform, row0, col0, height, width)
-        samplers = []
-        valid = np.ones((height, width), dtype=bool)
-        for sc, same in zip(stack.scenes, stack.on_grid):
-            if same:
-                continue
-            pc, pr = sc.transform.world_to_pixel(xs, ys)
-            src_c = np.floor(pc + 0.5).astype(np.int64).reshape(height, width)
-            src_r = np.floor(pr + 0.5).astype(np.int64).reshape(height, width)
-            h, w, _ = sc.pixels.shape
-            valid &= (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-            samplers.append((src_r, src_c))
-        if valid.all():
-            return (row0, row1, col0, col1), samplers
-        ok_rows = np.nonzero(valid.any(axis=1))[0]
-        ok_cols = np.nonzero(valid.any(axis=0))[0]
-        if ok_rows.size == 0 or ok_cols.size == 0:
-            raise FootprintOutsideImagery(f"footprint {poly_id!r} lies outside the imagery")
-        new = (row0 + int(ok_rows[0]), row0 + int(ok_rows[-1]),
-               col0 + int(ok_cols[0]), col0 + int(ok_cols[-1]))
-        if new == (row0, row1, col0, col1):
-            raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly_id!r}")
-        row0, row1, col0, col1 = new
+    height, width = row1 - row0 + 1, col1 - col0 + 1
+    xs, ys = _window_points(stack.transform, row0, col0, height, width)
+    valid, sources = np.ones((height, width), dtype=bool), []
+    for sc, same in zip(stack.scenes, stack.on_grid):
+        if not same:  # the source pixel is the floor of (row, col) + 0.5
+            pc, pr = (p.reshape(height, width) + 0.5 for p in sc.transform.world_to_pixel(xs, ys))
+            # floor(p) lies in [0, n) when p does; inf and NaN fail here, before any cast
+            valid &= (pr >= 0) & (pr < sc.pixels.shape[0]) & (pc >= 0) & (pc < sc.pixels.shape[1])
+            sources.append((pr, pc))
+    rows, cols = np.flatnonzero(valid.any(axis=1)), np.flatnonzero(valid.any(axis=0))
+    if rows.size == 0:
+        raise FootprintOutsideImagery(f"footprint {poly_id!r} lies outside the imagery")
+    keep = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    if not valid[keep].all():
+        raise SceneMismatch(f"scenes overlap non-rectangularly around footprint {poly_id!r}")
+    samplers = [tuple(np.floor(p[keep]).astype(np.int64) for p in src) for src in sources]
+    return (row0 + int(rows[0]), row0 + int(rows[-1]), col0 + int(cols[0]),
+            col0 + int(cols[-1])), samplers
 
 
 def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> list[ChipStack]:
@@ -391,7 +394,8 @@ def extract_chips(stack: SceneStack, polygons: Sequence[Polygon], r: float) -> l
     window[:, 1] = np.clip(window[:, 1], -1, grid_h - 1)
     window[:, 2] = np.clip(window[:, 2], 0, grid_w)
     window[:, 3] = np.clip(window[:, 3], -1, grid_w - 1)
-    outside = (window[:, 1] < window[:, 0]) | (window[:, 3] < window[:, 2])
+    # NaN, from a position past the float range, compares as outside.
+    outside = ~((window[:, 1] >= window[:, 0]) & (window[:, 3] >= window[:, 2]))
     window[outside] = 0  # one pixel, so that the array passes below stay uniform
     window = window.astype(np.int64)
     failed = {i: FootprintOutsideImagery(f"footprint {polygons[i].id!r} lies outside the "

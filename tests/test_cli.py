@@ -546,6 +546,10 @@ MALFORMED = [
     ("infinite_coordinate", edit_first_feature(
         lambda f: f["geometry"]["coordinates"][0][1].__setitem__(1, float("inf"))), {}, [], 3,
      "MalformedPolygons"),
+    # A finite vertex whose shoelace products overflow: the area is NaN, not zero.
+    ("ring_area_past_float_range", edit_first_feature(
+        lambda f: f["geometry"]["coordinates"][0][1].__setitem__(0, 1e308)), {}, [], 3,
+     "DegeneratePolygon"),
     ("negative_r", None, {}, ["--r", "-1"], 2, "Config"),
     ("negative_theta", None, {}, ["--theta", "-1"], 2, "Config"),
     ("nonpositive_r_grid", None, {"r_grid": [3.0, 0.0], "k": None, "r": None},
@@ -752,10 +756,10 @@ def count_fits(monkeypatch):
     keys = []
     divergences = tcm.core._batch_divergences
 
-    def counted(chips, wanted, *args, **kwargs):
+    def counted(chips, ks, layers, *args, **kwargs):
         keys.extend((ch.footprint_id, ch.buffer_radius, k, layer)
-                    for ch in chips for k, layers in wanted.items() for layer in layers)
-        return divergences(chips, wanted, *args, **kwargs)
+                    for ch in chips for k in ks for layer in layers)
+        return divergences(chips, ks, layers, *args, **kwargs)
 
     monkeypatch.setattr(tcm.core, "_batch_divergences", counted)
     return keys

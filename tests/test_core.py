@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tcm.core
 from tcm.clustering import FitStats
 from tcm.core import (
     DivergenceCache,
@@ -205,6 +208,26 @@ def test_fit_counters_do_not_depend_on_workers():
     assert counted[0] == counted[1]
     assert counted[0].fits == 8 * (1 + 3 + 2)
     assert counted[0].lloyd_iters >= counted[0].fits
+
+
+def test_store_keeps_tables_not_chips(monkeypatch):
+    dataset = generate(SynthConfig(height=96, width=96, layers=3, footprints=8,
+                                   size_range=(5.0, 8.0), margin=8.0,
+                                   year_weights=(0.4, 0.35, 0.25), seed=2))
+    store = DivergenceCache(dataset)
+    first, second = store.chips(3.0), store.chips(3.0)
+    assert first is not second and tuple(first) == tuple(second) == store.ids
+    assert all(first[i].imagery.tobytes() == second[i].imagery.tobytes() for i in store.ids)
+    del first, second
+    cut = []  # a weak reference to every chip the store cuts from here on
+    extract = tcm.core.extract_chips
+    monkeypatch.setattr(tcm.core, "extract_chips",
+                        lambda *args: [cut.append(weakref.ref(ch)) or ch for ch in extract(*args)])
+    store.series(4, 3.0)
+    store.avg_color(3.0)
+    gc.collect()
+    assert len(cut) == 2 * len(store.ids)
+    assert all(ref() is None for ref in cut)
 
 
 def test_fit_stats_count_cap_hits():

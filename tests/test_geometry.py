@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from tcm.errors import (
     EmptyFootprintMask,
     EmptyRegion,
     FootprintOutsideImagery,
+    SceneMismatch,
 )
+from tcm.cli import main
+from tcm.formats import write_polygons_geojson, write_scene
 from tcm.geometry import (
     AffineGeoTransform,
     Polygon,
@@ -60,6 +64,16 @@ class TestPolygon:
         poly = Polygon("p", [(0, 0), (10, 0), (10, 10), (0, 10)],
                        holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
         assert poly.area == pytest.approx(96.0)
+
+    @pytest.mark.parametrize("ring, hole", [
+        ([(0, 0), (1e308, 0), (1e308, 20), (0, 20)], None),
+        ([(0, 0), (10, 0), (10, 1e308), (0, 10)], None),
+        ([(0, 0), (10, 0), (10, 10), (0, 10)], [(1, 1), (1e308, 1), (1e308, 1e308), (1, 2)]),
+    ])
+    def test_area_past_the_float_range(self, ring, hole):
+        # Finite vertices whose shoelace products overflow to inf or NaN.
+        with pytest.raises(DegeneratePolygon, match="float range"):
+            Polygon("p", ring, holes=[hole] if hole else [])
 
 
 class TestBufferedExtent:
@@ -134,6 +148,13 @@ class TestRasterize:
         mask = window_mask(poly, transform, -10, -10, 24, 24)
         expect = oracle_mask(poly, transform, -10, -10, 24, 24)
         assert np.array_equal(mask, expect)
+
+
+def rotated(size, angle):
+    """A transform that turns a size x size grid by angle about its center."""
+    cos, sin, mid = math.cos(angle), math.sin(angle), (size - 1) / 2
+    return AffineGeoTransform(cos, -sin, mid - (cos - sin) * mid, sin, cos,
+                              mid - (sin + cos) * mid)
 
 
 def make_scene(year, value=0, size=(32, 32), channels=3, transform=IDENTITY, seed=None):
@@ -212,6 +233,26 @@ class TestExtractChipStack:
         assert extract_chip_stack(scenes[1:], poly, 2.0).mask.sum() == 4
         with pytest.raises(FootprintOutsideImagery, match="clipping emptied"):
             extract_chip_stack(scenes, poly, 2.0)
+
+    def test_geotransform_without_a_finite_determinant(self):
+        with pytest.raises(ValueError, match="finite determinant"):
+            AffineGeoTransform(1e308, 0, 0, 0, 1e308, 0)
+        with pytest.raises(ValueError, match="finite determinant"):
+            AffineGeoTransform(1, 2, 0, 2, 4, 0)
+
+    @pytest.mark.parametrize("entry", range(6))
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("scene", [0, 1], ids=["off_grid", "grid"])
+    def test_transform_past_the_float_range_is_outside(self, entry, value, scene):
+        # The pixel positions overflow to inf or NaN or lie past int64; they
+        # compare as outside before any cast, without a warning.
+        coefficients = [1, 0, 0, 0, 1, 0]
+        coefficients[entry] = value
+        scenes = [make_scene(2000, seed=0), make_scene(2001, seed=1)]
+        scenes[scene] = make_scene(2000 + scene, seed=scene,
+                                   transform=AffineGeoTransform(*coefficients))
+        with pytest.raises(FootprintOutsideImagery):
+            extract_chip_stack(scenes, PIXEL_SQUARE, 2.0)
 
     def test_nearest_resampling_matches_shifted_grid(self):
         # Second scene's grid is offset by half a pixel; nearest sampling
@@ -321,3 +362,38 @@ def test_chip_reads_only_its_window_of_an_off_grid_scene():
         tracemalloc.stop()
     assert chips.imagery.shape == (2, 8, 8, 3)
     assert peak < 64 * 1024  # one scene alone is 3 MiB
+
+
+# (case, scenes, error message): the first scene turned 0.5 rad off the grid of
+# the second, whose corners cut across the central footprint's window, and
+# scenes of three and four channels.
+MISMATCHED_SCENES = [
+    ("rotated", [make_scene(2000, size=(20, 20), seed=0, transform=rotated(20, 0.5)),
+                 make_scene(2001, size=(20, 20), seed=1)], "non-rectangularly"),
+    ("channels", [make_scene(2000, size=(20, 20), seed=0),
+                  make_scene(2001, size=(20, 20), channels=4, seed=1)], "channel count"),
+]
+CENTRAL_SQUARE = Polygon("centre", [(7.5, 7.5), (11.5, 7.5), (11.5, 11.5), (7.5, 11.5)])
+
+
+@pytest.mark.parametrize("scenes, message", [case[1:] for case in MISMATCHED_SCENES],
+                         ids=[case[0] for case in MISMATCHED_SCENES])
+def test_mismatched_scenes_raise_scene_mismatch(scenes, message):
+    with pytest.raises(SceneMismatch, match=message):
+        extract_chip_stack(scenes, CENTRAL_SQUARE, 6.0)
+
+
+@pytest.mark.parametrize("scenes", [case[1] for case in MISMATCHED_SCENES],
+                         ids=[case[0] for case in MISMATCHED_SCENES])
+def test_mismatched_scenes_exit_3(tmp_path, capsys, scenes):
+    (tmp_path / "scenes").mkdir()
+    for scene in scenes:
+        write_scene(tmp_path / "scenes" / f"scene_{scene.year}.tcs", scene)
+    write_polygons_geojson(tmp_path / "polygons.geojson", [CENTRAL_SQUARE])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenes_dir": str(tmp_path / "scenes"),
+                               "polygons": str(tmp_path / "polygons.geojson"),
+                               "out_dir": str(tmp_path / "out"), "k": 2, "r": 6.0,
+                               "theta": 0.5}))
+    assert main(["detect", "--config", str(cfg)]) == 3
+    assert "error[SceneMismatch]" in capsys.readouterr().err

@@ -103,23 +103,24 @@ def recording_fits(mp):
     calls = []
 
     def recorded(x, sizes, region, k, seeds):
-        counts, n_iter, reseeds, converged = clustering.region_counts(x, sizes, region, k, seeds)
+        out = clustering.region_counts(x, sizes, region, k, seeds)
+        n_iter, reseeds, converged = out[3:]
         calls.append(list(zip(n_iter.tolist(), reseeds.tolist(), converged.tolist())))
-        return counts, n_iter, reseeds, converged
+        return out
 
     mp.setattr(core, "region_counts", recorded)
     return calls
 
 
-def assert_same_divergences(batch, wanted, config, seed=1, eps=DEFAULT_EPS):
-    """The batch path over the chips of `batch` at every k of `wanted`
-    ({k: layers}), one call per k."""
+def assert_same_divergences(batch, ks, layers, config, seed=1, eps=DEFAULT_EPS):
+    """The batch path over the chips of `batch` at the layers and every k of
+    `ks`, one call per k."""
     with pytest.MonkeyPatch.context() as mp:
         calls = recording_fits(mp)
-        rows, stats = _batch_divergences(batch, wanted, config, seed, eps)
-    assert len(calls) == len(wanted)
+        rows, stats = _batch_divergences(batch, ks, layers, config, seed, eps)
+    assert len(calls) == len(ks)
     oracle_stats = FitStats()
-    for (k, layers), fits in zip(wanted.items(), calls):
+    for k, fits in zip(ks, calls):
         oracle_fits = []
         for chips, row in zip(batch, rows[k]):
             oracle, chip_fits = numpy_divergences(chips, layers, k, config, seed, eps)
@@ -145,8 +146,8 @@ def test_chip_path_matches_numpy(stock_dataset, mode):
                  for p in stock_dataset.polygons[:12]]
         # Full series and the final layer alone, as calibration asks, at
         # several k of one call.
-        assert_same_divergences(batch, {1: every, 2: last, 4: every, 8: last}, config)
-        assert_same_divergences(batch, {1: last, 2: every, 4: last, 8: every}, config)
+        assert_same_divergences(batch, [1, 2, 4, 8], every, config)
+        assert_same_divergences(batch, [8, 4, 2, 1], last, config)
 
 
 @needs_kernel
@@ -163,10 +164,10 @@ def test_constant_layer_stays_in_kernel(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(clustering, "_fit_kmeans_numpy",
                        lambda x, *args: redone.append(x) or numpy_body(x, *args))
-            _batch_divergences([chips], {k: range(3)}, PixelFeatureConfig(), 1, DEFAULT_EPS)
+            _batch_divergences([chips], [k], range(3), PixelFeatureConfig(), 1, DEFAULT_EPS)
         # The kernel draws the integers that zero total weight asks for itself.
         assert redone == []
-        assert_same_divergences([chips], {k: range(3)}, PixelFeatureConfig())
+        assert_same_divergences([chips], [k], range(3), PixelFeatureConfig())
 
 
 @needs_kernel
@@ -258,16 +259,31 @@ def test_region_counts_report_budget_stops(chip_layers, lib, monkeypatch):
         monkeypatch.setattr(clustering, "_lib", None)
     elif clustering._lib is None:
         pytest.skip(clustering.KERNEL)
-    monkeypatch.setattr(clustering, "MAX_ITER", 3)
     layers = [extract_features(image, PixelFeatureConfig()) for _, _, image in chip_layers[:40]]
     seeds = np.arange(len(layers), dtype=np.uint64)
     sizes = [len(x) for x in layers]  # one layer per chip
-    _, n_iter, _, converged = clustering.region_counts(
-        np.concatenate(layers), sizes, np.zeros(sum(sizes), np.uint8), 4, seeds)
+    *_, n_iter, _, converged = clustering.region_counts(
+        np.concatenate(layers), sizes, np.zeros(sum(sizes), np.uint8), 4, seeds, max_iter=3)
     models = [fit_kmeans(x, 4, int(seed), max_iter=3) for x, seed in zip(layers, seeds)]
     assert n_iter.tolist() == [m.n_iter for m in models]
     assert converged.tolist() == [m.converged for m in models]
     assert 0 < converged.sum() < len(layers)
+
+
+@needs_kernel
+def test_region_counts_return_each_fits_centroids_and_inertia(chip_layers):
+    # The first two layers of six chips of different sizes: fit f writes its own slots.
+    config = PixelFeatureConfig("spectral_window")
+    chips = [(a, b) for a, b in zip(chip_layers, chip_layers[1:]) if a[1] == 0][:6]
+    layers = [extract_features(image, config) for pair in chips for _, _, image in pair]
+    sizes = [len(x) for x in layers[::2]]
+    assert len(set(sizes)) > 1
+    seeds = np.arange(100, 100 + len(layers), dtype=np.uint64)
+    _, centroids, inertia, *_ = clustering.region_counts(
+        np.concatenate(layers), sizes, np.zeros(sum(sizes), np.uint8), 8, seeds)
+    for x, seed, c, i in zip(layers, seeds.tolist(), centroids, inertia):
+        oracle = numpy_fit(x, 8, seed)
+        assert (c.tobytes(), float(i)) == (oracle.centroids.tobytes(), oracle.inertia)
 
 
 def init_picks(n, k, seed):
