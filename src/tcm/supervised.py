@@ -8,7 +8,10 @@ would date right. The average-color and color-over-time feature extractors
 provide the non-clustered baselines. Everything here is deterministic: the
 regression starts from zero weights and runs damped Newton steps on its
 convex objective until the gradient norm falls below `LR_GRAD_TOL`, so its
-result depends on the data alone.
+result depends on the data alone. The objective ignores one direction, a
+shared shift of all class biases, so its Hessian is singular there; each step
+solves the Hessian bordered with that direction, a nonsingular system whose
+solution is the minimum-norm Newton step.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class LogisticModel:
 
     n_classes: int
     weights: np.ndarray  # (C, dim)
-    bias: np.ndarray  # (C,)
+    bias: np.ndarray  # (C,), summing to 0 up to rounding
     feat_mean: np.ndarray
     feat_scale: np.ndarray
     n_iter: int  # Newton steps taken
@@ -83,25 +86,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_grad(weights, bias, x, onehot, lam):
-    """Cross-entropy + (lam/2)*||W||^2 and its gradients; bias unpenalized."""
+    """Cross-entropy + (lam/2)*||W||^2, its gradients (bias unpenalized) and
+    the (n, C) class probabilities they were taken at."""
     n = x.shape[0]
     probs = _softmax(x @ weights.T + bias)
     eps = 1e-300  # guards log of an exactly-zero probability
     loss = -np.log((probs * onehot).sum(axis=1) + eps).mean() + 0.5 * lam * (weights ** 2).sum()
     delta = (probs - onehot) / n
-    return loss, delta.T @ x + lam * weights, delta.sum(axis=0)
+    return loss, delta.T @ x + lam * weights, delta.sum(axis=0), probs
 
 
 def fit_lr(features: np.ndarray, labels: Sequence[int],
            n_classes: int | None = None) -> LogisticModel:
     """Damped Newton iteration on standardized features from zero weights.
 
-    labels are 0-based class indices. Steps are minimum-norm Hessian solutions (a
-    shared shift of all biases leaves the loss unchanged), halved until it drops.
+    labels are 0-based class indices. Each step solves the Hessian system
+    bordered with e, the shared shift of all C biases, and is halved until
+    the loss drops enough (Armijo). The Hessian H is singular along e alone:
+    the data term ignores every shift of all classes' parameters alike, and
+    the penalty charges every such shift that moves a weight. The gradient g
+    is orthogonal to e, since each row's probabilities and its one-hot label
+    both sum to 1. So the minimum-norm solution s of H s = -g lies in e's
+    orthogonal complement, where adding e e^T to H changes nothing, and
+    H + e e^T is nonsingular: one LAPACK solve gives s, and the biases keep
+    summing to 0 from their zero start.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be 2-D")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     y = np.asarray(labels, dtype=np.int64)
     classes = np.unique(y)
     if classes.size < 2:
@@ -110,34 +124,37 @@ def fit_lr(features: np.ndarray, labels: Sequence[int],
     if y.min() < 0 or y.max() >= c:
         raise ValueError("labels outside [0, n_classes)")
 
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)
+    if not np.isfinite(scale).all():
+        raise ValueError("feature spread overflows float64")
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
     n, d = xs.shape
     xt = np.hstack([xs, np.ones((n, 1))])  # bias as the last column of theta
     outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
     onehot = np.eye(c)[y]
-    penalty = np.diag(np.hstack([np.full((c, d), LR_LAM), np.zeros((c, 1))]).ravel())
+    e = np.hstack([np.zeros((c, d)), np.ones((c, 1))]).ravel()  # all biases, in theta's order
+    fixed = np.diag(LR_LAM * (1.0 - e)) + np.outer(e, e)  # the penalty's Hessian + e e^T
 
     def objective(theta):
-        loss, gw, gb = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
-        return loss, np.hstack([gw, gb[:, None]])
+        loss, gw, gb, probs = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
+        return loss, np.hstack([gw, gb[:, None]]), probs
 
     theta = np.zeros((c, d + 1))
-    loss, grad = objective(theta)
+    loss, grad, probs = objective(theta)
     n_iter = 0
-    while np.linalg.norm(grad) >= LR_GRAD_TOL and n_iter < LR_MAX_ITER:
-        probs = _softmax(xt @ theta.T)
+    while not np.linalg.norm(grad) < LR_GRAD_TOL and n_iter < LR_MAX_ITER:  # NaN never converges
         curv = probs[:, :, None] * (np.eye(c) - probs[:, None, :])  # (n, C, C)
         hess = (curv.reshape(n, -1).T @ outer).reshape(c, c, d + 1, d + 1).transpose(0, 2, 1, 3)
-        hess = hess.reshape(grad.size, grad.size) / n + penalty
-        step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0].reshape(theta.shape)
+        hess = hess.reshape(grad.size, grad.size) / n + fixed
+        step = np.linalg.solve(hess, -grad.ravel()).reshape(theta.shape)
         for t in 0.5 ** np.arange(34):  # halve until the loss drops enough (Armijo)
-            new_loss, new_grad = objective(theta + t * step)
+            new_loss, new_grad, new_probs = objective(theta + t * step)
             if new_loss <= loss + 1e-4 * t * (grad * step).sum():
                 break
-        theta, loss, grad = theta + t * step, new_loss, new_grad
+        theta, loss, grad, probs = theta + t * step, new_loss, new_grad, new_probs
         n_iter += 1
 
     return LogisticModel(

@@ -2,13 +2,17 @@
 
 These deliberately use different algorithms from the production code: winding
 angles instead of edge-crossing parity, exhaustive assignment enumeration
-instead of Lloyd iterations, scalar loops instead of vectorized numpy.
+instead of Lloyd iterations, scalar loops instead of vectorized numpy, an
+SVD least-squares Newton step instead of a bordered solve.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tcm.supervised import (
+    LR_GRAD_TOL, LR_LAM, LR_MAX_ITER, LogisticModel, _loss_and_grad, _softmax)
 
 
 def winding_inside(px, py, ring):
@@ -90,3 +94,47 @@ def exhaustive_threshold(labeled, candidates):
         if hits > best_hits:
             best, best_hits = theta, hits
     return best
+
+
+def lstsq_fit_lr(features, labels, n_classes):
+    """`fit_lr`'s damped Newton iteration with each step the minimum-norm
+    least-squares solution (an SVD) of the singular Hessian system, and each
+    Hessian's probabilities recomputed from the iterate."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    c = n_classes
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = (x - mean) / scale
+    n, d = xs.shape
+    xt = np.hstack([xs, np.ones((n, 1))])
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
+    onehot = np.eye(c)[y]
+    penalty = np.diag(np.hstack([np.full((c, d), LR_LAM), np.zeros((c, 1))]).ravel())
+
+    def objective(theta):
+        loss, gw, gb, _ = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
+        return loss, np.hstack([gw, gb[:, None]])
+
+    theta = np.zeros((c, d + 1))
+    loss, grad = objective(theta)
+    n_iter = 0
+    while np.linalg.norm(grad) >= LR_GRAD_TOL and n_iter < LR_MAX_ITER:
+        probs = _softmax(xt @ theta.T)
+        curv = probs[:, :, None] * (np.eye(c) - probs[:, None, :])
+        hess = (curv.reshape(n, -1).T @ outer).reshape(c, c, d + 1, d + 1).transpose(0, 2, 1, 3)
+        hess = hess.reshape(grad.size, grad.size) / n + penalty
+        step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0].reshape(theta.shape)
+        for t in 0.5 ** np.arange(34):
+            new_loss, new_grad = objective(theta + t * step)
+            if new_loss <= loss + 1e-4 * t * (grad * step).sum():
+                break
+        theta, loss, grad = theta + t * step, new_loss, new_grad
+        n_iter += 1
+
+    return LogisticModel(
+        n_classes=c, weights=theta[:, :d], bias=theta[:, d],
+        feat_mean=mean, feat_scale=scale, n_iter=n_iter,
+        final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
+    )

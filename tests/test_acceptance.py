@@ -198,7 +198,7 @@ def test_criterion_5_math_property_suites():
     onehot[np.arange(n), y] = 1.0
     w = grad_rng.normal(scale=0.5, size=(c, d))
     b = grad_rng.normal(scale=0.5, size=c)
-    _, gw, gb = _loss_and_grad(w, b, x, onehot, 1e-3)
+    _, gw, gb, _ = _loss_and_grad(w, b, x, onehot, 1e-3)
     h = 1e-6
     worst_grad = 0.0
     for i in range(c):

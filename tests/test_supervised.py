@@ -21,7 +21,7 @@ from tcm.supervised import (
     threshold_candidates,
 )
 
-from oracles import exhaustive_threshold
+from oracles import exhaustive_threshold, lstsq_fit_lr
 
 
 def fit_pairs(pairs):
@@ -148,7 +148,7 @@ class TestLogisticRegression:
         w = rng.normal(scale=0.5, size=(c, d))
         b = rng.normal(scale=0.5, size=c)
         lam = 1e-3
-        _, gw, gb = _loss_and_grad(w, b, x, onehot, lam)
+        _, gw, gb, _ = _loss_and_grad(w, b, x, onehot, lam)
 
         h = 1e-6
         num_gw = np.zeros_like(w)
@@ -157,16 +157,16 @@ class TestLogisticRegression:
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
-                lp, _, _ = _loss_and_grad(wp, b, x, onehot, lam)
-                lm, _, _ = _loss_and_grad(wm, b, x, onehot, lam)
+                lp = _loss_and_grad(wp, b, x, onehot, lam)[0]
+                lm = _loss_and_grad(wm, b, x, onehot, lam)[0]
                 num_gw[i, j] = (lp - lm) / (2 * h)
         num_gb = np.zeros_like(b)
         for i in range(c):
             bp, bm = b.copy(), b.copy()
             bp[i] += h
             bm[i] -= h
-            lp, _, _ = _loss_and_grad(w, bp, x, onehot, lam)
-            lm, _, _ = _loss_and_grad(w, bm, x, onehot, lam)
+            lp = _loss_and_grad(w, bp, x, onehot, lam)[0]
+            lm = _loss_and_grad(w, bm, x, onehot, lam)[0]
             num_gb[i] = (lp - lm) / (2 * h)
 
         assert np.abs(gw - num_gw).max() <= 1e-5
@@ -195,7 +195,7 @@ class TestLogisticRegression:
 
         xs = (x - model.feat_mean) / model.feat_scale
         onehot = np.eye(model.n_classes)[y]
-        loss, gw, gb = _loss_and_grad(model.weights, model.bias, xs, onehot, LR_LAM)
+        loss, gw, gb, _ = _loss_and_grad(model.weights, model.bias, xs, onehot, LR_LAM)
         grad_norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
         assert grad_norm < LR_GRAD_TOL
         assert grad_norm == pytest.approx(model.grad_norm, rel=1e-6, abs=1e-12)
@@ -219,6 +219,48 @@ class TestLogisticRegression:
     def test_labels_capped_by_n_classes(self):
         with pytest.raises(ValueError):
             fit_lr(np.zeros((4, 2)), [0, 1, 2, 3], n_classes=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.random.default_rng(3).normal(size=(10, 2))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_lr(x, [0, 1] * 5)
+
+    def test_overflowing_spread_rejected(self):
+        # Finite features whose squared deviations overflow to inf.
+        x = np.array([[1e308, 0.0], [-1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            fit_lr(x, [0, 1, 0, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), absent=st.integers(0, 2), constant=st.booleans(),
+           collinear=st.booleans())
+    def test_matches_the_least_squares_oracle(self, seed, absent, constant, collinear):
+        # The oracle's steps may carry a shared bias shift, which no logit
+        # sees, so biases are compared centred. An absent class's bias (its
+        # curvature is its vanishing probability) and the weights of a
+        # constant column (it can standardise to a copy of the bias column,
+        # curved by LR_LAM alone) are ill-conditioned: any two stable solvers
+        # agree there to about 1e-7.
+        rng = np.random.default_rng(seed)
+        n, d, c = int(rng.integers(10, 80)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0, d) + rng.normal(0, 20, d)
+        if constant:
+            x = np.hstack([x, np.full((n, 1), rng.normal(0, 20))])
+        if collinear:
+            x = np.hstack([x, rng.uniform(-3, 3) * x[:, :1] + rng.normal(0, 20)])
+        y = rng.integers(0, c, n)
+        y[:2] = (0, 1)
+        model = fit_lr(x, y, n_classes=c + absent)
+        oracle = lstsq_fit_lr(x, y, c + absent)
+        tol = 1e-9 if np.unique(y).size == model.n_classes and not constant else 1e-6
+        assert model.n_iter == oracle.n_iter
+        assert np.abs(model.weights - oracle.weights).max() <= tol
+        centred = lambda bias: bias - bias.mean()
+        assert np.abs(centred(model.bias) - centred(oracle.bias)).max() <= tol
+        assert (predict_lr(model, x) == predict_lr(oracle, x)).all()
+        assert abs(model.bias.sum()) < 1e-9
 
 
 def chips_with_layers(layers, mask):
