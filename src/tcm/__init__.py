@@ -53,6 +53,7 @@ from .supervised import (
     avg_color_series,
     color_over_time_features,
     fit_lr,
+    fit_lr_stack,
     fit_threshold,
     lr_probabilities,
     mode_predictor,

@@ -12,6 +12,7 @@ the dicts that `detect_all` and `evaluate_semi_supervised` return.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,8 +23,10 @@ from .calibration import CalibrationReport, calibrate
 from .core import DivergenceCache, divergence_store, first_crossings
 from .data import FootprintDataset
 from .errors import DegenerateRanks, MissingPrediction, TooFewLabels
-from .supervised import fit_lr, fit_threshold, mode_predictor, predict_lr
+from .supervised import LR_GRAD_TOL, fit_lr_stack, fit_threshold, mode_predictor, predict_lr
 from .util import stable_seed
+
+log = logging.getLogger("tcm")
 
 METHODS = (
     "tcm_semi",
@@ -119,22 +122,24 @@ def _threshold_method(table, grid, train, y_train, test) -> np.ndarray:
     return first_crossings(table(cell)[test], theta)
 
 
-def _lr_method(table, grid, train, y_train, test, n_classes) -> np.ndarray:
+def _lr_method(table, grid, train, y_train, test, n_classes) -> tuple[np.ndarray, int]:
     """Fit a logistic regression per grid cell on the train rows, in their
-    order, keep the best cell, and date the test rows."""
-    def fitted(cell):
-        x = table(cell)[train]
-        model = fit_lr(x, y_train - 1, n_classes=n_classes)
-        return -float((predict_lr(model, x) + 1 == y_train).mean()), cell, model
-
-    _, cell, model = min((fitted(cell) for cell in grid), key=lambda fit: fit[:2])
-    return predict_lr(model, table(cell)[test]) + 1
+    order, as one stack; keep the best cell, and date the test rows. Also
+    return how many of the fits stopped at `LR_MAX_ITER` unconverged."""
+    xs = [table(cell)[train] for cell in grid]
+    models = fit_lr_stack(np.stack(xs), y_train - 1, n_classes=n_classes)
+    budget_stops = sum(not m.grad_norm < LR_GRAD_TOL for m in models)
+    fits = [(-float((predict_lr(m, x) + 1 == y_train).mean()), cell, m)
+            for cell, x, m in zip(grid, xs, models)]
+    _, cell, model = min(fits, key=lambda fit: fit[:2])
+    return predict_lr(model, table(cell)[test]) + 1, budget_stops
 
 
 def _predict_split(method: str, cache: DivergenceCache, train: np.ndarray,
                    y_train: np.ndarray, test: np.ndarray, k_grid: Sequence[int],
-                   r_grid: Sequence[float]) -> np.ndarray:
-    """Predicted 1-based first-developed indices of the test rows of one split.
+                   r_grid: Sequence[float]) -> tuple[np.ndarray, int]:
+    """Predicted 1-based first-developed indices of the test rows of one
+    split, and how many of its logistic fits stopped at `LR_MAX_ITER`.
 
     train and test are rows of the store's tables, and y_train holds the
     train rows' 1-based labels."""
@@ -142,17 +147,17 @@ def _predict_split(method: str, cache: DivergenceCache, train: np.ndarray,
     kr_grid = [(k, r) for k in k_grid for r in r_grid]
     series = lambda cell: cache.series(*cell)
     if method == "tcm_supervised":
-        return _threshold_method(series, kr_grid, train, y_train, test)
+        return _threshold_method(series, kr_grid, train, y_train, test), 0
     if method == "tcm_lr":
         return _lr_method(series, kr_grid, train, y_train, test, n_classes)
     if method == "avgcolor_threshold":
-        return _threshold_method(cache.avg_color, list(r_grid), train, y_train, test)
+        return _threshold_method(cache.avg_color, list(r_grid), train, y_train, test), 0
     if method == "avgcolor_lr":
         return _lr_method(cache.avg_color, list(r_grid), train, y_train, test, n_classes)
     if method == "color_over_time":
         return _lr_method(cache.color_deltas, [r_grid[0]], train, y_train, test, n_classes)
     if method == "mode":
-        return np.full(len(test), mode_predictor(y_train)())
+        return np.full(len(test), mode_predictor(y_train)()), 0
     raise ValueError(f"unknown split method {method!r}")
 
 
@@ -201,17 +206,21 @@ def repeated_splits(
     n_train = int(round(train_frac * len(ids)))
     n_train = min(max(n_train, 1), len(ids) - 1)
 
-    records = []
+    records, budget_stops = [], 0
     for rep in range(n_repeats):
         perm = rng.permutation(len(ids))
         train, test = perm[:n_train], np.sort(perm[n_train:])
-        preds_idx = _predict_split(method, cache, rows[train], labels[train], rows[test],
-                                   k_grid, r_grid)
+        preds_idx, stops = _predict_split(method, cache, rows[train], labels[train],
+                                          rows[test], k_grid, r_grid)
+        budget_stops += stops
         test_ids = [ids[i] for i in test]
         result = score(dict(zip(test_ids, map(dataset.year_of_index, preds_idx.tolist()))),
                        {i: dataset.labels[i][1] for i in test_ids}, years=dataset.years)
         records.append(SplitRecord(rep, result.accuracy, result.mae, result.mae_index,
                                    result.n))
+    if budget_stops:
+        log.warning("%s: %d logistic regression fits stopped at LR_MAX_ITER Newton steps "
+                    "with the gradient norm not below LR_GRAD_TOL", method, budget_stops)
 
     acc = np.array([r.accuracy for r in records])
     mae = np.array([r.mae for r in records])

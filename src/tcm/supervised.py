@@ -11,7 +11,10 @@ convex objective until the gradient norm falls below `LR_GRAD_TOL`, so its
 result depends on the data alone. The objective ignores one direction, a
 shared shift of all class biases, so its Hessian is singular there; each step
 solves the Hessian bordered with that direction, a nonsingular system whose
-solution is the minimum-norm Newton step.
+solution is the minimum-norm Newton step. `fit_lr_stack` runs that iteration
+for a stack of problems with the same labels at once, such as one split's
+grid cells, and each problem gets the bits it would get alone; `fit_lr` is
+its stack of one.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def fit_threshold(series: np.ndarray, labels: Sequence[int]) -> float:
 LR_LAM = 1e-3  # L2 weight penalty; the bias is not penalized
 LR_GRAD_TOL = 1e-8  # stop once the gradient norm is below this
 LR_MAX_ITER = 100  # Newton steps; reaching it is visible as grad_norm >= LR_GRAD_TOL
+_HALVINGS = 0.5 ** np.arange(34)  # Armijo step lengths, tried in this order
 
 
 @dataclass(frozen=True)
@@ -79,28 +83,62 @@ class LogisticModel:
     grad_norm: float  # at the returned weights; >= LR_GRAD_TOL only after LR_MAX_ITER steps
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) over C >= 2 class columns, written out left to right:
+    numpy's own order for rows shorter than 8, without its per-row cost."""
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last (class) axis."""
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])  # exact, so any order gives these bits
+    e = np.exp(logits - top[..., None])
+    return e / _class_sum(e)[..., None]
 
 
 def _loss_and_grad(weights, bias, x, onehot, lam):
     """Cross-entropy + (lam/2)*||W||^2, its gradients (bias unpenalized) and
-    the (n, C) class probabilities they were taken at."""
-    n = x.shape[0]
-    probs = _softmax(x @ weights.T + bias)
+    the (n, C) class probabilities they were taken at. weights (C, d), bias
+    (C,) and x (n, d) may carry the same leading stack axes."""
+    n = x.shape[-2]
+    probs = _softmax(x @ np.swapaxes(weights, -1, -2) + bias[..., None, :])
     eps = 1e-300  # guards log of an exactly-zero probability
-    loss = -np.log((probs * onehot).sum(axis=1) + eps).mean() + 0.5 * lam * (weights ** 2).sum()
+    squares = (weights ** 2).reshape(*weights.shape[:-2], -1)  # summed as one contiguous row
+    loss = (-np.log(_class_sum(probs * onehot) + eps).mean(axis=-1)
+            + 0.5 * lam * squares.sum(axis=-1))
     delta = (probs - onehot) / n
-    return loss, delta.T @ x + lam * weights, delta.sum(axis=0), probs
+    return loss, np.swapaxes(delta, -1, -2) @ x + lam * weights, delta.sum(axis=-2), probs
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each a[i], as `np.linalg.norm(a[i])` takes it:
+    the square root of a dot product."""
+    v = a.reshape(len(a), 1, -1)
+    return np.sqrt(v @ np.swapaxes(v, 1, 2))[:, 0, 0]
 
 
 def fit_lr(features: np.ndarray, labels: Sequence[int],
            n_classes: int | None = None) -> LogisticModel:
-    """Damped Newton iteration on standardized features from zero weights.
+    """`fit_lr_stack` of the one (n, d) problem."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("features must be 2-D")
+    return fit_lr_stack(x[None], labels, n_classes)[0]
 
-    labels are 0-based class indices. Each step solves the Hessian system
+
+def fit_lr_stack(features: np.ndarray, labels: Sequence[int],
+                 n_classes: int | None = None) -> list[LogisticModel]:
+    """Damped Newton iteration on standardized features from zero weights,
+    for a stack of problems at once.
+
+    features is (m, n, d): m problems, each fitting its n rows to the same
+    n 0-based class labels. A column is standardized by its mean and std,
+    or by scale 1 when it is constant. Each step solves the Hessian system
     bordered with e, the shared shift of all C biases, and is halved until
     the loss drops enough (Armijo). The Hessian H is singular along e alone:
     the data term ignores every shift of all classes' parameters alike, and
@@ -110,13 +148,22 @@ def fit_lr(features: np.ndarray, labels: Sequence[int],
     orthogonal complement, where adding e e^T to H changes nothing, and
     H + e e^T is nonsingular: one LAPACK solve gives s, and the biases keep
     summing to 0 from their zero start.
+
+    Each problem keeps its own iterate, step halving, step count and stop
+    test, and leaves the stack once it stops. Every operation gives a
+    problem the bits it would get alone: class sums run left to right (the
+    order of numpy's own sum for C < 8), other sums run along the axis they
+    would for one problem, and each matrix product or solve is one
+    problem's, looped over the stack.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be 2-D")
+    if x.ndim != 3:
+        raise ValueError("features must be an (m, n, d) stack")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     y = np.asarray(labels, dtype=np.int64)
+    if y.shape != x.shape[1:2]:
+        raise ValueError(f"need one label per row, got {y.size} for {x.shape[1]} rows")
     classes = np.unique(y)
     if classes.size < 2:
         raise DegenerateLabels(f"need >= 2 distinct classes, got {classes.size}")
@@ -125,43 +172,64 @@ def fit_lr(features: np.ndarray, labels: Sequence[int],
         raise ValueError("labels outside [0, n_classes)")
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
+        mean = x.mean(axis=1)
+        scale = x.std(axis=1)
     if not np.isfinite(scale).all():
         raise ValueError("feature spread overflows float64")
-    scale[scale == 0.0] = 1.0
-    xs = (x - mean) / scale
-    n, d = xs.shape
-    xt = np.hstack([xs, np.ones((n, 1))])  # bias as the last column of theta
-    outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
+    scale[(scale == 0.0) | (x.min(axis=1) == x.max(axis=1))] = 1.0
+    m, n, d = x.shape
+    xs = (x - mean[:, None]) / scale[:, None]
+    xt = np.concatenate([xs, np.ones((m, n, 1))], axis=2)  # bias as the last column of theta
+    outer = np.einsum("...a,...b->...ab", xt, xt).reshape(m, n, -1)  # each row's xt xt^T
     onehot = np.eye(c)[y]
     e = np.hstack([np.zeros((c, d)), np.ones((c, 1))]).ravel()  # all biases, in theta's order
     fixed = np.diag(LR_LAM * (1.0 - e)) + np.outer(e, e)  # the penalty's Hessian + e e^T
+    diagonal = np.arange(c) * (c + 1)  # in a row's flattened (C, C) curvature
 
-    def objective(theta):
-        loss, gw, gb, probs = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
-        return loss, np.hstack([gw, gb[:, None]]), probs
+    def objective(theta, xs):
+        loss, gw, gb, probs = _loss_and_grad(theta[..., :d], theta[..., d], xs, onehot, LR_LAM)
+        return [theta, loss, np.concatenate([gw, gb[..., None]], axis=-1), probs]
 
-    theta = np.zeros((c, d + 1))
-    loss, grad, probs = objective(theta)
-    n_iter = 0
-    while not np.linalg.norm(grad) < LR_GRAD_TOL and n_iter < LR_MAX_ITER:  # NaN never converges
-        curv = probs[:, :, None] * (np.eye(c) - probs[:, None, :])  # (n, C, C)
-        hess = (curv.reshape(n, -1).T @ outer).reshape(c, c, d + 1, d + 1).transpose(0, 2, 1, 3)
-        hess = hess.reshape(grad.size, grad.size) / n + fixed
-        step = np.linalg.solve(hess, -grad.ravel()).reshape(theta.shape)
-        for t in 0.5 ** np.arange(34):  # halve until the loss drops enough (Armijo)
-            new_loss, new_grad, new_probs = objective(theta + t * step)
-            if new_loss <= loss + 1e-4 * t * (grad * step).sum():
+    models: list = [None] * m
+    live = np.arange(m)  # the stack index of each problem still iterating
+    state = objective(np.zeros((m, c, d + 1)), xs)  # theta, loss, grad, probs of each
+    n_iter = 0  # steps taken by every live problem
+    while True:
+        norm = _norms(state[2])
+        stop = (norm < LR_GRAD_TOL) | (n_iter >= LR_MAX_ITER)  # NaN never converges
+        for i in np.flatnonzero(stop):
+            theta = state[0][i].copy()
+            models[live[i]] = LogisticModel(
+                n_classes=c, weights=theta[:, :d], bias=theta[:, d],
+                feat_mean=mean[live[i]].copy(), feat_scale=scale[live[i]].copy(),
+                n_iter=n_iter, final_loss=float(state[1][i]), grad_norm=float(norm[i]))
+        if stop.all():
+            return models
+        if stop.any():
+            live, xs, outer = live[~stop], xs[~stop], outer[~stop]
+            state = [a[~stop] for a in state]
+        theta, loss, grad, probs = state
+        k = len(live)
+
+        curv = np.einsum("...i,...j->...ij", probs, -probs).reshape(k, n, c * c)  # -p p^T
+        curv[..., diagonal] = probs * (1.0 - probs)  # each row's p (I - p)
+        hess = (np.swapaxes(curv, 1, 2) @ outer).reshape(k, c, c, d + 1, d + 1)
+        hess = hess.transpose(0, 1, 3, 2, 4).reshape(k, e.size, e.size) / n + fixed
+        step = np.linalg.solve(hess, -grad.reshape(k, -1, 1)).reshape(theta.shape)
+        slope = (grad * step).reshape(k, -1).sum(axis=1)
+        state, halving = None, slice(None)  # the live problems whose step is still halving
+        for t in _HALVINGS:  # halve until the loss drops enough (Armijo)
+            tried = objective(theta[halving] + t * step[halving], xs[halving])
+            ok = (tried[1] <= loss[halving] + 1e-4 * t * slope[halving]) | (t == _HALVINGS[-1])
+            if state is None:
+                state, halving = tried, np.flatnonzero(~ok)
+            else:
+                for kept, new in zip(state, tried):
+                    kept[halving[ok]] = new[ok]
+                halving = halving[~ok]
+            if not halving.size:
                 break
-        theta, loss, grad, probs = theta + t * step, new_loss, new_grad, new_probs
         n_iter += 1
-
-    return LogisticModel(
-        n_classes=c, weights=theta[:, :d], bias=theta[:, d],
-        feat_mean=mean, feat_scale=scale, n_iter=n_iter,
-        final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
-    )
 
 
 def lr_probabilities(model: LogisticModel, features: np.ndarray) -> np.ndarray:
@@ -179,22 +247,17 @@ def predict_lr(model: LogisticModel, features: np.ndarray) -> np.ndarray:
 
 def avg_color_series(chips: ChipStack) -> np.ndarray:
     """Per-layer Euclidean distance between mean footprint and neighborhood color."""
-    fp = chips.mask == 1
-    nb = chips.mask == 0
-    out = np.empty(chips.n_layers, dtype=np.float64)
-    for t in range(chips.n_layers):
-        layer = chips.imagery[t].astype(np.float64)
-        out[t] = float(np.linalg.norm(layer[fp].mean(axis=0) - layer[nb].mean(axis=0)))
-    return out
+    imagery = chips.imagery.astype(np.float64)
+    # Each layer's norm as its own vector's, where norm(axis=1) would sum in another order.
+    return _norms(imagery[:, chips.mask == 1].mean(axis=1)
+                  - imagery[:, chips.mask == 0].mean(axis=1))
 
 
 def color_over_time_features(chips: ChipStack) -> np.ndarray:
     """Distances between mean footprint colors of consecutive layers (T-1 values)."""
     if chips.n_layers < 2:
         raise SeriesTooShort("need at least two layers for color-over-time features")
-    fp = chips.mask == 1
-    means = np.stack([chips.imagery[t].astype(np.float64)[fp].mean(axis=0)
-                      for t in range(chips.n_layers)])
+    means = chips.imagery.astype(np.float64)[:, chips.mask == 1].mean(axis=1)
     return np.linalg.norm(np.diff(means, axis=0), axis=1)
 
 

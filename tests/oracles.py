@@ -3,7 +3,8 @@
 These deliberately use different algorithms from the production code: winding
 angles instead of edge-crossing parity, exhaustive assignment enumeration
 instead of Lloyd iterations, scalar loops instead of vectorized numpy, an
-SVD least-squares Newton step instead of a bordered solve.
+SVD least-squares Newton step instead of a bordered solve, one logistic
+regression at a time instead of a stack of them.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 
+from tcm import supervised
 from tcm.supervised import (
     LR_GRAD_TOL, LR_LAM, LR_MAX_ITER, LogisticModel, _loss_and_grad, _softmax)
 
@@ -105,7 +107,7 @@ def lstsq_fit_lr(features, labels, n_classes):
     c = n_classes
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
+    scale[(scale == 0.0) | (x.min(axis=0) == x.max(axis=0))] = 1.0
     xs = (x - mean) / scale
     n, d = xs.shape
     xt = np.hstack([xs, np.ones((n, 1))])
@@ -138,3 +140,66 @@ def lstsq_fit_lr(features, labels, n_classes):
         feat_mean=mean, feat_scale=scale, n_iter=n_iter,
         final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
     )
+
+
+def newton_fit_lr(features, labels, n_classes):
+    """`fit_lr_stack`'s damped Newton iteration for one (n, d) problem, in a
+    loop of its own: the Hessian of each row's p (I - p), a whole-array
+    gradient norm and one line search. Its loss and gradient are the
+    package's, so its class sums are the same written-out ones, and it reads
+    the step budget when called, as the package does."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    c = n_classes
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[(scale == 0.0) | (x.min(axis=0) == x.max(axis=0))] = 1.0
+    xs = (x - mean) / scale
+    n, d = xs.shape
+    xt = np.hstack([xs, np.ones((n, 1))])
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
+    onehot = np.eye(c)[y]
+    e = np.hstack([np.zeros((c, d)), np.ones((c, 1))]).ravel()
+    fixed = np.diag(LR_LAM * (1.0 - e)) + np.outer(e, e)
+
+    def objective(theta):
+        loss, gw, gb, probs = _loss_and_grad(theta[:, :d], theta[:, d], xs, onehot, LR_LAM)
+        return loss, np.hstack([gw, gb[:, None]]), probs
+
+    theta = np.zeros((c, d + 1))
+    loss, grad, probs = objective(theta)
+    n_iter = 0
+    while not np.linalg.norm(grad) < supervised.LR_GRAD_TOL and n_iter < supervised.LR_MAX_ITER:
+        curv = probs[:, :, None] * (np.eye(c) - probs[:, None, :])
+        hess = (curv.reshape(n, -1).T @ outer).reshape(c, c, d + 1, d + 1).transpose(0, 2, 1, 3)
+        hess = hess.reshape(grad.size, grad.size) / n + fixed
+        step = np.linalg.solve(hess, -grad.ravel()).reshape(theta.shape)
+        for t in 0.5 ** np.arange(34):
+            new_loss, new_grad, new_probs = objective(theta + t * step)
+            if new_loss <= loss + 1e-4 * t * (grad * step).sum():
+                break
+        theta, loss, grad, probs = theta + t * step, new_loss, new_grad, new_probs
+        n_iter += 1
+
+    return LogisticModel(
+        n_classes=c, weights=theta[:, :d], bias=theta[:, d],
+        feat_mean=mean, feat_scale=scale, n_iter=n_iter,
+        final_loss=float(loss), grad_norm=float(np.linalg.norm(grad)),
+    )
+
+
+def layer_color_features(chips):
+    """`avg_color_series` and `color_over_time_features` by a loop over the
+    layers: each layer's mean footprint and neighbourhood colours and the
+    norm of their difference, then the norms of the differences of
+    consecutive footprint means (taken along axis 1, whose sum order differs
+    from a single vector's)."""
+    fp, nb = chips.mask == 1, chips.mask == 0
+    fp_means, nb_means = [], []
+    for layer in chips.imagery:
+        layer = layer.astype(np.float64)
+        fp_means.append(layer[fp].mean(axis=0))
+        nb_means.append(layer[nb].mean(axis=0))
+    avg = np.array([np.linalg.norm(f - b) for f, b in zip(fp_means, nb_means)])
+    deltas = np.linalg.norm(np.diff(np.stack(fp_means), axis=0), axis=1)
+    return avg, deltas

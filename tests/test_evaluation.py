@@ -1,3 +1,4 @@
+import logging
 import multiprocessing
 import os
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+from tcm import supervised
 from tcm.calibration import calibrate
 from tcm.clustering import FEATURE_MODES, PixelFeatureConfig
 from tcm.core import BATCH, divergence_series, divergence_store
@@ -158,6 +160,27 @@ class TestRepeatedSplits:
             repeated_splits(ds, "mode", n_repeats=2, seed=0, k_grid=(2,), r_grid=(3.0,))
 
 
+class TestBudgetWarning:
+    @pytest.mark.parametrize("method, fits_per_split", [("tcm_lr", 2), ("avgcolor_lr", 1)])
+    def test_fits_stopped_by_the_budget_are_counted_once(self, monkeypatch, caplog,
+                                                         method, fits_per_split):
+        ds = small_dataset(footprints=14, seed=2)
+        cache = DivergenceCache(ds, seed=0)
+        monkeypatch.setattr(supervised, "LR_MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="tcm"):
+            repeated_splits(ds, method, n_repeats=3, seed=0, k_grid=(2, 4), r_grid=(3.0,),
+                            cache=cache)
+        warnings = [r for r in caplog.records if r.name == "tcm"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+        assert f"{method}: {3 * fits_per_split} logistic" in warnings[0].getMessage()
+
+    def test_converged_fits_log_nothing(self, caplog):
+        ds = small_dataset(footprints=14, seed=2)
+        with caplog.at_level(logging.WARNING, logger="tcm"):
+            repeated_splits(ds, "tcm_lr", n_repeats=3, seed=0, k_grid=(2, 4), r_grid=(3.0,))
+        assert not [r for r in caplog.records if r.name == "tcm"]
+
+
 class TestPredictionRange:
     def test_all_methods_stay_within_time_axis(self):
         ds = small_dataset(footprints=14, seed=2)
@@ -168,7 +191,7 @@ class TestPredictionRange:
         train, test = rows[:10], rows[10:]
         for method in ("tcm_supervised", "tcm_lr", "avgcolor_threshold",
                        "avgcolor_lr", "color_over_time", "mode"):
-            preds = _predict_split(method, cache, train, labels[:10], test, (2, 4), (3.0,))
+            preds, _ = _predict_split(method, cache, train, labels[:10], test, (2, 4), (3.0,))
             assert len(preds) == len(test)
             assert all(1 <= p <= ds.n_layers for p in preds), method
 

@@ -1,27 +1,37 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm.core import first_crossing, first_crossings
+import oracles
+from tcm import supervised
+from tcm.core import DivergenceCache, first_crossing, first_crossings
 from tcm.errors import DegenerateLabels, SeriesTooShort
+from tcm.evaluation import _labelled_rows
 from tcm.geometry import ChipStack
 from tcm.supervised import (
     LR_GRAD_TOL,
     LR_LAM,
     LR_MAX_ITER,
     LogisticModel,
+    _class_sum,
     _loss_and_grad,
     avg_color_series,
     color_over_time_features,
     fit_lr,
+    fit_lr_stack,
     fit_threshold,
     lr_probabilities,
     mode_predictor,
     predict_lr,
     threshold_candidates,
 )
+from tcm.synthgen import SynthConfig, generate
+from tcm.util import stable_seed
 
-from oracles import exhaustive_threshold, lstsq_fit_lr
+from oracles import exhaustive_threshold, lstsq_fit_lr, newton_fit_lr
 
 
 def fit_pairs(pairs):
@@ -263,6 +273,124 @@ class TestLogisticRegression:
         assert abs(model.bias.sum()) < 1e-9
 
 
+def model_bytes(model):
+    """Every field of a LogisticModel as bytes, arrays with their shapes."""
+    return {f.name: (np.shape(v), np.asarray(v).tobytes())
+            for f in dataclasses.fields(model) for v in [getattr(model, f.name)]}
+
+
+def assert_stack_matches_oracle(x, y, n_classes):
+    models = fit_lr_stack(x, y, n_classes)
+    assert len(models) == len(x)
+    for xi, model in zip(x, models):
+        assert model_bytes(model) == model_bytes(newton_fit_lr(xi, y, n_classes))
+    return models
+
+
+def separated_classes():
+    """A stack of four problems over three classes, each present, whose
+    classes lie farther apart from one problem to the next: the farther
+    apart, the more steps the fit takes."""
+    rng = np.random.default_rng(5)
+    y = np.arange(40) % 3
+    shift = np.stack([y == 1, y == 2], axis=1)
+    x = np.stack([rng.normal(size=(40, 2)) + sep * shift for sep in (0.0, 1.0, 2.0, 8.0)])
+    return x, y, 3
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("c", range(2, 8))
+    def test_class_sum_is_numpys_sum(self, c):
+        rng = np.random.default_rng(c)
+        a = rng.normal(size=(7, 300, c)) * 10.0 ** rng.uniform(-8, 8, (7, 300, c))
+        assert _class_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+
+    def test_stock_cells_of_one_split_match_the_oracle(self):
+        # The first split of `repeated_splits` on the stock study area, and
+        # the train rows of its nine tcm_lr cells.
+        seed = 1
+        dataset = generate(SynthConfig(seed=seed))
+        cache = DivergenceCache(dataset, seed=seed, workers=2)
+        rows, labels = _labelled_rows(cache)
+        perm = np.random.default_rng(stable_seed(seed, "splits")).permutation(len(rows))
+        train = perm[:int(round(0.8 * len(rows)))]
+        x = np.stack([cache.series(k, r)[rows[train]] for k in (2, 4, 8) for r in (2.0, 6.0, 12.0)])
+        models = assert_stack_matches_oracle(x, labels[train] - 1, dataset.n_layers)
+        assert all(model.grad_norm < LR_GRAD_TOL for model in models)
+
+    def test_problems_leave_the_stack_at_different_steps(self):
+        models = assert_stack_matches_oracle(*separated_classes())
+        assert len({model.n_iter for model in models}) >= 3
+
+    def test_absent_class_and_a_halved_step_match_the_oracle(self, monkeypatch):
+        # Class 4 is absent, so every bias heads for -inf; the sixth
+        # problem takes one step that the line search halves.
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(8, 7, 2)) * 10.0 ** rng.uniform(-3, 3, (8, 7, 1))
+        y = np.array([0, 1, 2, 3, 0, 1, 2])
+        evaluations = []
+        loss_and_grad = oracles._loss_and_grad
+        monkeypatch.setattr(oracles, "_loss_and_grad",
+                            lambda *args: evaluations.append(1) or loss_and_grad(*args))
+        models = assert_stack_matches_oracle(x, y, 5)
+        monkeypatch.undo()
+        assert len(evaluations) > len(models) + sum(model.n_iter for model in models)
+        assert len({model.n_iter for model in models}) >= 2
+
+    def test_budget_stops_match_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(supervised, "LR_MAX_ITER", 5)
+        models = assert_stack_matches_oracle(*separated_classes())
+        assert any(model.grad_norm < LR_GRAD_TOL and model.n_iter < 5 for model in models)
+        assert any(model.grad_norm >= LR_GRAD_TOL and model.n_iter == 5 for model in models)
+
+    def test_fit_lr_is_the_stack_of_one(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(50, 3))
+        y = rng.integers(0, 4, 50)
+        assert model_bytes(fit_lr(x, y, 5)) == model_bytes(fit_lr_stack(x[None], y, 5)[0])
+
+    def test_models_own_their_arrays(self):
+        rng = np.random.default_rng(12)
+        models = fit_lr_stack(rng.normal(size=(3, 30, 2)), np.arange(30) % 2)
+        for a, b in itertools.combinations(models, 2):
+            for name in ("weights", "bias", "feat_mean", "feat_scale"):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("features, labels, n_classes, error, match", [
+        (np.where(np.eye(10, 2) == 1, np.nan, 1.0), [0, 1] * 5, None, ValueError, "finite"),
+        ([[1e308, 0.0], [-1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]], [0, 1, 0, 1], None,
+         ValueError, "overflows"),
+        (np.zeros((5, 2)), [1] * 5, None, DegenerateLabels, "distinct"),
+        (np.zeros((4, 2)), [0, 1, 2, 3], 3, ValueError, "outside"),
+        (np.zeros((4, 2)), [0, 1, 0], None, ValueError, "one label per row"),
+    ])
+    def test_stack_refuses_what_fit_lr_refuses(self, features, labels, n_classes, error,
+                                               match):
+        x = np.asarray(features, dtype=np.float64)
+        with pytest.raises(error, match=match):
+            fit_lr_stack(np.stack([x, x]), labels, n_classes)
+        with pytest.raises(error, match=match):
+            fit_lr(x, labels, n_classes)
+
+    def test_feature_ranks_are_refused(self):
+        with pytest.raises(ValueError, match="2-D"):
+            fit_lr(np.zeros((1, 4, 2)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="stack"):
+            fit_lr_stack(np.zeros((4, 2)), [0, 1, 0, 1])
+
+
+def test_constant_column_is_standardised_with_scale_one():
+    # 30 rows of 0.1 have a std of ~4e-17, not 0; scaled by it, a row's 0.3
+    # or -0.3 in that column moved its logits by O(1).
+    rng = np.random.default_rng(7)
+    x = np.column_stack([rng.normal(size=30), np.full(30, 0.1)])
+    y = (x[:, 0] + rng.normal(0, 0.5, 30) > 0).astype(np.int64)
+    model = fit_lr(x, y)
+    assert model.feat_scale[1] == 1.0
+    probs = lr_probabilities(model, np.array([[0.5, 0.1], [0.5, 0.3], [0.5, -0.3]]))
+    assert np.abs(probs - probs[0]).max() <= 1e-12
+
+
 def chips_with_layers(layers, mask):
     return ChipStack(footprint_id="c", imagery=np.stack(layers),
                      mask=mask.astype(np.uint8),
@@ -323,6 +451,18 @@ class TestColorBaselines:
     def test_too_short_series(self):
         with pytest.raises(SeriesTooShort):
             color_over_time_features(uniform_chip((1, 1, 1), (2, 2, 2), layers=1))
+
+
+def test_color_features_match_the_per_layer_loop():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        h, w, t = (int(v) for v in rng.integers(2, 12, 3))
+        mask = rng.integers(0, 3, (h, w)).astype(np.uint8)  # 2: neither region
+        mask[0, 0], mask[-1, -1] = 0, 1
+        chips = chips_with_layers(list(rng.integers(0, 256, (t, h, w, 3), dtype=np.uint8)), mask)
+        avg, deltas = oracles.layer_color_features(chips)
+        assert avg_color_series(chips).tobytes() == avg.tobytes()
+        assert color_over_time_features(chips).tobytes() == deltas.tobytes()
 
 
 class TestModePredictor:
