@@ -27,15 +27,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("detect_large", "label_free", "method_table")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_args(argv):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+", choices=workloads, default=workloads,
+                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 4242])
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="perfbench/run.py --seconds of every run")

@@ -12,11 +12,10 @@ import json
 import time
 from pathlib import Path
 
-from tcm.evaluation import DivergenceCache, evaluate_semi_supervised, repeated_splits
+from tcm.evaluation import METHODS, DivergenceCache, evaluate_semi_supervised, repeated_splits
 from tcm.synthgen import SynthConfig, generate
 
-SUPERVISED = ("tcm_supervised", "tcm_lr", "avgcolor_lr", "avgcolor_threshold",
-              "color_over_time", "mode")
+SUPERVISED = tuple(m for m in METHODS if m != "tcm_semi")
 
 
 def parse_args():

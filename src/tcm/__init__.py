@@ -21,7 +21,6 @@ from .clustering import (
 )
 from .core import (
     DetectionResult,
-    cluster_distribution,
     detect,
     divergence_series,
     first_crossing,

@@ -136,10 +136,13 @@ def _calibrate(cfg: RunConfig, cache: DivergenceCache):
 
 
 def _log_fit_stats(cache: DivergenceCache) -> None:
+    """The store's k-means counters: at info when a fit stopped at its
+    iteration budget, else at debug."""
     stats = cache.fit_stats
-    log.debug("k-means: %d fits, %d Lloyd iterations, %d stopped unconverged at max_iter, "
-              "%d empty clusters reseeded", stats.fits, stats.lloyd_iters, stats.cap_hits,
-              stats.reseeds)
+    level = logging.INFO if stats.cap_hits else logging.DEBUG
+    log.log(level, "k-means: %d fits, %d Lloyd iterations, %d stopped unconverged at "
+            "max_iter, %d empty clusters reseeded", stats.fits, stats.lloyd_iters,
+            stats.cap_hits, stats.reseeds)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -310,6 +313,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             writer.writerow([rep, repr(float(acc)), repr(float(mae)),
                              repr(float(mae_i)), n])
     log.info("method=%s metrics written to %s", cfg.method, out / "metrics.json")
+    _log_fit_stats(cache)
     return 0
 
 

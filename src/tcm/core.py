@@ -10,14 +10,14 @@ immune to global color shifts between years. `DivergenceCache` is the one
 store through which calibration, detection and evaluation read these
 divergences, as read-only (n, T) tables whose rows follow its `ids`.
 
-`layer_divergence` states one layer's computation and is its reference.
-The store computes a request, one set of layers at some ks, as batches of
-`BATCH` polygons: a batch's chips are cut from the scenes in array passes
-(`extract_chips`), their features and seeds are made once for all k, one
-`region_counts` call per k fits every layer of the batch and counts its
-clusters per region, and the KL of every layer follows in one vectorized
-step with the arithmetic of `cluster_distribution` and `kl_divergence`, so
-the values are the same bits. The chips are dropped with their batch: the
+There is one divergence computation, `_batch_divergences`. The store runs
+a request, one set of layers at some ks, as batches of `BATCH` polygons: a
+batch's chips are cut from the scenes in array passes (`extract_chips`),
+their features and seeds are made once for all k, one `region_counts` call
+per k fits every layer of the batch and counts its clusters per region,
+and `_kl_rows` turns every layer's counts into its KL in one vectorized
+step. `layer_divergence`, `divergence_series` and `detect` are the same
+computation for one chip. The chips are dropped with their batch: the
 store keeps only tables. With workers > 1, the batches run on a thread pool
 (`run_tasks`) and each cuts its chips from the request's one stack of the
 scenes. The store also counts the fits it made (`fit_stats`), merged in
@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import (FitStats, PixelFeatureConfig, assign_features, extract_features,
-                         fit_kmeans, region_counts)
+from .clustering import FitStats, PixelFeatureConfig, extract_features, region_counts
 from .data import FootprintDataset
 from .errors import EmptyRegion, SupportMismatch
 from .geometry import ChipStack, Polygon, extract_chips, stack_scenes
@@ -58,28 +57,6 @@ class DetectionResult:
     crossed: bool  # False means the fallback "last layer" answer was used
 
 
-def cluster_distribution(
-    cmap: np.ndarray,
-    mask: np.ndarray,
-    region: str,
-    k: int,
-    eps: float = DEFAULT_EPS,
-) -> np.ndarray:
-    """Normalized histogram of cluster indices over one mask region.
-
-    eps is added to every bin before normalizing so downstream KL stays finite
-    even when a cluster never occurs in the region.
-    """
-    if region not in ("footprint", "neighborhood"):
-        raise ValueError(f"region must be footprint|neighborhood, got {region!r}")
-    selected = np.asarray(cmap)[np.asarray(mask) == (1 if region == "footprint" else 0)]
-    if selected.size == 0:
-        raise EmptyRegion(f"{region} region is empty")
-    counts = np.bincount(selected.ravel(), minlength=k).astype(np.float64)
-    counts += eps
-    return counts / counts.sum()
-
-
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats, with 0*log(0/q) = 0. Infinite when q lacks support."""
     p = np.asarray(p, dtype=np.float64)
@@ -100,28 +77,26 @@ def layer_divergence(
     seed: int = 0,
     eps: float = DEFAULT_EPS,
 ) -> float:
-    """Footprint-vs-neighborhood divergence of one chip layer (0-based).
+    """Footprint-vs-neighborhood divergence of one chip layer (0-based): the
+    store's batch path for one chip, one layer and one k.
 
     The layer's k-means fit is seeded from (seed, footprint_id, layer), so any
     single layer can be recomputed independently of the rest of the series.
     """
-    image = chips.imagery[layer]
-    feats = extract_features(image, feature_config)
-    model = fit_kmeans(feats, k, stable_seed(seed, chips.footprint_id, layer))
-    cmap = assign_features(model, feats).reshape(image.shape[:2])
-    d_fp = cluster_distribution(cmap, chips.mask, "footprint", k, eps)
-    d_nb = cluster_distribution(cmap, chips.mask, "neighborhood", k, eps)
-    return kl_divergence(d_fp, d_nb)
+    return float(_batch_divergences([chips], [k], [layer], feature_config, seed, eps)[0][k][0, 0])
 
 
 def _kl_rows(counts: np.ndarray, eps: float) -> np.ndarray:
-    """KL(footprint || neighborhood) of each layer's (2, k) cluster counts,
-    with the arithmetic of `cluster_distribution` and `kl_divergence`."""
+    """KL(footprint || neighborhood) of each layer's (2, k) cluster counts:
+    eps is added to every bin before each row is normalised, which keeps
+    the KL finite when a cluster is missing from a region. At eps = 0 a
+    footprint bin can be empty; such layers go through `kl_divergence`,
+    which sums only the positive terms, in their order."""
     dist = counts.astype(np.float64)
     dist += eps
     dist /= dist.sum(axis=2, keepdims=True)
     p = dist[:, 0]
-    if not (p > 0).all():  # kl_divergence sums only the positive terms, in their order
+    if not (p > 0).all():
         return np.array([kl_divergence(fp, nb) for fp, nb in dist])
     with np.errstate(divide="ignore"):
         logs = np.log(dist)
@@ -177,9 +152,10 @@ def _batch_divergences(chips: Sequence[ChipStack], ks: Sequence[int], layers: Se
     """Per k of `ks`, the (chip, layer) divergences of a batch of chips over
     `layers`, and the counters of their fits.
 
-    Each value equals `layer_divergence` of that chip layer. The region
-    codes, features and seeds are made once for all k; each k then takes
-    one `region_counts` call for the whole batch.
+    The region codes, features and seeds are made once for all k; each k
+    then takes one `region_counts` call for the whole batch. Mask value 1
+    is the footprint and 0 its neighborhood; pixels of any other value are
+    clustered but counted in neither region.
     """
     masks = np.concatenate([ch.mask.ravel() for ch in chips])
     codes = np.where(masks == 1, 0, np.where(masks == 0, 1, 2)).astype(np.uint8)

@@ -65,12 +65,14 @@ class FootprintDataset:
         if labels_path is not None:
             labels = formats.read_labels_csv(labels_path)
         else:
-            # Fall back to label_year properties carried by the GeoJSON.
+            # Fall back to label_year properties carried by the GeoJSON, each at
+            # its 1-based position among the scene years; the constructor
+            # refuses a label_year that is not a scene year.
             years = [s.year for s in scenes]
             from_geo = {
-                p.id: (years.index(p.label_year) + 1, p.label_year)
+                p.id: (sum(y < p.label_year for y in years) + 1, p.label_year)
                 for p in polygons
-                if p.label_year is not None and p.label_year in years
+                if p.label_year is not None
             }
             labels = from_geo or None
         return cls(scenes=scenes, polygons=polygons, labels=labels)

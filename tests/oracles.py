@@ -4,7 +4,8 @@ These deliberately use different algorithms from the production code: winding
 angles instead of edge-crossing parity, exhaustive assignment enumeration
 instead of Lloyd iterations, scalar loops instead of vectorized numpy, an
 SVD least-squares Newton step instead of a bordered solve, one logistic
-regression at a time instead of a stack of them.
+regression at a time instead of a stack of them, one k-means fit and two
+histograms per chip layer instead of a batch's region counts.
 """
 
 import itertools
@@ -13,8 +14,12 @@ import math
 import numpy as np
 
 from tcm import supervised
+from tcm.clustering import PixelFeatureConfig, assign_features, extract_features, fit_kmeans
+from tcm.core import DEFAULT_EPS, kl_divergence
+from tcm.errors import EmptyRegion
 from tcm.supervised import (
     LR_GRAD_TOL, LR_LAM, LR_MAX_ITER, LogisticModel, _loss_and_grad, _softmax)
+from tcm.util import stable_seed
 
 
 def winding_inside(px, py, ring):
@@ -48,6 +53,35 @@ def oracle_mask(poly, transform, row0, col0, height, width):
             x, y = transform.pixel_to_world(col0 + j, row0 + i)
             out[i, j] = oracle_inside(poly, float(x), float(y))
     return out
+
+
+def cluster_distribution(cmap, mask, region, k, eps=DEFAULT_EPS):
+    """Normalized histogram of cluster indices over one mask region (1 is the
+    footprint, 0 the neighborhood), with eps added to every bin first."""
+    if region not in ("footprint", "neighborhood"):
+        raise ValueError(f"region must be footprint|neighborhood, got {region!r}")
+    selected = np.asarray(cmap)[np.asarray(mask) == (1 if region == "footprint" else 0)]
+    if selected.size == 0:
+        raise EmptyRegion(f"{region} region is empty")
+    counts = np.bincount(selected.ravel(), minlength=k).astype(np.float64)
+    counts += eps
+    return counts / counts.sum()
+
+
+def layer_divergence(chips, layer, k, feature_config=PixelFeatureConfig(), seed=0,
+                     eps=DEFAULT_EPS):
+    """`tcm.core.layer_divergence` of one chip layer without the batch path:
+    no batching, no region counting in the kernel and no row-wise KL. The
+    layer's features get one `fit_kmeans` with the package's seed, every
+    pixel one `assign_features` label, each region one `cluster_distribution`
+    and the pair one `kl_divergence`."""
+    image = chips.imagery[layer]
+    feats = extract_features(image, feature_config)
+    model = fit_kmeans(feats, k, stable_seed(seed, chips.footprint_id, layer))
+    cmap = assign_features(model, feats).reshape(image.shape[:2])
+    d_fp = cluster_distribution(cmap, chips.mask, "footprint", k, eps)
+    d_nb = cluster_distribution(cmap, chips.mask, "neighborhood", k, eps)
+    return kl_divergence(d_fp, d_nb)
 
 
 def best_partition_inertia(points, k):

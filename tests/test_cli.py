@@ -218,6 +218,25 @@ class TestEvaluate:
             main(["evaluate", "--config", str(cfg), "--method", "nonsense"])
 
 
+@pytest.mark.parametrize("flags", [["calibrate"], ["detect", "--theta", "auto"],
+                                   ["evaluate", "--method", "tcm_semi"]],
+                         ids=["calibrate", "detect", "evaluate"])
+def test_k_means_budget_stops_are_logged_at_info(tmp_path, monkeypatch, capsys, flags):
+    cfg, _, _ = generated_config(tmp_path)
+    command, *rest = flags
+    monkeypatch.delenv("TCM_LOG", raising=False)
+    assert main([command, "--config", str(cfg)] + rest) == 0
+    assert "k-means: " not in capsys.readouterr().err  # no budget stop: debug only
+    counts = tcm.core.region_counts
+    monkeypatch.setattr(tcm.core, "region_counts", lambda *args: counts(*args, max_iter=1))
+    assert main([command, "--config", str(cfg)] + rest) == 0
+    line = re.search(r"INFO tcm: k-means: (\d+) fits, (\d+) Lloyd iterations, (\d+) stopped "
+                     r"unconverged at max_iter", capsys.readouterr().err)
+    assert line is not None
+    fits, iters, stops = map(int, line.groups())
+    assert 0 < stops <= fits == iters
+
+
 def test_store_settings_reach_every_command(tmp_path):
     cfg, data, out = generated_config(tmp_path, feature_mode="spectral_window", eps=0.5)
     ds = FootprintDataset.load(data / "scenes", data / "polygons.geojson", data / "labels.csv")
@@ -465,6 +484,23 @@ def write_polygons(text):
     return edit
 
 
+def label_years_from_csv(first_year):
+    """Carry every label of labels.csv as its feature's label_year, the first
+    one replaced by first_year, and delete labels.csv."""
+    def edit(data):
+        with open(data / "labels.csv") as fh:
+            years = {row["footprint_id"]: int(row["first_year"]) for row in csv.DictReader(fh)}
+        (data / "labels.csv").unlink()
+        path = data / "polygons.geojson"
+        doc = json.loads(path.read_text())
+        for feature in doc["features"]:
+            props = feature["properties"]
+            props["label_year"] = years[props["id"]]
+        doc["features"][0]["properties"]["label_year"] = first_year
+        path.write_text(json.dumps(doc))
+    return edit
+
+
 def polygons_as_directory(data):
     path = data / "polygons.geojson"
     path.unlink()
@@ -536,6 +572,8 @@ MALFORMED = [
     ("empty_feature_collection_calibrate",
      write_polygons('{"type": "FeatureCollection", "features": []}'), {"labels": None},
      ["calibrate"], 3, "MalformedPolygons"),
+    ("label_year_not_a_scene_year", label_years_from_csv(1999), {"labels": None},
+     ["evaluate", "--method", "tcm_semi"], 3, "MalformedLabels"),
     ("fractional_label_year",
      edit_first_feature(lambda f: f["properties"].update(label_year=2015.5)), {}, [], 3,
      "MalformedPolygons"),

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tcm.core
+from tcm import clustering
 from tcm.clustering import FitStats
 from tcm.core import (
     DivergenceCache,
-    cluster_distribution,
     detect,
     divergence_series,
     first_crossing,
@@ -22,7 +22,8 @@ from tcm.errors import EmptyRegion, SupportMismatch
 from tcm.geometry import ChipStack
 from tcm.synthgen import SynthConfig, generate
 
-from oracles import scalar_first_crossing
+import oracles
+from oracles import cluster_distribution, scalar_first_crossing
 
 
 def hand_kl(p, q):
@@ -192,6 +193,48 @@ class TestLayerDivergence:
         series = divergence_series(chips, k=3, seed=5)
         singles = [layer_divergence(chips, l, k=3, seed=5) for l in range(3)]
         assert np.array_equal(series, singles)
+
+    def test_one_region_counts_call(self, monkeypatch):
+        calls = []
+        counts = tcm.core.region_counts
+        monkeypatch.setattr(tcm.core, "region_counts",
+                            lambda *args: calls.append(args) or counts(*args))
+        layer_divergence(solid_chip(100.0, 10.0), 0, k=2)
+        assert len(calls) == 1
+
+
+class TestPixelsInNeitherRegion:
+    """Mask pixels other than 0 and 1 are clustered but counted in neither
+    region's histogram, by the batch path as by the per-layer oracle."""
+
+    @pytest.mark.parametrize("lib", ["kernel", None])
+    def test_match_the_per_layer_oracle(self, monkeypatch, lib):
+        if lib is None:
+            monkeypatch.setattr(clustering, "_lib", None)
+        elif clustering._lib is None:
+            pytest.skip(clustering.KERNEL)
+        rng = np.random.default_rng(23)
+        for i in range(50):
+            h, w, t = (int(v) for v in rng.integers(2, 12, 3))
+            mask = rng.integers(0, 3, (h, w)).astype(np.uint8)  # 2: neither region
+            mask[0, 0], mask[-1, -1], mask[0, -1] = 0, 1, 2
+            imagery = rng.integers(0, 256, (t, h, w, 3), dtype=np.uint8)
+            chips = ChipStack(f"c{i}", imagery, mask, tuple(range(t)), 1.0)
+            for k in (1, 2, 3):
+                oracle = np.array([oracles.layer_divergence(chips, l, k, seed=i)
+                                   for l in range(t)])
+                assert divergence_series(chips, k, seed=i).tobytes() == oracle.tobytes()
+                singles = [layer_divergence(chips, l, k, seed=i) for l in range(t)]
+                assert np.array(singles).tobytes() == oracle.tobytes()
+
+    def test_no_footprint_pixel_is_an_empty_region(self):
+        mask = np.zeros((6, 6), dtype=np.uint8)
+        mask[2:4, 2:4] = 2
+        chips = chip_from_layers([np.arange(108.0).reshape(6, 6, 3)], mask)
+        with pytest.raises(EmptyRegion, match="footprint"):
+            layer_divergence(chips, 0, k=2)
+        with pytest.raises(EmptyRegion, match="footprint"):
+            divergence_series(chips, k=2)
 
 
 def test_fit_counters_do_not_depend_on_workers():

@@ -5,9 +5,10 @@ that `tcm.clustering` falls back to, and must give the same centroid and
 inertia bits, iteration and reseed counts and converged flag. The batch
 path, one kernel call per k for every wanted layer of a batch of chips
 that also assigns and counts their labels, must give the divergence bits
-and each layer's fit counters of `layer_divergence` and `fit_kmeans` on the
-numpy path, through the store too. The kernel's own
-generator must pick the init centres that numpy's `default_rng` picks.
+and each layer's fit counters of the per-layer oracle
+(`oracles.layer_divergence`) and `fit_kmeans` on the numpy path, through
+the store too. The kernel's own generator must pick the init centres that
+numpy's `default_rng` picks.
 """
 
 import json
@@ -23,12 +24,14 @@ from hypothesis import example, given, settings, strategies as st
 from tcm import clustering, core
 from tcm.cli import main
 from tcm.clustering import FitStats, PixelFeatureConfig, extract_features, fit_kmeans
-from tcm.core import BATCH, DEFAULT_EPS, DivergenceCache, _batch_divergences, layer_divergence
+from tcm.core import BATCH, DEFAULT_EPS, DivergenceCache, _batch_divergences
 from tcm.data import FootprintDataset
 from tcm.formats import read_tcs, write_tcs
 from tcm.geometry import AffineGeoTransform, ChipStack, Polygon, Scene, extract_chip_stack
 from tcm.synthgen import SynthConfig, generate
 from tcm.util import stable_seed
+
+from oracles import layer_divergence
 
 needs_kernel = pytest.mark.skipif(clustering._lib is None, reason=clustering.KERNEL)
 
