@@ -199,9 +199,11 @@ class ChipStack:
             raise SceneMismatch("mask shape does not match chip imagery")
         if len(self.years) != self.imagery.shape[0]:
             raise SceneMismatch("years length does not match chip count")
-        if not self.mask.any():
+        # Mask value 1 is the footprint and 0 its neighborhood; any other
+        # value is neither, as in `core._batch_divergences`.
+        if not (self.mask == 1).any():
             raise EmptyFootprintMask(f"footprint {self.footprint_id!r} has an empty mask")
-        if self.mask.all():
+        if not (self.mask == 0).any():
             raise EmptyRegion(f"footprint {self.footprint_id!r} fills its chip; neighborhood is empty")
 
     @property

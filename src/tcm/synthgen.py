@@ -8,10 +8,19 @@ Optionally every layer is then divided into a few acquisition swaths, each
 receiving its own monotone color transform (per-channel gain and offset),
 imitating imagery collected on different days, by different sensors, or with
 different corrections across the study area.
+
+Placement tests each candidate's bounding box only against the placed boxes
+in the neighbouring cells of a uniform grid, and builds a Polygon only for
+an accepted candidate, so a rejected one is never validated. Each layer
+draws the roof noise of all the footprints built by then in one call, in
+polygon order, which yields the numbers of one call per footprint in turn,
+and writes it with one indexed assignment, the later footprint winning where
+two overlap.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +33,8 @@ from .geometry import AffineGeoTransform, Polygon, Scene, _pixel_windows, _windo
 from .util import stable_seed
 
 IDENTITY_TRANSFORM = AffineGeoTransform(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+log = logging.getLogger("tcm")
 
 
 @dataclass(frozen=True)
@@ -81,11 +92,27 @@ def _rotated_rect(cx, cy, half_w, half_h, angle) -> tuple[tuple[float, float], .
 
 
 def _place_footprints(config: SynthConfig) -> list[Polygon]:
+    """Draw the footprints in order, each retried until its bounding box,
+    grown by `min_separation`, is clear of every box placed before it.
+
+    The placed boxes are filed in a uniform grid by their lower corner. A
+    cell is wider than the largest box extent (a diagonal) plus the
+    separation, so a box that a candidate could touch lies in the 3x3 cells
+    around the candidate's own, and only those are tested. A candidate is
+    drawn and tested as its corners; only an accepted one is built as a
+    Polygon.
+    """
     rng = np.random.default_rng(stable_seed(config.seed, "placement"))
+    gap = config.min_separation
+    reach = config.size_range[1] * math.sqrt(2.0) + max(gap, 0.0)
+    # One unit wider than `reach` absorbs the rounding of corners and bounds;
+    # a separation of inf or NaN puts every box in one cell.
+    cell = reach + 1.0 if math.isfinite(reach) else math.inf
+    grid: dict[tuple[int, int], list[tuple[float, float, float, float]]] = {}
     placed: list[Polygon] = []
-    boxes: list[tuple[float, float, float, float]] = []
+    drawn = 0
     for i in range(config.footprints):
-        for attempt in range(5000):
+        for _ in range(5000):
             side_w = float(rng.uniform(*config.size_range))
             side_h = float(rng.uniform(*config.size_range))
             angle = float(rng.uniform(0.0, math.pi))
@@ -98,19 +125,31 @@ def _place_footprints(config: SynthConfig) -> list[Polygon]:
                 raise SceneTooCrowded("scene too small for the footprint size and margin")
             cx = float(rng.uniform(lo_x, hi_x))
             cy = float(rng.uniform(lo_y, hi_y))
-            poly = Polygon(id=f"fp-{i:04d}",
-                           exterior=_rotated_rect(cx, cy, side_w / 2, side_h / 2, angle))
-            x0, y0, x1, y1 = poly.bounds
-            gap = config.min_separation
-            if all(x1 + gap < bx0 or bx1 + gap < x0 or y1 + gap < by0 or by1 + gap < y0
-                   for bx0, by0, bx1, by1 in boxes):
-                placed.append(poly)
-                boxes.append((x0, y0, x1, y1))
+            drawn += 1
+            corners = _rotated_rect(cx, cy, side_w / 2, side_h / 2, angle)
+            xs, ys = [x for x, _ in corners], [y for _, y in corners]
+            x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)  # Polygon.bounds
+            gx, gy = math.floor(x0 / cell), math.floor(y0 / cell)
+            if _clear((x0, y0, x1, y1), gap, (box for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                                              for box in grid.get((gx + dx, gy + dy), ()))):
+                placed.append(Polygon(id=f"fp-{i:04d}", exterior=corners))
+                grid.setdefault((gx, gy), []).append((x0, y0, x1, y1))
                 break
         else:
             raise SceneTooCrowded(
                 f"placed {len(placed)} of {config.footprints} footprints before giving up")
+    log.debug("placement drew %d candidates and rejected %d", drawn, drawn - len(placed))
     return placed
+
+
+def _clear(box, gap: float, others) -> bool:
+    """Whether `box` stays more than `gap` away from each of `others` along
+    x or along y; boxes are (xmin, ymin, xmax, ymax)."""
+    x0, y0, x1, y1 = box
+    for bx0, by0, bx1, by1 in others:
+        if not (x1 + gap < bx0 or bx1 + gap < x0 or y1 + gap < by0 or by1 + gap < y0):
+            return False
+    return True
 
 
 def _background_classes(config: SynthConfig) -> np.ndarray:
@@ -147,6 +186,31 @@ def _footprint_masks(config: SynthConfig, polygons: Sequence[Polygon]) -> list[t
     return [(row0, col0, mask) for (row0, _, col0, _), mask in zip(windows.tolist(), masks)]
 
 
+def _footprint_pixels(config: SynthConfig,
+                      polygons: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat index on the scene grid of every footprint pixel, footprint
+    after footprint in polygon order and each in row-major order; the index
+    of the footprint that each belongs to; and whether another footprint
+    covers that pixel too."""
+    at = [(row0 + rows) * config.width + col0 + cols
+          for row0, col0, mask in _footprint_masks(config, polygons)
+          for rows, cols in [np.nonzero(mask)]]
+    owner = np.repeat(np.arange(len(at)), [a.size for a in at])
+    at = np.concatenate(at) if at else np.empty(0, np.int64)
+    _, inverse, counts = np.unique(at, return_inverse=True, return_counts=True)
+    return at, owner, counts[inverse] > 1
+
+
+def _paste(flat: np.ndarray, at: np.ndarray, values: np.ndarray, shared: np.ndarray) -> None:
+    """`flat[at] = values`, where a pixel named more than once in `at` (each
+    such entry is marked in `shared`) keeps its last value."""
+    flat[at] = values
+    at, values = at[shared], values[shared]
+    _, from_end = np.unique(at[::-1], return_index=True)
+    last = at.size - 1 - from_end
+    flat[at[last]] = values[last]
+
+
 def _shift_layer(img: np.ndarray, config: SynthConfig,
                  rng: np.random.Generator) -> np.ndarray:
     """Split the layer into 2-3 swaths and color-transform each independently.
@@ -172,7 +236,8 @@ def _shift_layer(img: np.ndarray, config: SynthConfig,
         if lo >= hi:
             continue
         sel = (slice(None), slice(lo, hi)) if vertical else (slice(lo, hi), slice(None))
-        img[sel] = img[sel] * gains[i] + offsets[i]
+        img[sel] *= gains[i]
+        img[sel] += offsets[i]
     return img
 
 
@@ -189,33 +254,28 @@ def generate(config: SynthConfig) -> FootprintDataset:
     }
 
     roof_rng = np.random.default_rng(stable_seed(config.seed, "roofs"))
-    roof_colors = [
-        np.asarray(config.roof_base) + roof_rng.uniform(-config.roof_jitter,
-                                                        config.roof_jitter, config.channels)
-        for _ in polygons
-    ]
+    roof_colors = np.asarray(config.roof_base) + roof_rng.uniform(
+        -config.roof_jitter, config.roof_jitter, (len(polygons), config.channels))
 
     classes = _background_classes(config)
     palette = np.asarray(config.palette, dtype=np.float64)
-    masks = _footprint_masks(config, polygons)
+    pixels_at, owner, shared = _footprint_pixels(config, polygons)
 
     shift_rng = np.random.default_rng(stable_seed(config.seed, "shift"))
     scenes = []
     for t in range(1, config.layers + 1):
         layer_rng = np.random.default_rng(stable_seed(config.seed, "layer", t))
-        img = palette[classes] + layer_rng.normal(
+        img = layer_rng.normal(
             0.0, config.noise_sigma, (config.height, config.width, config.channels))
-        for poly_i, (poly, (row0, col0, mask)) in enumerate(zip(polygons, masks)):
-            if labels[poly.id][0] > t:
-                continue
-            sel = mask.astype(bool)
-            n_px = int(sel.sum())
-            patch = roof_colors[poly_i] + layer_rng.normal(
-                0.0, config.noise_sigma, (n_px, config.channels))
-            block = img[row0 : row0 + mask.shape[0], col0 : col0 + mask.shape[1]]
-            block[sel] = patch
+        img += palette[classes]
+        # The roofs of the footprints built by layer t, in polygon order: one
+        # draw gives the same numbers as one draw per footprint in turn.
+        built = first_indices[owner] <= t
+        roofs = layer_rng.normal(0.0, config.noise_sigma, (int(built.sum()), config.channels))
+        roofs += roof_colors[owner[built]]
+        _paste(img.reshape(-1, config.channels), pixels_at[built], roofs, shared[built])
         img = _shift_layer(img, config, shift_rng)
-        pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        pixels = np.clip(np.rint(img, out=img), 0, 255, out=img).astype(np.uint8)
         scenes.append(Scene(pixels=pixels, year=config.years[t - 1],
                             transform=IDENTITY_TRANSFORM))
 

@@ -5,7 +5,9 @@ angles instead of edge-crossing parity, exhaustive assignment enumeration
 instead of Lloyd iterations, scalar loops instead of vectorized numpy, an
 SVD least-squares Newton step instead of a bordered solve, one logistic
 regression at a time instead of a stack of them, one k-means fit and two
-histograms per chip layer instead of a batch's region counts.
+histograms per chip layer instead of a batch's region counts, a synthetic
+area placed by testing each candidate against every placed box and painted
+one footprint at a time instead of by a grid and one paste per layer.
 """
 
 import itertools
@@ -13,10 +15,12 @@ import math
 
 import numpy as np
 
-from tcm import supervised
+from tcm import supervised, synthgen
 from tcm.clustering import PixelFeatureConfig, assign_features, extract_features, fit_kmeans
 from tcm.core import DEFAULT_EPS, kl_divergence
-from tcm.errors import EmptyRegion
+from tcm.data import FootprintDataset
+from tcm.errors import EmptyRegion, SceneTooCrowded
+from tcm.geometry import Polygon, Scene
 from tcm.supervised import (
     LR_GRAD_TOL, LR_LAM, LR_MAX_ITER, LogisticModel, _loss_and_grad, _softmax)
 from tcm.util import stable_seed
@@ -237,3 +241,77 @@ def layer_color_features(chips):
     avg = np.array([np.linalg.norm(f - b) for f, b in zip(fp_means, nb_means)])
     deltas = np.linalg.norm(np.diff(np.stack(fp_means), axis=0), axis=1)
     return avg, deltas
+
+
+def place_footprints(config):
+    """`synthgen._place_footprints` without the grid: every candidate is
+    built as a Polygon and its bounds are tested against every placed box."""
+    rng = np.random.default_rng(stable_seed(config.seed, "placement"))
+    placed, boxes = [], []
+    for i in range(config.footprints):
+        for _ in range(5000):
+            side_w = float(rng.uniform(*config.size_range))
+            side_h = float(rng.uniform(*config.size_range))
+            angle = float(rng.uniform(0.0, math.pi))
+            radius = math.hypot(side_w, side_h) / 2.0
+            lo_x = config.margin + radius
+            hi_x = config.width - 1 - config.margin - radius
+            lo_y = config.margin + radius
+            hi_y = config.height - 1 - config.margin - radius
+            if hi_x <= lo_x or hi_y <= lo_y:
+                raise SceneTooCrowded("scene too small for the footprint size and margin")
+            cx = float(rng.uniform(lo_x, hi_x))
+            cy = float(rng.uniform(lo_y, hi_y))
+            poly = Polygon(id=f"fp-{i:04d}", exterior=synthgen._rotated_rect(
+                cx, cy, side_w / 2, side_h / 2, angle))
+            x0, y0, x1, y1 = poly.bounds
+            gap = config.min_separation
+            if all(x1 + gap < bx0 or bx1 + gap < x0 or y1 + gap < by0 or by1 + gap < y0
+                   for bx0, by0, bx1, by1 in boxes):
+                placed.append(poly)
+                boxes.append((x0, y0, x1, y1))
+                break
+        else:
+            raise SceneTooCrowded(
+                f"placed {len(placed)} of {config.footprints} footprints before giving up")
+    return placed
+
+
+def generate(config):
+    """`synthgen.generate` from `place_footprints`, each layer's roofs
+    painted one footprint at a time in polygon order, each with its own noise
+    draw and its own roof colour draw, so that a later footprint overwrites
+    an earlier one where they overlap."""
+    polygons = place_footprints(config)
+    label_rng = np.random.default_rng(stable_seed(config.seed, "labels"))
+    first_indices = 1 + label_rng.choice(
+        config.layers, size=len(polygons), p=np.asarray(config.year_weights))
+    labels = {poly.id: (int(idx), config.years[int(idx) - 1])
+              for poly, idx in zip(polygons, first_indices)}
+    roof_rng = np.random.default_rng(stable_seed(config.seed, "roofs"))
+    roof_colors = [np.asarray(config.roof_base)
+                   + roof_rng.uniform(-config.roof_jitter, config.roof_jitter, config.channels)
+                   for _ in polygons]
+    classes = synthgen._background_classes(config)
+    palette = np.asarray(config.palette, dtype=np.float64)
+    masks = synthgen._footprint_masks(config, polygons)
+    shift_rng = np.random.default_rng(stable_seed(config.seed, "shift"))
+    scenes = []
+    for t in range(1, config.layers + 1):
+        layer_rng = np.random.default_rng(stable_seed(config.seed, "layer", t))
+        img = palette[classes] + layer_rng.normal(
+            0.0, config.noise_sigma, (config.height, config.width, config.channels))
+        for poly_i, (poly, (row0, col0, mask)) in enumerate(zip(polygons, masks)):
+            if labels[poly.id][0] > t:
+                continue
+            sel = mask.astype(bool)
+            patch = roof_colors[poly_i] + layer_rng.normal(
+                0.0, config.noise_sigma, (int(sel.sum()), config.channels))
+            block = img[row0 : row0 + mask.shape[0], col0 : col0 + mask.shape[1]]
+            block[sel] = patch
+        img = synthgen._shift_layer(img, config, shift_rng)
+        pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        scenes.append(Scene(pixels=pixels, year=config.years[t - 1],
+                            transform=synthgen.IDENTITY_TRANSFORM))
+    return FootprintDataset(scenes=scenes, polygons=polygons,
+                            labels=labels if polygons else None)

@@ -79,6 +79,16 @@ class TestGenerate:
         assert ("WARNING tcm: k-means: numpy path" in err) == warned
         assert ("k-means:" in err) == warned  # the compiled path logs at debug only
 
+    @pytest.mark.parametrize("level, logged", [("debug", True), ("info", False)])
+    def test_placement_counter_at_debug_only(self, tmp_path, monkeypatch, capsys, level,
+                                             logged):
+        monkeypatch.setenv("TCM_LOG", level)
+        assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
+        out, err = capsys.readouterr()
+        line = re.search(r"DEBUG tcm: placement drew \d+ candidates and rejected \d+", err)
+        assert (line is not None) == logged
+        assert "placement" not in out
+
     def test_unknown_synth_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, synth={"bogus": 1})
         assert main(["generate", "--config", str(cfg)]) == 2

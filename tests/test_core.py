@@ -18,7 +18,7 @@ from tcm.core import (
     kl_divergence,
     layer_divergence,
 )
-from tcm.errors import EmptyRegion, SupportMismatch
+from tcm.errors import EmptyFootprintMask, EmptyRegion, SupportMismatch
 from tcm.geometry import ChipStack
 from tcm.synthgen import SynthConfig, generate
 
@@ -227,14 +227,17 @@ class TestPixelsInNeitherRegion:
                 singles = [layer_divergence(chips, l, k, seed=i) for l in range(t)]
                 assert np.array(singles).tobytes() == oracle.tobytes()
 
-    def test_no_footprint_pixel_is_an_empty_region(self):
+    def test_no_footprint_pixel_is_an_empty_footprint_mask(self):
         mask = np.zeros((6, 6), dtype=np.uint8)
         mask[2:4, 2:4] = 2
-        chips = chip_from_layers([np.arange(108.0).reshape(6, 6, 3)], mask)
-        with pytest.raises(EmptyRegion, match="footprint"):
-            layer_divergence(chips, 0, k=2)
-        with pytest.raises(EmptyRegion, match="footprint"):
-            divergence_series(chips, k=2)
+        with pytest.raises(EmptyFootprintMask):
+            chip_from_layers([np.arange(108.0).reshape(6, 6, 3)], mask)
+
+    def test_no_neighborhood_pixel_is_an_empty_region(self):
+        mask = np.ones((6, 6), dtype=np.uint8)
+        mask[2:4, 2:4] = 2
+        with pytest.raises(EmptyRegion, match="neighborhood"):
+            chip_from_layers([np.arange(108.0).reshape(6, 6, 3)], mask)
 
 
 def test_fit_counters_do_not_depend_on_workers():

@@ -9,10 +9,12 @@ generic (Prescott), Sandybridge, Haswell and SkylakeX OpenBLAS kernels.
 
 import hashlib
 
+import pytest
 from test_acceptance import _run_cli_outputs
 
 from tcm import clustering
 from tcm.cli import main as cli_main
+from tcm.synthgen import SynthConfig, generate
 
 GOLDEN = {
     "data/labels.csv": "b57629e6f9df346eed350559d53c691b425b1874f7f0e2fb072eb5d1b0437f82",
@@ -74,3 +76,35 @@ def test_cli_outputs_match_pinned_digests_on_numpy_path(tmp_path, monkeypatch):
     """The same digests when every k-means fit takes the numpy fallback."""
     monkeypatch.setattr(clustering, "_lib", None)
     test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch)
+
+
+# `synthgen.generate` of the stock study area and of the 768x768 area with
+# 1,800 footprints: a sha256 of every scene's pixels in year order, of the
+# polygon ids and rings, and of the labels.
+GENERATE_GOLDEN = {
+    ("stock", 1): (
+        "559ad9827d868f6f5e62f6a5319a1a2c3b069baff29f24f5037e253e032ddca0",
+        "d11e3a27722721e30f297beb055fa4f3ed6ee709b0af1f330c87a590fa87ab1d",
+        "beea66766a01b443338c57f178dee807a9308a9a90f0537491338ea39f0d5f7a"),
+    ("stock", 4242): (
+        "cb8eb9baf00416e9424e0946a67b0d50b45ff6edf3db756190283d82d52d93cb",
+        "fb7c518dc8dd1781196f3997d54d8d55ebfe9d7b1d673e28b8481f32b0a09226",
+        "0fd2405fd8ca31259588e01e456653690a931bfa0eb4858191ee30adbc33585a"),
+    ("large", 1): (
+        "079b642152dfd1598735d394091e1653c735b03c3d6e4c1662214cdc10eb16ec",
+        "f801c635a560788a47eeae79e58d594c931b16717c57e7934d3fdaef1f1452c4",
+        "9b7aaa4acdab58c4db7391837d7479dd183266765abd2bada912ee48bef0c8d6"),
+}
+AREAS = {"stock": {}, "large": {"height": 768, "width": 768, "footprints": 1800}}
+
+
+@pytest.mark.parametrize("area, seed", list(GENERATE_GOLDEN), ids=lambda v: str(v))
+def test_generated_area_matches_pinned_digests(area, seed):
+    ds = generate(SynthConfig(**AREAS[area], seed=seed))
+    pixels = hashlib.sha256()
+    for scene in ds.scenes:
+        pixels.update(scene.pixels.tobytes())
+    rings = repr([(p.id, p.exterior) for p in ds.polygons]).encode()
+    labels = repr(sorted(ds.labels.items())).encode()
+    assert (pixels.hexdigest(), hashlib.sha256(rings).hexdigest(),
+            hashlib.sha256(labels).hexdigest()) == GENERATE_GOLDEN[area, seed]

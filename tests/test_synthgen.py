@@ -1,10 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from tcm.errors import SceneTooCrowded
 from tcm.geometry import extract_chip_stack
-from tcm.synthgen import SynthConfig, generate
+from tcm.synthgen import SynthConfig, _footprint_pixels, _place_footprints, generate
 
 SMALL = dict(height=128, width=128, layers=3, footprints=20,
              size_range=(5.0, 9.0), margin=8.0, year_weights=(0.4, 0.35, 0.25))
@@ -138,3 +141,56 @@ class TestStatisticalProperties:
             nb_mean = chips.imagery[0][chips.mask == 0].mean(axis=0)
             gap = float(np.linalg.norm(fp_mean.astype(float) - nb_mean.astype(float)))
             assert gap >= 5 * cfg.noise_sigma, f"{poly.id} gap {gap:.1f}"
+
+
+def assert_same_area(a, b):
+    assert [s.pixels.tobytes() for s in a.scenes] == [s.pixels.tobytes() for s in b.scenes]
+    assert [s.year for s in a.scenes] == [s.year for s in b.scenes]
+    assert [(p.id, p.exterior) for p in a.polygons] == [(p.id, p.exterior) for p in b.polygons]
+    assert a.labels == b.labels
+
+
+class TestAgainstOracle:
+    """`generate` against the per-candidate placement and per-footprint
+    paint of `oracles.generate`, byte for byte."""
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"min_separation": 0.0},
+        {"size_range": (7.0, 7.0)},
+        {"color_shift": 0.0},
+        {"channels": 4, "palette": ((58.0, 92.0, 48.0, 30.0), (96.0, 128.0, 72.0, 90.0),
+                                    (130.0, 110.0, 70.0, 150.0)),
+         "roof_base": (214.0, 212.0, 205.0, 220.0)},
+    ], ids=["small", "no_separation", "equal_sides", "no_color_shift", "four_channels"])
+    def test_same_bytes(self, extra):
+        config = SynthConfig(**{**SMALL, "seed": 31, **extra})
+        assert_same_area(generate(config), oracles.generate(config))
+
+    def test_overlapping_footprints_keep_the_later_one(self):
+        config = SynthConfig(**{**SMALL, "footprints": 60, "min_separation": -4.0, "seed": 5})
+        ds = generate(config)
+        assert_same_area(ds, oracles.generate(config))
+        # Overlaps do occur, and in the last layer every footprint is built.
+        assert _footprint_pixels(config, ds.polygons)[2].any()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"height": 48, "width": 48, "footprints": 60, "size_range": (6.0, 9.0),
+          "margin": 8.0}, "placed "),
+        ({"height": 20, "width": 64, "margin": 8.0}, "scene too small"),
+        ({**SMALL, "min_separation": float("inf")}, "placed 1 of 20"),
+    ], ids=["crowded", "too_small", "infinite_separation"])
+    def test_same_scene_too_crowded_message(self, extra, message):
+        config = SynthConfig(**extra)
+        with pytest.raises(SceneTooCrowded, match=message) as new:
+            generate(config)
+        with pytest.raises(SceneTooCrowded) as old:
+            oracles.generate(config)
+        assert str(new.value) == str(old.value)
+
+
+def test_placement_counter_is_logged_at_debug(caplog):
+    config = SynthConfig(height=768, width=768, footprints=1800, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="tcm"):
+        _place_footprints(config)
+    assert "placement drew 9496 candidates and rejected 7696" in caplog.messages
