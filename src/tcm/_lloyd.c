@@ -21,9 +21,35 @@
  *     column by column.
  * Build with -ffp-contract=off so that the compiler fuses no multiply-add.
  *
+ * Labelling, in each Lloyd iteration and in the final assignment, runs
+ * centroid-major, in _sqdist's order: label_all takes one centroid at a time
+ * and all the points in an inner loop, and a point keeps the lowest-indexed
+ * of its closest centroids. For that loop, lloyd() first copies the fit's
+ * (n, d) rows into d planes of n coordinates (lloyd_buf.planes), so that
+ * the loop reads each coordinate contiguously across points and the
+ * compiler can vectorise it across points; GCC 12 does so for d = 3 with
+ * AVX2 and AVX-512, and leaves it scalar, though branch-free, with SSE2
+ * alone. A lane holds one point, and every point gets the same operations
+ * in the same order at any vector width, or none: no sum runs across points
+ * there. The sums that do (the init's total weight, the inertia, the
+ * centroid sums) run left to right over the points, an order that the
+ * compiler keeps without -ffast-math. So the bits do not depend on the
+ * instruction set.
+ *
  * The entry point calls always-inlined bodies with d = 3, the spectral
  * feature dimension, as a constant where it applies; the compiler then
  * unrolls the per-dimension loops without changing their order.
+ *
+ * On x86-64 with GCC or clang the labelling pass is compiled three times,
+ * for AVX-512F, for AVX2 and for the plain target, as thin wrappers around
+ * the one always-inlined label_all; each kernel call runs the fastest that
+ * the CPU supports (__builtin_cpu_supports), and tcm_cpu_level names it: 2,
+ * 1 or 0. The rest of the kernel, whose loops either run point by point in
+ * order or cost little, is compiled once. No ifunc or target_clones, which
+ * Mach-O lacks, and no -march: one built library runs on any x86-64 CPU.
+ * Elsewhere the plain build is the only one. Tests build the source with
+ * -DTCM_MAX_LEVEL=0, 1 or 2 to cap the level and so run every build that
+ * the CPU supports; the runtime build leaves it out (2).
  *
  * Status codes: 0 done; 1 an iteration raised the inertia by more than
  * rounding can (a bug); 2 memory ran out; 3 the fit leaves what the kernel
@@ -149,28 +175,99 @@ INLINE double sumsq(const double *restrict a, long d)
     return s;
 }
 
-/* Index of the nearest centroid to x (ties to the lowest) and its distance. */
-INLINE long nearest(const double *restrict x, double norm, const double *restrict centroids,
-                   const double *restrict cnorms, long k, long d, double *restrict dist_out)
+/* Squared distance from point i to centroid c, a norm expansion clamped at
+ * 0; coordinate j of point i is planes[j * n + i]. */
+INLINE double plane_dist(const double *restrict planes, const double *restrict norms, long n,
+                         long d, long i, const double *restrict c, double cnorm)
 {
-    long best = 0;
-    double best_d = 0.0;
-    for (long m = 0; m < k; m++) {
+    double cross = 0.0;
+    for (long j = 0; j < d; j++)
+        cross += planes[j * n + i] * c[j];
+    double dist = norms[i] + cnorm - 2.0 * cross;
+    return dist < 0.0 ? 0.0 : dist;
+}
+
+/* Labels every point with its nearest centroid and its distance, one
+ * centroid at a time over all the points: centroid 0 seeds each point, and
+ * a later one takes it only when strictly closer, so ties go to the lowest
+ * index. The label is picked with a mask rather than a conditional store,
+ * which the compiler would keep as a branch. */
+INLINE void label_all(const double *restrict planes, const double *restrict norms, long n,
+                      long d, const double *restrict centroids, const double *restrict cnorms,
+                      long k, long *restrict labels, double *restrict point_d)
+{
+    for (long i = 0; i < n; i++) {
+        point_d[i] = plane_dist(planes, norms, n, d, i, centroids, cnorms[0]);
+        labels[i] = 0;
+    }
+    for (long m = 1; m < k; m++) {
         const double *c = centroids + m * d;
-        double cross = 0.0;
-        for (long j = 0; j < d; j++)
-            cross += x[j] * c[j];
-        double dist = norm + cnorms[m] - 2.0 * cross;
-        if (dist < 0.0)
-            dist = 0.0;
-        if (m == 0 || dist < best_d) {
-            best = m;
-            best_d = dist;
+        for (long i = 0; i < n; i++) {
+            double dist = plane_dist(planes, norms, n, d, i, c, cnorms[m]);
+            double best = point_d[i];
+            long keep = -(long)!(dist < best);  /* all ones where point i stays */
+            point_d[i] = dist < best ? dist : best;
+            labels[i] = (labels[i] & keep) | (m & ~keep);
         }
     }
-    *dist_out = best_d;
-    return best;
 }
+
+/* label_all with d = 3 as a constant where it applies. */
+#define LABEL_PARAMS                                                                    \
+    const double *planes, const double *norms, long n, long d, const double *centroids, \
+        const double *cnorms, long k, long *labels, double *point_d
+#define LABEL_ARGS planes, norms, n, d, centroids, cnorms, k, labels, point_d
+typedef void label_fn(LABEL_PARAMS);
+
+INLINE void label_any(LABEL_PARAMS)
+{
+    if (d == 3)
+        label_all(planes, norms, n, 3, centroids, cnorms, k, labels, point_d);
+    else
+        label_all(LABEL_ARGS);
+}
+
+static void label_plain(LABEL_PARAMS)
+{
+    label_any(LABEL_ARGS);
+}
+
+/* The labelling pass compiled for each instruction set that tcm_cpu_level
+ * numbers, at label_at[level]. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#ifndef TCM_MAX_LEVEL
+#define TCM_MAX_LEVEL 2
+#endif
+
+__attribute__((target("avx2"))) static void label_avx2(LABEL_PARAMS)
+{
+    label_any(LABEL_ARGS);
+}
+
+__attribute__((target("avx512f"))) static void label_avx512f(LABEL_PARAMS)
+{
+    label_any(LABEL_ARGS);
+}
+
+static label_fn *const label_at[] = {label_plain, label_avx2, label_avx512f};
+
+int tcm_cpu_level(void)
+{
+    __builtin_cpu_init();
+    if (TCM_MAX_LEVEL >= 2 && __builtin_cpu_supports("avx512f"))
+        return 2;
+    if (TCM_MAX_LEVEL >= 1 && __builtin_cpu_supports("avx2"))
+        return 1;
+    return 0;
+}
+#else
+static label_fn *const label_at[] = {label_plain};
+
+int tcm_cpu_level(void)
+{
+    return 0;
+}
+#endif
 
 /* closest[i] = squared distance from point i to `centroid` when `first`,
  * else the lower of that and closest[i]. Returns the sum of the new closest
@@ -241,17 +338,19 @@ INLINE int pp_init(const double *restrict x, long n, long d, long k, uint64_t se
     return 0;
 }
 
-/* Scratch of one fit. The init uses norms as its cdf and point_d as its
- * closest distances. */
+/* Scratch of one fit: planes holds its points as d planes of n coordinates,
+ * and label the labelling pass that this CPU runs. The init uses norms as
+ * its cdf and point_d as its closest distances. */
 struct lloyd_buf {
-    double *norms, *point_d, *sums, *counts, *cnorms;
+    double *norms, *point_d, *sums, *counts, *cnorms, *planes;
     long *labels;
     char *taken;
+    label_fn *label;
 };
 
 static int buf_alloc(struct lloyd_buf *b, long n, long d, long k)
 {
-    b->norms = malloc((size_t)(2 * n + k * d + 2 * k + 1) * sizeof(double));
+    b->norms = malloc((size_t)(2 * n + k * d + 2 * k + d * n + 1) * sizeof(double));
     b->labels = malloc((size_t)(n + 1) * sizeof(long));
     b->taken = malloc((size_t)(n + 1));
     if (b->norms == NULL || b->labels == NULL || b->taken == NULL)
@@ -260,6 +359,7 @@ static int buf_alloc(struct lloyd_buf *b, long n, long d, long k)
     b->sums = b->point_d + n;
     b->counts = b->sums + k * d;
     b->cnorms = b->counts + k;
+    b->planes = b->cnorms + k;
     return 0;
 }
 
@@ -282,6 +382,8 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
 {
     double norm_sum = 0.0, norm_max = 0.0;
     for (long i = 0; i < n; i++) {
+        for (long j = 0; j < d; j++)
+            b.planes[j * n + i] = x[i * d + j];
         b.norms[i] = sumsq(x + i * d, d);
         norm_sum += b.norms[i];
         if (b.norms[i] > norm_max)
@@ -294,26 +396,24 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
         out->n_iter = it;
         for (long m = 0; m < k; m++)
             b.cnorms[m] = sumsq(centroids + m * d, d);
+        b.label(b.planes, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
+        /* The inertia sums in the loop of the centroid sums, whose chains
+         * through memory hide its own. */
         double inertia = 0.0;
-        for (long i = 0; i < n; i++) {
-            b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d,
-                                  &b.point_d[i]);
-            inertia += b.point_d[i];
-        }
-        /* the rise rounding allows, derived in clustering._fit_kmeans_numpy */
-        if (!(inertia <= prev_inertia + 0x1p-53 * (3.0 * n * prev_inertia + slack)))
-            return 1;
-        out->inertia = prev_inertia = inertia;
-
         memset(b.sums, 0, (size_t)(k * d) * sizeof(double));
         memset(b.counts, 0, (size_t)k * sizeof(double));
         for (long i = 0; i < n; i++) {
+            inertia += b.point_d[i];
             double *s = b.sums + b.labels[i] * d;
             const double *row = x + i * d;
             for (long j = 0; j < d; j++)
                 s[j] += row[j];
             b.counts[b.labels[i]] += 1.0;
         }
+        /* the rise rounding allows, derived in clustering._fit_kmeans_numpy */
+        if (!(inertia <= prev_inertia + 0x1p-53 * (3.0 * n * prev_inertia + slack)))
+            return 1;
+        out->inertia = prev_inertia = inertia;
         /* Empty clusters take the farthest points, in a stable descending
          * order of distance, as np.argsort(-point_d, kind="stable"). */
         memset(b.taken, 0, (size_t)n);
@@ -351,7 +451,8 @@ INLINE int lloyd(const double *restrict x, long n, long d, long k, long max_iter
     return 0;
 }
 
-/* The init, then Lloyd iterations; b.norms then holds the row norms. */
+/* The init, then Lloyd iterations; b.norms then holds the row norms and
+ * b.planes the points. */
 INLINE int fit(const double *restrict x, long n, long d, long k, uint64_t seed, long max_iter,
                double tol, double *restrict centroids, struct fit_result *out,
                struct lloyd_buf b)
@@ -372,8 +473,7 @@ INLINE int layer_counts(const double *restrict x, long n, long d, long k,
         return status;
     for (long m = 0; m < k; m++)
         b.cnorms[m] = sumsq(centroids + m * d, d);
-    for (long i = 0; i < n; i++)
-        b.labels[i] = nearest(x + i * d, b.norms[i], centroids, b.cnorms, k, d, &b.point_d[i]);
+    b.label(b.planes, b.norms, n, d, centroids, b.cnorms, k, b.labels, b.point_d);
     memset(counts, 0, (size_t)(2 * k) * sizeof(int64_t));
     for (long i = 0; i < n; i++)
         if (region[i] < 2)
@@ -403,6 +503,7 @@ int tcm_region_counts(const double *x, long n_chips, const int64_t *sizes, long 
             n_max = sizes[c];
     struct lloyd_buf b = {0};  /* gcc cannot see that a failed buf_alloc skips every fit */
     int failed = buf_alloc(&b, n_max, d, k);
+    b.label = label_at[tcm_cpu_level()];
     for (long c = 0, f = 0; c < n_chips && !failed; region += sizes[c], c++) {
         long n = sizes[c];
         for (long l = 0; l < L && !failed; l++, f++, x += n * d) {

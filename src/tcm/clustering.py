@@ -32,9 +32,12 @@ On import the kernel is compiled once per machine with `cc` into
 `$XDG_CACHE_HOME/tcm/` (`~/.cache/tcm/` when that is unset), under a name
 keyed by the sha256 of its source and flags; later imports load the cached
 file. With no compiler, an unwritable cache or a failed build, every fit
-takes the numpy path, which stays as the kernel's tested oracle. `KERNEL`
-names the path taken; the CLI logs the numpy path as a warning and the
-compiled one at `TCM_LOG=debug`.
+takes the numpy path, which stays as the kernel's tested oracle. On x86-64
+the kernel holds its labelling pass compiled for AVX-512, for AVX2 and for
+the plain target, and runs the fastest one that the CPU supports; the bits
+do not depend on which. `KERNEL` names the path taken, and for the compiled one
+the instruction set (`CPU_LEVELS`); the CLI logs the numpy path as a
+warning and the compiled one at `TCM_LOG=debug`.
 """
 
 from __future__ import annotations
@@ -101,25 +104,39 @@ class ClusterModel:
             raise ValueError("centroids must be finite")
 
 
-def extract_features(image: np.ndarray, config: PixelFeatureConfig) -> np.ndarray:
+def extract_features(image: np.ndarray, config: PixelFeatureConfig,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-major (h*w, dim) float matrix of per-pixel features of an (h, w, c)
-    image; a (T, h, w, c) stack of images gives (T, h*w, dim)."""
+    image; a (T, h, w, c) stack of images gives (T, h*w, dim).
+
+    With `out`, a C-contiguous float64 array of that shape, the pixels are
+    cast straight into it, with no float64 copy of the image on the way, and
+    `out` is returned.
+    """
     image = np.asarray(image)
     if image.ndim not in (3, 4) or image.size == 0:
         raise ValueError(f"image must be a nonempty (h, w, c) or (T, h, w, c) array, "
                          f"got {image.shape}")
     *stack, h, w, c = image.shape
+    shape = (*stack, h * w, config.dim(c))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     if config.mode == "spectral":
-        return image.reshape(*stack, h * w, c).astype(np.float64)
+        np.copyto(out, image.reshape(shape), casting="unsafe")
+        return out
+    # Each pixel's window, row by row, written one neighbour offset at a
+    # time; edge replication pads the pixels before they are cast.
     wh = config.window
     pad = [(0, 0)] * len(stack) + [(wh, wh), (wh, wh), (0, 0)]
-    padded = np.pad(image.astype(np.float64, copy=False), pad, mode="edge")
-    blocks = [
-        padded[..., dy : dy + h, dx : dx + w, :]
-        for dy in range(2 * wh + 1)
-        for dx in range(2 * wh + 1)
-    ]
-    return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
+    padded = np.pad(image, pad, mode="edge")
+    grid = out.reshape(*stack, h, w, shape[-1])
+    offsets = [(dy, dx) for dy in range(2 * wh + 1) for dx in range(2 * wh + 1)]
+    for slot, (dy, dx) in enumerate(offsets):
+        np.copyto(grid[..., slot * c : (slot + 1) * c], padded[..., dy : dy + h, dx : dx + w, :],
+                  casting="unsafe")
+    return out
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -374,16 +391,19 @@ def assign_features(model: ClusterModel, features: np.ndarray) -> np.ndarray:
     return _assign_features_numpy(model.centroids, x)
 
 
-# -O3 vectorizes across points, which leaves each point's operations in their
-# order; -ffp-contract=off keeps every multiply and add apart. Never
-# -ffast-math or -march=native: reassociation or fused multiply-adds would
-# change the bits. No -Werror: a warning from another compiler must not send
-# every fit down the numpy path; the tests build the source with it.
+# -O3 vectorizes the labelling pass across points, which leaves each point's
+# operations in their order; -ffp-contract=off keeps every multiply and add
+# apart. Never -ffast-math or -march: reassociation or fused multiply-adds
+# would change the bits, and the kernel picks its instruction set itself, at
+# run time (`_lloyd.c`). No -Werror: a warning from another compiler must not
+# send every fit down the numpy path; the tests build the source with it.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-Wall")
 _P, _L, _I, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
 _SIGNATURES = {  # C function: (argument types, result type)
     "tcm_region_counts": ([_P, _L, _P, _L, _L, _L, _P, _P, _L, _D, *[_P] * 7], _I),
+    "tcm_cpu_level": ([], _I),
 }
+CPU_LEVELS = ("plain", "avx2", "avx512f")  # the builds that tcm_cpu_level() numbers
 
 
 def _load_kernel() -> tuple[Optional[ctypes.CDLL], str]:
@@ -416,10 +436,15 @@ def _load_kernel() -> tuple[Optional[ctypes.CDLL], str]:
     # RuntimeError: no home directory; SubprocessError: the build timed out.
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         return None, f"numpy path: kernel unavailable: {exc}"
+    _declare(lib)
+    return lib, f"compiled kernel {built} ({CPU_LEVELS[lib.tcm_cpu_level()]})"
+
+
+def _declare(lib: ctypes.CDLL) -> None:
+    """Give the kernel's functions their `_SIGNATURES`."""
     for name, (args, result) in _SIGNATURES.items():
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = result
-    return lib, f"compiled kernel {built}"
 
 
 _lib, KERNEL = _load_kernel()

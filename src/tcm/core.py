@@ -165,11 +165,12 @@ def _batch_divergences(chips: Sequence[ChipStack], ks: Sequence[int], layers: Se
         if not np.logical_or.reduceat(codes == code, starts).all():
             raise EmptyRegion(f"{region} region is empty")
     layers = list(layers)
+    every = layers == list(range(chips[0].n_layers))  # the chips' own stacks, uncopied
     n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
     feats = np.empty((n_layers * int(sizes.sum()), dim))
     for ch, start, n in zip(chips, (n_layers * starts).tolist(), sizes.tolist()):
         block = feats[start : start + n_layers * n].reshape(n_layers, n, dim)
-        block[...] = extract_features(ch.imagery[layers], feature_config)
+        extract_features(ch.imagery if every else ch.imagery[layers], feature_config, out=block)
     seeds = np.array([stable_seed(seed, ch.footprint_id, l) for ch in chips for l in layers],
                      dtype=np.uint64)
     stats = FitStats()

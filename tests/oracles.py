@@ -7,7 +7,8 @@ SVD least-squares Newton step instead of a bordered solve, one logistic
 regression at a time instead of a stack of them, one k-means fit and two
 histograms per chip layer instead of a batch's region counts, a synthetic
 area placed by testing each candidate against every placed box and painted
-one footprint at a time instead of by a grid and one paste per layer.
+one footprint at a time instead of by a grid and one paste per layer,
+window features concatenated from a float64 copy instead of cast into place.
 """
 
 import itertools
@@ -57,6 +58,21 @@ def oracle_mask(poly, transform, row0, col0, height, width):
             x, y = transform.pixel_to_world(col0 + j, row0 + i)
             out[i, j] = oracle_inside(poly, float(x), float(y))
     return out
+
+
+def concatenated_features(image, config):
+    """Pixel features of an (h, w, c) image or a (T, h, w, c) stack: a float64
+    copy of the pixels, and for windows the edge-padded copy's shifted views
+    concatenated along the feature axis."""
+    *stack, h, w, c = image.shape
+    if config.mode == "spectral":
+        return image.reshape(*stack, h * w, c).astype(np.float64)
+    wh = config.window
+    pad = [(0, 0)] * len(stack) + [(wh, wh), (wh, wh), (0, 0)]
+    padded = np.pad(image.astype(np.float64), pad, mode="edge")
+    blocks = [padded[..., dy : dy + h, dx : dx + w, :]
+              for dy in range(2 * wh + 1) for dx in range(2 * wh + 1)]
+    return np.concatenate(blocks, axis=-1).reshape(*stack, h * w, config.dim(c))
 
 
 def cluster_distribution(cmap, mask, region, k, eps=DEFAULT_EPS):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import best_partition_inertia
+from oracles import best_partition_inertia, concatenated_features
 
 from tcm import clustering
 from tcm.clustering import (
@@ -46,6 +46,27 @@ class TestExtractFeatures:
         assert feats.shape == (4, 35, config.dim(3)) and feats.dtype == np.float64
         for layer, image in zip(feats, stack):
             assert layer.tobytes() == extract_features(image, config).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @pytest.mark.parametrize("config", [PixelFeatureConfig(),
+                                        PixelFeatureConfig("spectral_window", window=1),
+                                        PixelFeatureConfig("spectral_window", window=2)])
+    def test_cast_in_place_matches_concatenated_copy(self, config, dtype):
+        rng = np.random.default_rng(1)
+        stack = (rng.random((3, 6, 5, 3)) * 255).astype(dtype)
+        for image in (stack, stack[1], stack[:, 1:, ::-1]):  # the last is not contiguous
+            oracle = concatenated_features(image, config)
+            assert extract_features(image, config).tobytes() == oracle.tobytes()
+            out = np.full(oracle.shape, np.nan)
+            assert extract_features(image, config, out=out) is out
+            assert out.tobytes() == oracle.tobytes()
+
+    def test_out_of_another_shape_or_type_is_refused(self):
+        image = np.zeros((4, 4, 3), np.uint8)
+        for out in (np.empty((16, 4)), np.empty((16, 3), np.float32),
+                    np.empty((3, 16))[:, :].T):
+            with pytest.raises(ValueError, match="out must be"):
+                extract_features(image, PixelFeatureConfig(), out=out)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

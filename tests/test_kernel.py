@@ -11,7 +11,9 @@ the store too. The kernel's own generator must pick the init centres that
 numpy's `default_rng` picks.
 """
 
+import ctypes
 import json
+import re
 import shutil
 import subprocess
 import tempfile
@@ -43,17 +45,52 @@ def test_kernel_loads_where_a_compiler_exists():
     assert clustering._lib is not None, clustering.KERNEL
 
 
-def test_kernel_source_builds_without_warnings(tmp_path):
-    # The runtime build leaves -Werror out, so that another compiler's warning
-    # keeps the kernel; this repository's own warnings still fail here.
+def build_kernel(path, *defines):
+    """Build the kernel source at `path` with the runtime flags, -Werror and
+    `defines`; a failed build fails the test with the compiler's output."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    assert "-Werror" not in clustering._CFLAGS
     source = Path(clustering.__file__).with_name("_lloyd.c")
-    build = subprocess.run([cc, *clustering._CFLAGS, "-Werror", "-o", str(tmp_path / "k.so"),
+    build = subprocess.run([cc, *clustering._CFLAGS, "-Werror", *defines, "-o", str(path),
                             str(source), "-lm"], capture_output=True, text=True, timeout=300)
     assert build.returncode == 0, build.stderr
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    # The runtime build leaves -Werror out, so that another compiler's warning
+    # keeps the kernel; this repository's own warnings still fail here.
+    assert "-Werror" not in clustering._CFLAGS
+    build_kernel(tmp_path / "k.so")
+
+
+@needs_kernel
+def test_kernel_names_the_instruction_set_it_runs():
+    level = clustering.CPU_LEVELS[clustering._lib.tcm_cpu_level()]
+    assert re.fullmatch(r"compiled kernel .+\.so \((plain|avx2|avx512f)\)", clustering.KERNEL)
+    assert clustering.KERNEL.endswith(f"({level})")
+
+
+@pytest.fixture(scope="module", params=range(len(clustering.CPU_LEVELS)),
+                ids=clustering.CPU_LEVELS)
+def level_kernel(request, tmp_path_factory):
+    """The kernel built with its dispatch capped at one level (TCM_MAX_LEVEL),
+    which runs that level's build; skipped where this CPU lacks it."""
+    level = request.param
+    path = tmp_path_factory.mktemp("kernel") / f"level-{level}.so"
+    build_kernel(path, f"-DTCM_MAX_LEVEL={level}")
+    lib = ctypes.CDLL(str(path))
+    clustering._declare(lib)
+    if lib.tcm_cpu_level() < level:
+        pytest.skip(f"this CPU does not run the {clustering.CPU_LEVELS[level]} build")
+    assert lib.tcm_cpu_level() == level
+    return lib
+
+
+@pytest.fixture
+def at_level(level_kernel, monkeypatch):
+    """Every kernel call of the test runs `level_kernel`."""
+    monkeypatch.setattr(clustering, "_lib", level_kernel)
 
 
 def numpy_fit(*args, **kwargs):
@@ -405,6 +442,30 @@ def test_float_repeated_points_match_numpy():
         distinct = rng.normal(size=(int(rng.integers(1, 4)), d)) * 50.0
         x = distinct[rng.integers(0, len(distinct), size=int(rng.integers(max(3, k), 40)))]
         assert_same_fit(x, k, int(rng.integers(0, 2**63)))
+
+
+# The comparisons above, with the kernel built at each dispatch level: every
+# build must give the oracle's bits.
+
+@pytest.mark.parametrize("mode", clustering.FEATURE_MODES)
+def test_real_chip_fits_match_numpy_at_every_level(at_level, chip_layers, mode):
+    test_real_chip_fits_match_numpy(chip_layers, mode)
+
+
+def test_float_repeated_points_match_numpy_at_every_level(at_level):
+    test_float_repeated_points_match_numpy()
+
+
+def test_zero_total_and_constant_layers_match_numpy_at_every_level(at_level, monkeypatch):
+    for k in (4, 8):
+        test_zero_total_picks_match_default_rng(k)
+    test_constant_layer_stays_in_kernel(monkeypatch)
+
+
+@pytest.mark.parametrize("mode", clustering.FEATURE_MODES)
+def test_store_batches_match_layer_divergence_at_every_level(at_level, ragged_dataset,
+                                                             monkeypatch, mode):
+    test_store_batches_match_layer_divergence(ragged_dataset, monkeypatch, mode, "kernel")
 
 
 @needs_kernel
