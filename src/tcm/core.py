@@ -34,7 +34,7 @@ import numpy as np
 
 from .clustering import FitStats, PixelFeatureConfig, extract_features, region_counts
 from .data import FootprintDataset
-from .errors import EmptyRegion, SupportMismatch
+from .errors import SupportMismatch
 from .geometry import ChipStack, Polygon, extract_chips, stack_scenes
 from .supervised import avg_color_series, color_over_time_features
 from .util import run_tasks, stable_seed
@@ -155,15 +155,13 @@ def _batch_divergences(chips: Sequence[ChipStack], ks: Sequence[int], layers: Se
     The region codes, features and seeds are made once for all k; each k
     then takes one `region_counts` call for the whole batch. Mask value 1
     is the footprint and 0 its neighborhood; pixels of any other value are
-    clustered but counted in neither region.
+    clustered but counted in neither region. `ChipStack` refuses a chip
+    without a pixel of each region, so no region here is empty.
     """
     masks = np.concatenate([ch.mask.ravel() for ch in chips])
     codes = np.where(masks == 1, 0, np.where(masks == 0, 1, 2)).astype(np.uint8)
     sizes = np.array([ch.mask.size for ch in chips])
     starts = np.cumsum(sizes) - sizes
-    for region, code in (("footprint", 0), ("neighborhood", 1)):
-        if not np.logical_or.reduceat(codes == code, starts).all():
-            raise EmptyRegion(f"{region} region is empty")
     layers = list(layers)
     every = layers == list(range(chips[0].n_layers))  # the chips' own stacks, uncopied
     n_layers, dim = len(layers), feature_config.dim(chips[0].imagery.shape[-1])
@@ -200,6 +198,8 @@ class DivergenceCache:
     def __init__(self, dataset: FootprintDataset,
                  feature_config: PixelFeatureConfig = PixelFeatureConfig(),
                  eps: float = DEFAULT_EPS, seed: int = 0, workers: int = 1):
+        if not eps >= 0:  # so NaN fails too; a negative eps gives NaN distributions
+            raise ValueError(f"eps must be >= 0, got {eps}")
         self.dataset = dataset
         self.feature_config = feature_config
         self.eps = eps

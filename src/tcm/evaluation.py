@@ -196,6 +196,10 @@ def repeated_splits(
     Features come from `cache` (a default store when None)."""
     if method not in METHODS or method == "tcm_semi":
         raise ValueError(f"method must be a supervised method, got {method!r}")
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    if not 0 < train_frac < 1:
+        raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
     ids = dataset.labeled_ids()
     if len(ids) < 5:
         raise TooFewLabels(f"need >= 5 labeled footprints, got {len(ids)}")

@@ -159,6 +159,17 @@ class TestRepeatedSplits:
         with pytest.raises(ValueError):
             repeated_splits(ds, "mode", n_repeats=2, seed=0, k_grid=(2,), r_grid=(3.0,))
 
+    @pytest.mark.parametrize("n_repeats, train_frac, match", [
+        (0, 0.8, "n_repeats"), (-1, 0.8, "n_repeats"),
+        (2, 0.0, "train_frac"), (2, 1.0, "train_frac"),
+        (2, 1.5, "train_frac"), (2, -1.0, "train_frac"), (2, float("nan"), "train_frac"),
+    ])
+    def test_rejects_what_the_cli_rejects(self, n_repeats, train_frac, match):
+        ds = small_dataset()
+        with pytest.raises(ValueError, match=match):
+            repeated_splits(ds, "mode", n_repeats=n_repeats, train_frac=train_frac, seed=0,
+                            k_grid=(2,), r_grid=(3.0,))
+
 
 class TestBudgetWarning:
     @pytest.mark.parametrize("method, fits_per_split", [("tcm_lr", 2), ("avgcolor_lr", 1)])
@@ -273,6 +284,11 @@ class TestStoreSettings:
             evaluate_semi_supervised(ds, (2,), (3.0,), n_random=4, seed=1, cache=cache)
         with pytest.raises(ValueError, match="dataset"):
             detect_all(small_dataset(footprints=8), 2, 3.0, 0.5, cache=cache)
+
+    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
+    def test_eps_below_zero_or_nan_is_refused(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            DivergenceCache(small_dataset(footprints=8), eps=eps, seed=0)
 
     def test_matching_cache_is_shared_whatever_its_workers(self):
         ds = small_dataset(footprints=8)

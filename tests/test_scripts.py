@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from tcm.evaluation import (METHODS, DivergenceCache, evaluate_semi_supervised,
+                            grid_cell_accuracies)
+from tcm.synthgen import SynthConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--footprints", "14", "--n-random", "20", "--k-grid", "2", "--r-grid", "3"]
@@ -18,24 +20,28 @@ def run_script(name, args, cwd):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-# (script, extra arguments, output file, lines its table must print)
-SCRIPTS = [
-    ("grid_diagnostics.py", [], "cells.csv",
-     ["   k      r       BC    theta      ACC", "<- chosen", "spearman(BC, ACC) ="]),
-    ("run_synthetic_benchmark.py", ["--repeats", "2"], "table.json",
-     ["method                    ACC", "tcm_semi", "tcm_supervised", "color_over_time",
-      "mode"]),
-]
-
-
-@pytest.mark.parametrize("script, extra, out, expected", SCRIPTS,
-                         ids=[case[0] for case in SCRIPTS])
-def test_script_runs_and_prints_its_table(tmp_path, script, extra, out, expected):
-    done = run_script(script, TINY + extra + ["--out", str(tmp_path / out)], tmp_path)
+def test_synthetic_benchmark_prints_every_claim_from_one_store(tmp_path):
+    out = tmp_path / "report.json"
+    done = run_script("run_synthetic_benchmark.py", TINY + ["--repeats", "2", "--out", str(out)],
+                      tmp_path)
     assert done.returncode == 0, done.stderr
-    for text in expected:
+    for text in ["method                    ACC    +/-      MAE    +/-",
+                 "   k      r       BC    theta      ACC", "<- chosen",
+                 "spearman(BC, ACC) = undefined", *METHODS]:  # one cell has no correlation
         assert text in done.stdout
-    assert (tmp_path / out).stat().st_size > 0
+    report = json.loads(out.read_text())
+    assert list(report["methods"]) == list(METHODS)
+    assert report["spearman_bc_acc"] is None
+
+    dataset = generate(SynthConfig(footprints=14, seed=0))
+    semi, calib, _ = evaluate_semi_supervised(dataset, [2], [3.0], n_random=20, seed=0,
+                                              cache=DivergenceCache(dataset, seed=0))
+    assert report["chosen"] == {"k": calib.chosen_k, "r": calib.chosen_r,
+                                "theta": calib.chosen_theta}
+    assert report["cells"] == grid_cell_accuracies(dataset, calib,
+                                                    DivergenceCache(dataset, seed=0))
+    assert report["methods"]["tcm_semi"]["acc_mean"] == semi.accuracy
+    assert report["methods"]["tcm_semi"]["mae_index_std"] == 0.0
 
 
 def test_bench_pairs_writes_medians_and_pair_wins(tmp_path):
